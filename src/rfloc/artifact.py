@@ -10,6 +10,7 @@ explicit errors.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -59,6 +60,35 @@ def save_model(model: LocalizerModel, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _array_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """Validate the header schema; returns (name, shape) in payload order."""
+    if not isinstance(header, dict):
+        raise ArtifactError(f"{path}: artifact header is not a JSON object")
+    if not isinstance(header.get("meta", {}), dict):
+        raise ArtifactError(f"{path}: artifact metadata is not a JSON object")
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise ArtifactError(f"{path}: artifact header lacks an array list")
+    specs = []
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"])
+        ):
+            raise ArtifactError(f"{path}: malformed array entry {entry!r} in artifact header")
+        specs.append((entry["name"], tuple(entry["shape"])))
+    if len({name for name, _ in specs}) != len(specs):
+        raise ArtifactError(f"{path}: artifact header repeats an array name")
+    payload_bytes = header.get("payload_bytes")
+    if type(payload_bytes) is not int:
+        raise ArtifactError(f"{path}: artifact header lacks an integer payload size")
+    if payload_bytes != 8 * sum(math.prod(shape) for _, shape in specs):
+        raise ArtifactError(f"{path}: artifact header arrays disagree with its payload size")
+    return specs
+
+
 def load_model(path) -> LocalizerModel:
     try:
         with open(path, "rb") as fh:
@@ -80,22 +110,21 @@ def load_model(path) -> LocalizerModel:
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArtifactError(f"{path}: corrupted artifact header: {e}") from e
+    specs = _array_specs(header, path)
     payload = blob[header_end:]
-    if len(payload) != header.get("payload_bytes"):
+    if len(payload) != header["payload_bytes"]:
         raise ArtifactError(
             f"{path}: truncated artifact payload "
-            f"({len(payload)} bytes, expected {header.get('payload_bytes')})"
+            f"({len(payload)} bytes, expected {header['payload_bytes']})"
         )
     arrays = {}
     offset = 0
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arrays[entry["name"]] = (
-            np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
+    for name, shape in specs:
+        size = math.prod(shape)
+        a = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(a).all():
+            raise ArtifactError(f"{path}: array {name!r} holds non-finite values")
+        arrays[name] = a.astype(np.float64).reshape(shape)
         offset += size * 8
 
     def take(name: str) -> np.ndarray:

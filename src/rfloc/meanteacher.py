@@ -147,6 +147,58 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Threshold
     return Thresholds(float(t[0]), float(t[1]))
 
 
+# Cells per (uncertain rows x confident samples) distance block; bounds the
+# memory of label correction independently of the target size.
+_BLOCK_CELLS = 1 << 19
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, added in the order numpy's
+    pairwise summation adds the elements of one row: eight running sums
+    combined as ((0+1)+(2+3))+((4+5)+(6+7)), blocks over 128 split in
+    halves. So the result is bit-equal to np.stack(terms, -1).sum(-1).
+    Accumulates in place into the arrays of terms."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        acc = _pairwise_sum(terms[:half])
+        acc += _pairwise_sum(terms[half:])
+        return acc
+    if n < 8:
+        acc = terms[0]
+        for t in terms[1:]:
+            acc += t
+        return acc
+    tail = n - n % 8
+    r = terms[:8]
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for t in terms[tail:]:
+        r[0] += t
+    return r[0]
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, ordered by
+    (distance, index): the first k of a stable argsort, found by partition
+    instead of sorting whole rows."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    below = dist < kth
+    at = dist == kth
+    need = k - below.sum(axis=1)
+    # Rows with more ties at the k-th distance than free slots keep the
+    # lowest-index ties.
+    crowded = np.flatnonzero(at.sum(axis=1) > need)
+    if crowded.size:
+        at[crowded] &= np.cumsum(at[crowded], axis=1) <= need[crowded, None]
+    chosen = np.nonzero(below | at)[1].reshape(len(dist), k)
+    order = np.argsort(np.take_along_axis(dist, chosen, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(chosen, order, axis=1)
+
+
 def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoLabelSet:
     """Replace uncertain labels by the inverse-distance weighted average of
     the k nearest confident samples (ties broken by lower sample index).
@@ -154,6 +206,11 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     features must be the normalized inputs the labels were computed from.
     If there are fewer than k confident samples, all of them are used; if
     there are none, the set is returned unchanged with a warning.
+
+    Uncertain rows are processed in blocks; every distance and sum is
+    formed in the same floating-point order as a per-row
+    ``sqrt(((conf - x) ** 2).sum(axis=1))``, so the result does not depend
+    on the blocking.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
@@ -161,21 +218,33 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
         raise UsageError("confidence flags not set; run compute_thresholds first")
     if len(features) != len(pls.labels):
         raise ConfigError("features and pseudo labels disagree in length")
+    if not np.isfinite(features).all():
+        raise ConfigError("label correction needs finite features")
     conf_idx = np.flatnonzero(pls.confident)
     unc_idx = np.flatnonzero(~pls.confident)
     if conf_idx.size == 0:
         log.warning("no confident samples; pseudo-label correction skipped")
         return PseudoLabelSet(pls.labels.copy(), pls.sigma.copy(), pls.confident.copy())
     k_eff = min(k, conf_idx.size)
-    conf_feats = features[conf_idx]
+    conf_cols = np.ascontiguousarray(features[conf_idx].T)  # (dim, n_confident)
     conf_labels = pls.labels[conf_idx]
     labels = pls.labels.copy()
-    for i in unc_idx:
-        diff = conf_feats - features[i]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        nearest = np.argsort(dist, kind="stable")[:k_eff]
-        w = 1.0 / np.maximum(dist[nearest], DISTANCE_EPS)
-        labels[i] = (w[:, None] * conf_labels[nearest]).sum(axis=0) / w.sum()
+    block = max(1, _BLOCK_CELLS // conf_idx.size)
+    for start in range(0, unc_idx.size, block):
+        rows = unc_idx[start : start + block]
+        x = features[rows]
+        terms = []
+        for d, col in enumerate(conf_cols):
+            t = col - x[:, d, None]
+            t *= t
+            terms.append(t)
+        dist = np.sqrt(_pairwise_sum(terms))
+        nearest = _nearest(dist, k_eff)
+        w = 1.0 / np.maximum(np.take_along_axis(dist, nearest, axis=1), DISTANCE_EPS)
+        num = w[:, 0, None] * conf_labels[nearest[:, 0]]
+        for j in range(1, k_eff):
+            num += w[:, j, None] * conf_labels[nearest[:, j]]
+        labels[rows] = num / w.sum(axis=1)[:, None]
     return PseudoLabelSet(labels, pls.sigma.copy(), pls.confident.copy())
 
 

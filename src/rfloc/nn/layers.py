@@ -35,10 +35,15 @@ def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 # ---------------------------------------------------------------- conv1d
 
-def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    # (batch, out_len, in_ch, k); out_len = length - k + 1
-    out_len = x.shape[1] - k + 1
-    return np.stack([x[:, j : j + out_len, :] for j in range(k)], axis=3)
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(batch * out_len, in_ch * k) matrix of input windows, out_len =
+    length - k + 1; column c * k + j holds x[n, i + j, c], matching
+    w.reshape(out_ch, in_ch * k). Lowering the conv to one GEMM over this
+    matrix is the im2col scheme of Chellapilla et al. (2006)."""
+    n, length, in_ch = x.shape
+    out_len = length - k + 1
+    win = np.stack([x[:, j : j + out_len, :] for j in range(k)], axis=3)
+    return win.reshape(n * out_len, in_ch * k)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,16 +61,16 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ConfigError(f"conv1d: input length {x.shape[1]} shorter than kernel {k}")
     if b.shape != (out_ch,):
         raise ConfigError(f"conv1d: bias {b.shape} incompatible with weights {w.shape}")
-    win = _windows(x, k)
-    return np.einsum("nicj,ocj->nio", win, w) + b
+    out = _im2col(x, k) @ w.reshape(out_ch, in_ch * k).T
+    out += b
+    return out.reshape(x.shape[0], x.shape[1] - k + 1, out_ch)
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Returns (dx, dw, db) for conv1d_forward."""
     out_ch, in_ch, k = w.shape
     out_len = x.shape[1] - k + 1
-    win = _windows(x, k)
-    dw = np.einsum("nicj,nio->ocj", win, dy)
+    dw = (dy.reshape(-1, out_ch).T @ _im2col(x, k)).reshape(w.shape)
     db = dy.sum(axis=(0, 1))
     dx = np.zeros_like(x)
     for j in range(k):

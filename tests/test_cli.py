@@ -1,11 +1,18 @@
 """Command-line pipeline: manifests, replay, exit codes, source-free audit."""
 
 import builtins
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfloc.artifact import load_model
+import rfloc
+from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.cli import main, read_manifest
 from rfloc.data import load_csv, write_csv
 
@@ -404,3 +411,53 @@ def test_gen_synth_seed_changes_data(tmp_path):
     db = load_csv(b / "source.csv")
     assert not np.array_equal(da.features, db.features)
     assert np.array_equal(da.labels, db.labels)  # trajectory is seed-free
+
+
+# ---------------------------------------------------------------- malformed artifacts
+
+def _rewrite_header(src, dst, edit):
+    raw = src.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    header = edit(json.loads(raw[16 : 16 + header_len]))
+    body = json.dumps(header).encode("utf-8")
+    dst.write_bytes(
+        MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(body)) + body + raw[16 + header_len :]
+    )
+
+
+def _nan_bias(src, dst):
+    model = load_model(src)
+    model.net.params["conv2_b"].value[3] = np.nan
+    save_model(model, dst)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda src, dst: _rewrite_header(src, dst, lambda h: [h]),
+        lambda src, dst: _rewrite_header(
+            src, dst, lambda h: {k: v for k, v in h.items() if k != "arrays"}
+        ),
+        _nan_bias,
+    ],
+    ids=["list-header", "no-arrays", "nan-bias"],
+)
+def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt):
+    bad = tmp_path / "bad.model"
+    corrupt(workdir / "source.model", bad)
+    env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "rfloc.cli", "eval",
+            "--model", str(bad),
+            "--csv", str(workdir / "data" / "target.csv"),
+            "--out-report", str(tmp_path / "r.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr and "bad.model" in proc.stderr
+    assert not (tmp_path / "r.csv").exists()

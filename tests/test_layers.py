@@ -6,7 +6,7 @@ import pytest
 from rfloc.errors import ConfigError, UsageError
 from rfloc.nn import layers
 
-from util import central_difference, conv1d_loops, max_rel_error
+from util import central_difference, conv1d_backward_loops, conv1d_loops, max_rel_error
 
 TOL = 1e-6
 
@@ -65,6 +65,21 @@ def test_conv1d_backward_matches_fd(gen):
     assert max_rel_error(dx, central_difference(loss, x)) < TOL
     assert max_rel_error(dw, central_difference(loss, w)) < TOL
     assert max_rel_error(db, central_difference(loss, b)) < TOL
+
+
+@pytest.mark.parametrize("batch", [1, 32, 257])
+@pytest.mark.parametrize(
+    "length, in_ch, out_ch", [(8, 1, 64), (7, 64, 128)], ids=["conv1", "conv2"]
+)
+def test_conv1d_gradients_match_loop_oracle(gen, batch, length, in_ch, out_ch):
+    x = gen.normal(size=(batch, length, in_ch))
+    w = gen.normal(size=(out_ch, in_ch, 2))
+    b = gen.normal(size=out_ch)
+    out = layers.conv1d_forward(x, w, b)
+    dy = gen.normal(size=out.shape)
+    for got, want in zip(layers.conv1d_backward(dy, x, w), conv1d_backward_loops(dy, x, w)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-11)
 
 
 def test_conv1d_shape_errors(gen):

@@ -1,5 +1,7 @@
 """Source training, prediction, oracle fine-tuning, artifact round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,30 @@ def test_artifact_header_corruption_detected(tmp_path, source_model):
     path.write_bytes(bytes(raw))
     with pytest.raises(ArtifactError):
         load_model(path)
+
+
+def test_artifact_fuzz_raises_only_artifact_error(tmp_path, source_model):
+    # Truncations anywhere and byte flips in the magic, version, length and
+    # JSON header either load or fail with ArtifactError, never with an
+    # untyped exception.
+    path = tmp_path / "m.rfm"
+    save_model(source_model, path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    gen = np.random.default_rng(0)
+    bad = tmp_path / "bad.rfm"
+    for trial in range(300):
+        blob = bytearray(raw)
+        if trial % 3 == 0:
+            del blob[int(gen.integers(0, len(blob))) :]
+        else:
+            for i in gen.integers(0, 16 + header_len, size=int(gen.integers(1, 4))):
+                blob[i] = int(gen.integers(0, 256))
+        bad.write_bytes(bytes(blob))
+        try:
+            load_model(bad)
+        except ArtifactError:
+            pass
 
 
 def test_artifact_magic_constant():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from rfloc import meanteacher
 from rfloc.errors import ConfigError, UsageError
 from rfloc.meanteacher import (
     MeanTeacherConfig,
     PseudoLabelSet,
+    _pairwise_sum,
     _probe,
     adapt,
     compute_thresholds,
@@ -16,7 +18,7 @@ from rfloc.meanteacher import (
 )
 from rfloc.nn import ParamSet, Rng
 
-from util import correct_labels_bruteforce
+from util import correct_labels_bruteforce, correct_labels_per_row
 
 
 def unit_row(value: float) -> np.ndarray:
@@ -198,6 +200,41 @@ def test_correction_matches_bruteforce_bitwise():
         out = correct_labels(pls, features, k=k)
         oracle = correct_labels_bruteforce(labels, None, confident, features, k)
         assert np.array_equal(out.labels, oracle)
+
+
+def test_correction_k8_with_ties_matches_oracles_bitwise(monkeypatch):
+    # Rounded features with duplicated rows put many confident samples at
+    # exactly the k-th distance, so the lower-index tie-break decides.
+    gen = np.random.default_rng(21)
+    features = np.round(gen.normal(size=(300, 8)), 1)
+    features[100:200] = features[gen.integers(0, 100, size=100)]
+    features[200:230] = np.round(features[200:230])
+    labels = gen.uniform(0, 10, size=(300, 2))
+    confident = gen.random(300) > 0.3
+    per_row = correct_labels_per_row(labels, confident, features, 8)
+    assert np.array_equal(
+        per_row, correct_labels_bruteforce(labels, None, confident, features, 8)
+    )
+    for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
+        monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
+        pls = PseudoLabelSet(labels.copy(), np.zeros((300, 2)), confident.copy())
+        assert np.array_equal(correct_labels(pls, features, k=8).labels, per_row)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 23, 130, 300])
+def test_pairwise_sum_matches_numpy_row_sum(width):
+    gen = np.random.default_rng(width)
+    a = gen.random((50, width)) * 10.0 ** gen.uniform(-6, 6, size=(50, width))
+    got = _pairwise_sum([np.ascontiguousarray(col) for col in a.T])
+    assert np.array_equal(got, a.sum(axis=1))
+
+
+def test_correction_rejects_nonfinite_features():
+    features = np.zeros((3, 8))
+    features[1, 2] = np.nan
+    pls = PseudoLabelSet(np.zeros((3, 2)), np.zeros((3, 2)), np.array([True, True, False]))
+    with pytest.raises(ConfigError):
+        correct_labels(pls, features, k=1)
 
 
 # ---------------------------------------------------------------- EMA

@@ -50,7 +50,7 @@ def max_rel_error(analytic, numeric, floor: float = 1e-8) -> float:
 
 
 def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct triple-loop valid cross-correlation; oracle for the einsum path."""
+    """Direct loop valid cross-correlation; oracle for conv1d_forward."""
     n, length, in_ch = x.shape
     out_ch, _, k = w.shape
     out_len = length - k + 1
@@ -64,6 +64,43 @@ def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                         acc += x[s, i + j, c] * w[o, c, j]
                 out[s, i, o] = acc + b[o]
     return out
+
+
+def conv1d_backward_loops(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of conv1d_loops, one (position, tap, filter) at a time with
+    elementwise products; returns (dx, dw, db)."""
+    out_ch, _, k = w.shape
+    out_len = x.shape[1] - k + 1
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    db = np.zeros(out_ch)
+    for i in range(out_len):
+        for o in range(out_ch):
+            g = dy[:, i, o]
+            db[o] += g.sum()
+            for j in range(k):
+                dw[o, :, j] += (g[:, None] * x[:, i + j, :]).sum(axis=0)
+                dx[:, i + j, :] += g[:, None] * w[o, :, j]
+    return dx, dw, db
+
+
+def correct_labels_per_row(labels, confident, features, k, eps=1e-8):
+    """The per-row loop label correction used before it was vectorized:
+    one distance vector and one stable argsort per uncertain sample."""
+    conf_idx = np.flatnonzero(confident)
+    labels = labels.copy()
+    if conf_idx.size == 0:
+        return labels
+    k_eff = min(k, conf_idx.size)
+    conf_feats = features[conf_idx]
+    conf_labels = labels[conf_idx]
+    for i in np.flatnonzero(~confident):
+        diff = conf_feats - features[i]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        nearest = np.argsort(dist, kind="stable")[:k_eff]
+        w = 1.0 / np.maximum(dist[nearest], eps)
+        labels[i] = (w[:, None] * conf_labels[nearest]).sum(axis=0) / w.sum()
+    return labels
 
 
 def correct_labels_bruteforce(labels, sigma, confident, features, k, eps=1e-8):
