@@ -27,6 +27,8 @@ from .artifact import load_model, save_model
 from .configio import (
     dataclass_to_kv,
     kv_to_dataclass,
+    parse_float,
+    parse_int,
     parse_pair_tuple,
     read_kv,
     write_kv,
@@ -203,6 +205,15 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path) -> None:
 # Each executor is a pure function of (config snapshot, inputs, outputs);
 # replaying the same snapshot reproduces the artifacts byte for byte.
 
+def _config_value(config_kv: dict, key: str, default: str, parse):
+    """A manifest value outside the config dataclasses, parsed so that an
+    edited manifest fails with ConfigError rather than a traceback."""
+    try:
+        return parse(config_kv.get(key, default))
+    except ConfigError as e:
+        raise ConfigError(f"config key {key!r}: {e}") from None
+
+
 def _exec_gen_synth(config_kv, inputs, outputs, run_id) -> None:
     scenario = kv_to_dataclass(SynthScenario, config_kv)
     write_csv(generate_synthetic(scenario.source_config()), outputs["source_csv"], run_id=run_id)
@@ -268,7 +279,7 @@ def _exec_adapt(config_kv, inputs, outputs, run_id) -> None:
 
 
 def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
-    runs = int(config_kv.get("runs", "1"))
+    runs = _config_value(config_kv, "runs", "1", parse_int)
     if runs < 1:
         raise ConfigError("runs must be at least 1")
     data = load_csv(inputs["csv"])
@@ -295,7 +306,7 @@ def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
 
 
 def _exec_heatmap(config_kv, inputs, outputs, run_id) -> None:
-    cell = float(config_kv.get("cell", "1.0"))
+    cell = _config_value(config_kv, "cell", "1.0", parse_float)
     receivers = parse_pair_tuple(config_kv["receivers"]) if config_kv.get("receivers") else None
     data = load_csv(inputs["csv"])
     if not data.labeled:
@@ -326,8 +337,8 @@ def _exec_cv(config_kv, inputs, outputs, run_id) -> None:
     method = config_kv.get("method")
     if method not in ("mtloc", "mtloc-conf"):
         raise ConfigError("fold selection supports the mtloc and mtloc-conf methods")
-    n_folds = int(config_kv.get("folds", "5"))
-    fold_seed = int(config_kv.get("fold_seed", "0"))
+    n_folds = _config_value(config_kv, "folds", "5", parse_int)
+    fold_seed = _config_value(config_kv, "fold_seed", "0", parse_int)
     grid_text = config_kv.get("grid", "")
     base_kv = {
         k: v

@@ -52,6 +52,20 @@ def parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
+def parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+
+
 def parse_float_tuple(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -67,9 +81,9 @@ def _parser_for(default):
     if isinstance(default, bool):
         return parse_bool
     if isinstance(default, int):
-        return int
+        return parse_int
     if isinstance(default, float):
-        return float
+        return parse_float
     if isinstance(default, str):
         return lambda s: s
     if isinstance(default, tuple):
@@ -103,7 +117,7 @@ def kv_to_dataclass(cls, kv: dict[str, str]):
         parser = _parser_for(getattr(defaults, key))
         try:
             values[key] = parser(text)
-        except (ValueError, ConfigError) as e:
+        except ConfigError as e:
             raise ConfigError(f"config key {key!r}: {e}") from None
     return dataclasses.replace(defaults, **values)
 

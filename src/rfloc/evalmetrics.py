@@ -12,6 +12,9 @@ from .data import Dataset, make_folds
 from .errors import ConfigError, DataError
 
 METRIC_NAMES = ("mae_x", "mae_y", "mae_d", "rmse_x", "rmse_y", "rmse_d")
+# Largest heatmap grid: 1000 x 1000 cells, a 10 m room at 1 cm resolution,
+# hold about 24 MB of counts, sums and values.
+MAX_HEATMAP_CELLS = 1_000_000
 
 
 @dataclass
@@ -105,10 +108,11 @@ def compute_heatmap(
 
     With origin/shape omitted the grid covers the label bounding box.
     When given explicitly, samples outside the grid are dropped; if all
-    fall outside, that is an error.
+    fall outside, that is an error. A grid of more than MAX_HEATMAP_CELLS
+    cells is refused.
     """
-    if cell <= 0:
-        raise ConfigError(f"cell size must be positive, got {cell}")
+    if not (np.isfinite(cell) and cell > 0):
+        raise ConfigError(f"cell size must be positive and finite, got {cell}")
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if preds.shape != labels.shape or preds.ndim != 2 or preds.shape[1] != 2:
@@ -129,6 +133,11 @@ def compute_heatmap(
         n_rows, n_cols = shape
         if n_rows < 1 or n_cols < 1:
             raise ConfigError(f"grid shape must be positive, got {shape}")
+    if n_rows * n_cols > MAX_HEATMAP_CELLS:
+        raise ConfigError(
+            f"heatmap grid of {n_rows} x {n_cols} cells exceeds {MAX_HEATMAP_CELLS} cells;"
+            " use a larger cell size"
+        )
     rows = np.floor(rows_f).astype(int)
     cols = np.floor(cols_f).astype(int)
     inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)

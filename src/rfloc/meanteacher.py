@@ -107,12 +107,10 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
         raise ConfigError("uncertainty probing needs at least 2 probes")
     n, dim = z.shape
     labels = predict_fn(z)
-    noise = np.empty((n_probe, n, dim))
-    for i in range(n):
-        noise[:, i, :] = rng.stream("probe", epoch, i).normal(0.0, noise_std, size=(n_probe, dim))
+    noise = rng.row_normals(("probe", epoch), n, noise_std, (n_probe, dim))
     preds = np.empty((n_probe, n, 2))
     for p in range(n_probe):
-        preds[p] = predict_fn(z + noise[p])
+        preds[p] = predict_fn(z + noise[:, p])
     return labels, preds.std(axis=0)
 
 

@@ -35,19 +35,52 @@ def _tag_word(tag) -> int:
     raise TypeError(f"stream tags must be str or int, got {type(tag).__name__}")
 
 
+def _fold(k: int, tags) -> int:
+    for tag in tags:
+        k = _splitmix64(k ^ _tag_word(tag))
+    return k
+
+
+def _key_words(k: int) -> tuple[int, int]:
+    """(low, high) 64-bit words of the Philox key for a folded tag chain."""
+    return _splitmix64(k ^ 0xA5A5A5A5A5A5A5A5), k
+
+
 class Rng:
     """Deterministic factory of independent random streams for one seed."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
 
+    def key(self, *tags) -> int:
+        """The 128-bit Philox key of the stream keyed by (seed, tags)."""
+        low, high = _key_words(_fold(_splitmix64(self.seed), tags))
+        return (high << 64) | low
+
     def stream(self, *tags) -> np.random.Generator:
         """Return a fresh generator keyed by (seed, tags).
 
         The same (seed, tags) always yields the same draw sequence.
         """
-        k = _splitmix64(self.seed)
-        for tag in tags:
-            k = _splitmix64(k ^ _tag_word(tag))
-        key = (k << 64) | _splitmix64(k ^ 0xA5A5A5A5A5A5A5A5)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key(*tags)))
+
+    def row_normals(self, tags: tuple, n: int, scale: float, shape: tuple) -> np.ndarray:
+        """Row i is ``self.stream(*tags, i).normal(0.0, scale, shape)``, bit
+        for bit, for i in range(n); the result has shape (n, *shape).
+
+        One Philox is re-keyed per row, with the zero counter and empty
+        buffer of a new one, instead of building a generator per row; the
+        tag prefix is folded once.
+        """
+        bits = np.random.Philox(key=0)
+        gen = np.random.Generator(bits)
+        state = bits.state
+        counter = state["state"]["counter"]
+        prefix = _fold(_splitmix64(self.seed), tags)
+        out = np.empty((n, *shape))
+        for i in range(n):
+            key = np.array(_key_words(_fold(prefix, (i,))), dtype=np.uint64)
+            state["state"] = {"counter": counter, "key": key}
+            bits.state = state
+            out[i] = gen.normal(0.0, scale, shape)
+        return out

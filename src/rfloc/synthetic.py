@@ -92,11 +92,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     # Channel order: r1x, r1y, r2x, r2y, ... (receiver-major, polarization-minor).
     features = np.repeat(base, 2, axis=1) + np.tile(gains, len(cfg.rx))
     if cfg.shadowing_std_db > 0:
-        rng = Rng(cfg.seed)
-        noise = np.empty_like(features)
-        for i in range(len(points)):
-            noise[i] = rng.stream("shadow", i).normal(
-                0.0, cfg.shadowing_std_db, size=features.shape[1]
-            )
+        noise = Rng(cfg.seed).row_normals(
+            ("shadow",), len(points), cfg.shadowing_std_db, (features.shape[1],)
+        )
         features = features + noise
     return Dataset(cfg.name, features, points.copy())

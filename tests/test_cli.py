@@ -461,3 +461,72 @@ def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr and "bad.model" in proc.stderr
     assert not (tmp_path / "r.csv").exists()
+
+
+# ---------------------------------------------------------------- edited manifests
+
+def _heatmap_args(workdir, out):
+    return [
+        "heatmap",
+        "--model", str(workdir / "source.model"),
+        "--csv", str(workdir / "data" / "target.csv"),
+        "--out-prefix", str(out / "grid"),
+    ], out / "grid.manifest"
+
+
+def _cv_args(workdir, out):
+    return [
+        "cv",
+        "--method", "mtloc",
+        "--model", str(workdir / "source.model"),
+        "--target-csv", str(workdir / "data" / "target.csv"),
+        "--grid", "alpha=0.8",
+        "--folds", "2",
+        "--set", "epochs=1",
+        "--out", str(out / "cv.csv"),
+    ], out / "cv.csv.manifest"
+
+
+def _eval_args(workdir, out):
+    return [
+        "eval",
+        "--model", str(workdir / "source.model"),
+        "--csv", str(workdir / "data" / "target.csv"),
+        "--out-report", str(out / "r.csv"),
+    ], out / "r.csv.manifest"
+
+
+@pytest.mark.parametrize(
+    "make_args, key, value",
+    [
+        (_heatmap_args, "config.cell", "abc"),
+        (_cv_args, "config.folds", "x"),
+        (_cv_args, "config.fold_seed", "1.5"),
+        (_eval_args, "config.runs", "two"),
+    ],
+    ids=["cell", "folds", "fold_seed", "runs"],
+)
+def test_replay_of_edited_manifest_exits_2_without_traceback(
+    workdir, tmp_path, make_args, key, value
+):
+    args, manifest = make_args(workdir, tmp_path)
+    assert main(args) == 0
+    lines = manifest.read_text().splitlines()
+    edited = [f"{key} = {value}" if line.split(" = ")[0] == key else line for line in lines]
+    assert edited != lines
+    manifest.write_text("\n".join(edited) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "rfloc.cli", "replay",
+            "--manifest", str(manifest),
+            "--out-dir", str(tmp_path / "replayed"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"config key {key.split('.', 1)[1]!r}" in proc.stderr
+    assert repr(value) in proc.stderr

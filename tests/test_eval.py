@@ -6,6 +6,7 @@ import pytest
 from rfloc.data import Dataset
 from rfloc.errors import ConfigError, DataError
 from rfloc.evalmetrics import (
+    MAX_HEATMAP_CELLS,
     METRIC_NAMES,
     MetricsReport,
     aggregate_runs,
@@ -121,8 +122,20 @@ def test_heatmap_explicit_shape_drops_outsiders():
 def test_heatmap_validation():
     with pytest.raises(ConfigError):
         compute_heatmap(np.zeros((1, 2)), np.zeros((1, 2)), cell=0.0)
+    with pytest.raises(ConfigError):
+        compute_heatmap(np.zeros((1, 2)), np.zeros((1, 2)), cell=float("nan"))
     with pytest.raises(DataError):
         compute_heatmap(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_heatmap_grid_size_is_capped():
+    labels = np.array([[0.0, 0.0], [10.0, 10.0]])
+    with pytest.raises(ConfigError, match="exceeds"):
+        compute_heatmap(labels, labels, cell=1e-4)  # 100,001 x 100,001 cells
+    with pytest.raises(ConfigError, match="exceeds"):
+        compute_heatmap(labels, labels, cell=1.0, origin=(0.0, 0.0), shape=(2000, 1000))
+    grid = compute_heatmap(labels, labels, cell=0.011)
+    assert grid.values.size <= MAX_HEATMAP_CELLS
 
 
 def test_heatmap_csv_empty_cell_sentinel(tmp_path):

@@ -66,6 +66,22 @@ def test_probe_deterministic_per_sample():
     assert not np.array_equal(s1, s3)
 
 
+def test_probe_noise_matches_per_sample_streams():
+    z = np.random.default_rng(1).normal(size=(4, 8))
+    seen = []
+
+    def record(v):
+        seen.append(v.copy())
+        return v[:, :2]
+
+    _probe(record, z, 0.5, 3, Rng(9), epoch=2)
+    rng = Rng(9)
+    noise = np.stack([rng.stream("probe", 2, i).normal(0.0, 0.5, size=(3, 8)) for i in range(4)])
+    assert np.array_equal(seen[0], z)
+    for p in range(3):
+        assert np.array_equal(seen[1 + p], z + noise[:, p]), p
+
+
 def test_probe_rejects_single_probe():
     with pytest.raises(ConfigError):
         _probe(lambda v: v[:, :2], np.zeros((2, 8)), 0.1, 1, Rng(0), 0)

@@ -1,5 +1,6 @@
 """Network architecture contracts: shapes, parameter count, gradients."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from rfloc.errors import ConfigError, UsageError
 from rfloc.networks import (
     FEATURE_DIM,
+    PREDICT_BLOCK_ROWS,
     Discriminator,
     FeatureExtractor,
     Localizer,
@@ -67,6 +69,50 @@ def test_batch_size_invariance():
     batched = net.predict(x)
     single = np.vstack([net.predict(x[i : i + 1]) for i in range(6)])
     assert np.allclose(batched, single, atol=1e-12)
+
+
+B = PREDICT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B])
+def test_predict_up_to_one_block_is_one_forward(n):
+    net = Localizer.init(Rng(11).stream("init"))
+    x = np.random.default_rng(6).normal(size=(n, 8))
+    preds = net.predict(x)
+    assert preds.shape == (n, 2)
+    assert np.array_equal(preds, net.forward(x)[0])
+
+
+def test_predict_blocks_are_independent():
+    # Each block of a long input is predicted exactly as if it came alone.
+    net = Localizer.init(Rng(12).stream("init"))
+    x = np.random.default_rng(7).normal(size=(3 * B + 7, 8))
+    preds = net.predict(x)
+    for a in range(0, len(x), B):
+        assert np.array_equal(preds[a : a + B], net.predict(x[a : a + B])), a
+
+
+@pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
+def test_blocked_predict_close_to_one_forward(n):
+    net = Localizer.init(Rng(13).stream("init"))
+    x = np.random.default_rng(8).normal(size=(n, 8))
+    preds = net.predict(x)
+    assert preds.shape == (n, 2)
+    assert np.allclose(preds, net.forward(x)[0], rtol=0.0, atol=1e-12)
+
+
+def test_predict_memory_does_not_grow_with_rows():
+    # One unblocked forward over 20,000 rows peaks near 430 MB; blocked,
+    # the peak is a few block-sized intermediates.
+    net = Localizer.init(Rng(14).stream("init"))
+    x = np.random.default_rng(9).normal(size=(20_000, 8))
+    tracemalloc.start()
+    try:
+        net.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_localizer_gradient_matches_fd():

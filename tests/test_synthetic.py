@@ -1,9 +1,12 @@
 """Synthetic generator: physics hand-checks, determinism, domain shift."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rfloc.errors import ConfigError, DataError
+from rfloc.nn import Rng
 from rfloc.synthetic import SynthConfig, generate_synthetic, trajectory
 
 
@@ -106,3 +109,14 @@ def test_shadowing_statistics():
     resid = noisy.features - quiet.features
     assert abs(resid.std() - 2.0) < 0.1
     assert abs(resid.mean()) < 0.1
+
+
+def test_shadowing_draws_match_per_sample_streams():
+    cfg = SynthConfig(shadowing_std_db=2.0, seed=4)
+    noisy = generate_synthetic(cfg).features
+    quiet = generate_synthetic(dataclasses.replace(cfg, shadowing_std_db=0.0)).features
+    rng = Rng(4)
+    noise = np.stack(
+        [rng.stream("shadow", i).normal(0.0, 2.0, size=8) for i in range(len(noisy))]
+    )
+    assert np.array_equal(noisy, quiet + noise)
