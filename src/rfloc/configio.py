@@ -10,6 +10,7 @@ semicolon-separated tuple of such pairs ("0,8;6.5,17.5").
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigError
 
@@ -60,17 +61,22 @@ def parse_int(text: str) -> int:
 
 
 def parse_float(text: str) -> float:
+    """A finite float. NaN and infinity are refused here, because range
+    checks such as `lr <= 0` are false for NaN and let it through."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_float_tuple(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        return tuple(parse_float(part) for part in text.split(","))
+    except ConfigError:
+        raise ConfigError(f"expected comma-separated finite numbers, got {text!r}") from None
 
 
 def parse_pair_tuple(text: str) -> tuple[tuple[float, ...], ...]:

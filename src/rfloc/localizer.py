@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, NormStats, fit_normalizer, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
-from .networks import FEATURE_DIM, Localizer
+from .networks import FEATURE_DIM, Localizer, in_blocks
 from .nn import Adam, Rng, l1_loss, l2_loss
 
 log = logging.getLogger(__name__)
@@ -89,14 +89,19 @@ class LocalizerModel:
 
 
 def compute_source_stats(net: Localizer, normalized_features: np.ndarray) -> SourceStats:
-    feats, _ = net.extractor.forward(normalized_features)
+    # The extractor runs in predict's row blocks, so of its outputs only
+    # the (n, 768) features grow with n, and they are centered in place.
+    # The regressor stays one pass over all rows: BLAS may pick another
+    # kernel for its 64 -> 2 output GEMM on a smaller input, which would
+    # change the last bits of the prediction statistics.
+    feats = in_blocks(lambda rows: net.extractor.forward(rows)[0], normalized_features)
     preds, _ = net.regressor.forward(feats)
-    centered = feats - feats.mean(axis=0)
+    feats -= feats.mean(axis=0)
     denom = max(len(feats) - 1, 1)
     return SourceStats(
         preds.mean(axis=0),
         preds.var(axis=0),
-        centered.T @ centered / denom,
+        feats.T @ feats / denom,
     )
 
 

@@ -45,6 +45,27 @@ SIGMOID_CLIP = 1e-12
 PREDICT_BLOCK_ROWS = 256
 
 
+def in_blocks(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x) computed over blocks of PREDICT_BLOCK_ROWS rows.
+
+    fn must map each row on its own, so that its outputs for a block are
+    the rows of its output for the whole input. The blocks' outputs are
+    written into one preallocated array, so the intermediates of fn stay
+    cache-sized and only the output grows with the number of rows. Inputs
+    of at most one block, and inputs that are not 2-D (which fn rejects),
+    take a single call.
+    """
+    b = PREDICT_BLOCK_ROWS
+    if x.ndim != 2 or len(x) <= b:
+        return fn(x)
+    first = fn(x[:b])
+    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
+    out[:b] = first
+    for i in range(b, len(x), b):
+        out[i : i + b] = fn(x[i : i + b])
+    return out
+
+
 def _check_param_shapes(params: ParamSet, expected: dict[str, tuple]) -> None:
     if params.names() != list(expected):
         raise ConfigError(
@@ -293,14 +314,11 @@ class Localizer:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference pass: dropout inert.
 
-        Runs forward over blocks of PREDICT_BLOCK_ROWS rows, so the conv
-        and dense intermediates stay cache-sized and memory does not grow
-        with the number of rows.
+        Runs forward over blocks of PREDICT_BLOCK_ROWS rows (in_blocks),
+        so the conv and dense intermediates stay cache-sized and memory
+        does not grow with the number of rows.
         """
-        b = PREDICT_BLOCK_ROWS
-        if x.ndim != 2 or len(x) <= b:
-            return self.forward(x)[0]
-        return np.concatenate([self.forward(x[i : i + b])[0] for i in range(0, len(x), b)])
+        return in_blocks(lambda rows: self.forward(rows)[0], x)
 
     def clone(self) -> "Localizer":
         return Localizer(self.extractor.clone(), self.regressor.clone())

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import rfloc
+from rfloc import cli
 from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.cli import main, read_manifest
 from rfloc.data import load_csv, write_csv
+from util import cross_validate_serial
 
 SMALL_SCENARIO = [
     "--set", "room=6,6",
@@ -397,6 +399,110 @@ def test_cv_rejects_bad_grid_key(workdir, tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def _cv_grid_args(workdir, grid, table):
+    return [
+        "cv",
+        "--method", "mtloc-conf",
+        "--model", str(workdir / "source.model"),
+        "--target-csv", str(workdir / "data" / "target.csv"),
+        "--grid", grid,
+        "--folds", "5",
+        "--set", "epochs=1",
+        "--set", "noise_variance=0.3",
+        "--set", "c_x=1.0",
+        "--set", "c_y=1.0",
+        "--out", str(table),
+    ]
+
+
+def test_cv_table_equals_serial_run(workdir, tmp_path, monkeypatch):
+    # The run id hashes output file names, not directories, so the two
+    # tables must match byte for byte, run line included.
+    args = lambda sub: _cv_grid_args(workdir, "alpha=0.7,0.8;k=2,8", tmp_path / sub / "cv.csv")
+    for sub in ("pool", "serial"):
+        (tmp_path / sub).mkdir()
+    assert main(args("pool")) == 0
+    monkeypatch.setattr(cli, "cross_validate", cross_validate_serial)
+    assert main(args("serial")) == 0
+    pooled = (tmp_path / "pool" / "cv.csv").read_bytes()
+    assert len(pooled.splitlines()) == 2 + 4
+    assert pooled == (tmp_path / "serial" / "cv.csv").read_bytes()
+
+
+# Runs the CLI as `rfloc` does, then reports the worker processes left.
+_CLI_COUNTING_CHILDREN = (
+    "import multiprocessing, sys\n"
+    "from rfloc.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(f'children left: {len(multiprocessing.active_children())}', file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+def _run_cli_counting_children(args):
+    env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_COUNTING_CHILDREN, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, code, message",
+    [
+        ("alpha=abc", 2, "config key 'alpha'"),
+        ("alpha=0.8,1.5", 2, "alpha must lie in (0, 1], got 1.5"),
+        ("alpha=0.8;lr=1e-3,1e300", 4, "adaptation diverged"),
+    ],
+    ids=["not-a-number", "out-of-range", "diverging"],
+)
+def test_cv_grid_errors_exit_typed_without_traceback(workdir, tmp_path, grid, code, message):
+    proc = _run_cli_counting_children(_cv_grid_args(workdir, grid, tmp_path / "cv.csv"))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert "children left: 0" in proc.stderr
+    assert not (tmp_path / "cv.csv").exists()
+
+
+def test_cv_replay_of_edited_grid_fails_in_workers(workdir, tmp_path):
+    # The CLI checks grid values before cv starts; a replayed manifest is
+    # parsed by the recipe, inside the fold workers.
+    args, manifest = _cv_args(workdir, tmp_path)
+    assert main(args) == 0
+    text = manifest.read_text()
+    assert "config.grid = alpha=0.8\n" in text
+    manifest.write_text(text.replace("config.grid = alpha=0.8\n", "config.grid = alpha=abc\n"))
+    proc = _run_cli_counting_children(
+        ["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "replayed")]
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config key 'alpha': expected a number, got 'abc'" in proc.stderr
+    assert "children left: 0" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("verb", ["train", "adapt", "cv"])
+def test_non_finite_config_value_exits_2(workdir, tmp_path, capsys, verb, value):
+    model = str(workdir / "source.model")
+    target = str(workdir / "data" / "target.csv")
+    args = {
+        "train": ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+                  "--set", f"lr={value}", "--out", str(tmp_path / "m.model")],
+        "adapt": ["adapt", "--method", "mtloc", "--model", model, "--target-csv", target,
+                  "--set", f"lr={value}", "--out", str(tmp_path / "m.model")],
+        "cv": ["cv", "--model", model, "--target-csv", target, "--grid", f"lr=1e-3,{value}",
+               "--folds", "2", "--set", "epochs=1", "--out", str(tmp_path / "cv.csv")],
+    }[verb]
+    assert main(args) == 2
+    assert f"config key 'lr': expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_version_flag():

@@ -6,6 +6,7 @@ from rfloc.configio import (
     dataclass_to_kv,
     kv_to_dataclass,
     parse_bool,
+    parse_float,
     parse_float_tuple,
     parse_pair_tuple,
     read_kv,
@@ -58,6 +59,17 @@ def test_parse_tuples():
     assert parse_pair_tuple("1,2;") == ((1.0, 2.0),)
     with pytest.raises(ConfigError):
         parse_float_tuple("1,abc")
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_float_parsers_reject_non_finite(text):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_float(text)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_float_tuple(f"1.0,{text}")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_pair_tuple(f"0,1;{text},2")
+    assert parse_float("-1e300") == -1e300
 
 
 def test_dataclass_round_trip_mean_teacher():

@@ -1,5 +1,10 @@
 """Error metrics, multi-run aggregation, heatmaps, fold selection."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,9 @@ from rfloc.evalmetrics import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
+from rfloc.localizer import predict
+from rfloc.meanteacher import MeanTeacherConfig, adapt
+from util import cross_validate_serial
 
 
 FIXTURE_PREDS = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -231,3 +239,85 @@ def test_cross_validate_results_in_grid_order():
     grid = [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}]
     _, results = cross_validate(ds, recipe, grid, n_folds=2)
     assert [r["bias"] for r in results] == [2.0, 0.5, 1.0]
+
+
+def _mean_or_zeros(train, val, config):
+    if config["mode"] == "mean":
+        return np.tile(train.labels.mean(axis=0), (len(val), 1))
+    return np.zeros((len(val), 2))
+
+
+LAMBDA_GRIDS = [
+    (_mean_or_zeros, [{"mode": "mean"}, {"mode": "zeros"}], 3),
+    (lambda t, v, c: np.zeros((len(v), 2)), [{"alpha": 0.9}, {"alpha": 0.7}], 2),
+    (lambda t, v, c: np.full((len(v), 2), c["bias"]), [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}], 2),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("case", range(len(LAMBDA_GRIDS)))
+def test_cross_validate_equals_serial_loop(monkeypatch, cpus, case):
+    recipe, grid, n_folds = LAMBDA_GRIDS[case]
+    ds = _grid_dataset()
+    expected = cross_validate_serial(ds, recipe, grid, n_folds=n_folds, seed=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cross_validate(ds, recipe, grid, n_folds=n_folds, seed=3) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_cross_validate_mtloc_conf_equals_serial_loop(monkeypatch, cpus, source_model, small_target):
+    def recipe(train, val, config):
+        cfg = MeanTeacherConfig(confidence=True, epochs=1, noise_variance=0.3, **config)
+        adapted, _ = adapt(source_model, train.without_labels(), cfg)
+        return predict(adapted, val)
+
+    grid = [{"alpha": 0.7, "k": 2}, {"alpha": 0.8, "k": 8}]
+    expected = cross_validate_serial(small_target, recipe, grid, n_folds=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cross_validate(small_target, recipe, grid, n_folds=3) == expected
+
+
+class _PoolSizes(concurrent.futures.ProcessPoolExecutor):
+    """Records the worker count of every pool cross_validate makes."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "cpus, n_configs, n_folds, workers",
+    [(1, 3, 2, 1), (None, 3, 2, 1), (8, 1, 2, 2), (8, 2, 3, 6), (2, 2, 3, 2)],
+    ids=["one-cpu", "cpu-count-unknown", "two-tasks", "six-tasks", "two-cpus"],
+)
+def test_cross_validate_worker_count(monkeypatch, tmp_path, cpus, n_configs, n_folds, workers):
+    # Each task leaves a file named after the process that ran it.
+    def recipe(train, val, config):
+        os.close(tempfile.mkstemp(prefix=f"{os.getpid()}-", dir=tmp_path)[0])
+        return np.zeros((len(val), 2))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSizes)
+    _PoolSizes.sizes = []
+    grid = [{"i": i} for i in range(n_configs)]
+    cross_validate(_grid_dataset(), recipe, grid, n_folds=n_folds)
+    assert _PoolSizes.sizes == [workers]
+    pids = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
+    assert os.getpid() not in pids and 1 <= len(pids) <= workers
+    assert len(list(tmp_path.iterdir())) == n_configs * n_folds
+    assert multiprocessing.active_children() == []
+
+
+def test_cross_validate_error_leaves_no_workers():
+    # The first failing task in grid order raises, as in the serial loop.
+    def recipe(train, val, config):
+        if config["bad"]:
+            raise ConfigError(f"bad config {config['name']}")
+        return np.zeros((len(val), 2))
+
+    grid = [{"bad": False, "name": "a"}, {"bad": True, "name": "b"}, {"bad": True, "name": "c"}]
+    with pytest.raises(ConfigError, match="bad config b"):
+        cross_validate(_grid_dataset(), recipe, grid, n_folds=3)
+    assert multiprocessing.active_children() == []

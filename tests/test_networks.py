@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rfloc.errors import ConfigError, UsageError
+from rfloc.localizer import compute_source_stats
 from rfloc.networks import (
     FEATURE_DIM,
     PREDICT_BLOCK_ROWS,
@@ -113,6 +114,21 @@ def test_predict_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+def test_source_stats_memory_is_features_plus_one_regressor_pass():
+    # At 20,000 rows the (n, 768) features take 117 MiB and one regressor
+    # pass about 60 MiB; an unblocked extractor pass peaked near 430 MiB.
+    net = Localizer.init(Rng(14).stream("init"))
+    x = np.random.default_rng(9).normal(size=(20_000, 8))
+    tracemalloc.start()
+    try:
+        stats = compute_source_stats(net, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.feat_cov.shape == (FEATURE_DIM, FEATURE_DIM)
+    assert peak < 224 * 2**20, peak
 
 
 def test_localizer_gradient_matches_fd():

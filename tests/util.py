@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from rfloc.data import make_folds
+from rfloc.errors import ConfigError, DataError
+from rfloc.evalmetrics import compute_metrics
+
 
 def central_difference(scalar_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Numerical gradient of scalar_fn with respect to array, elementwise."""
@@ -123,3 +127,28 @@ def correct_labels_bruteforce(labels, sigma, confident, features, k, eps=1e-8):
         pts = np.array([labels[j] for _, j in chosen])
         labels[i] = (w[:, None] * pts).sum(axis=0) / w.sum()
     return labels
+
+
+def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
+    """The one-process config x fold loop that cross_validate ran before
+    its fold pool; the oracle the pooled results must equal exactly."""
+    if not configs:
+        raise ConfigError("empty config grid")
+    if not train_set.labeled:
+        raise DataError("fold selection needs a labeled dataset")
+    folds = make_folds(train_set, n_folds=n_folds, seed=seed)
+    results = []
+    for config in configs:
+        fold_scores = []
+        for fold in range(n_folds):
+            tr = train_set.subset(folds.train_indices(fold))
+            va = train_set.subset(folds.val_indices(fold))
+            preds = recipe(tr, va, config)
+            fold_scores.append(compute_metrics(preds, va.labels).mae_d)
+        results.append({**config, "val_mae_d": float(np.mean(fold_scores))})
+
+    def sort_key(r):
+        return (r["val_mae_d"], tuple(sorted((str(k), repr(r[k])) for k in r if k != "val_mae_d")))
+    best = min(results, key=sort_key)
+    best_config = {k: v for k, v in best.items() if k != "val_mae_d"}
+    return best_config, results
