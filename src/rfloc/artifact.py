@@ -89,6 +89,23 @@ def _array_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
+def _read_arrays(blob: bytes, offset: int, specs, path) -> dict[str, np.ndarray]:
+    """Copy each array out of the payload, which starts at blob[offset].
+
+    The arrays are read in place from blob, not from a slice of it, which
+    would copy the whole payload; no view into blob outlives the call.
+    """
+    arrays = {}
+    for name, shape in specs:
+        size = math.prod(shape)
+        view = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(view).all():
+            raise ArtifactError(f"{path}: array {name!r} holds non-finite values")
+        arrays[name] = view.astype(np.float64).reshape(shape)
+        offset += size * 8
+    return arrays
+
+
 def load_model(path) -> LocalizerModel:
     try:
         with open(path, "rb") as fh:
@@ -111,21 +128,14 @@ def load_model(path) -> LocalizerModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArtifactError(f"{path}: corrupted artifact header: {e}") from e
     specs = _array_specs(header, path)
-    payload = blob[header_end:]
-    if len(payload) != header["payload_bytes"]:
+    if len(blob) - header_end != header["payload_bytes"]:
         raise ArtifactError(
             f"{path}: truncated artifact payload "
-            f"({len(payload)} bytes, expected {header['payload_bytes']})"
+            f"({len(blob) - header_end} bytes, expected {header['payload_bytes']})"
         )
-    arrays = {}
-    offset = 0
-    for name, shape in specs:
-        size = math.prod(shape)
-        a = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        if not np.isfinite(a).all():
-            raise ArtifactError(f"{path}: array {name!r} holds non-finite values")
-        arrays[name] = a.astype(np.float64).reshape(shape)
-        offset += size * 8
+    arrays = _read_arrays(blob, header_end, specs, path)
+    # The arrays are copies; drop the file's bytes before validating them.
+    del blob
 
     def take(name: str) -> np.ndarray:
         if name not in arrays:

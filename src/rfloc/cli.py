@@ -7,7 +7,7 @@ produces; `replay` re-executes a manifest and reproduces the artifacts
 byte for byte.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure.
+failure, 5 a worker process died.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .configio import (
 )
 from .dann import DannConfig, run_dann
 from .data import load_csv, write_csv
-from .errors import ConfigError, DataError, NumericalError, RflocError, UsageError
+from .errors import ConfigError, DataError, NumericalError, RflocError, UsageError, WorkerError
 from .evalmetrics import (
     METRIC_NAMES,
     aggregate_runs,
@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 ADAPT_METHODS = ("mtloc", "mtloc-conf", "dann", "shot", "oracle")
 SOURCE_FREE_METHODS = frozenset({"mtloc", "mtloc-conf", "shot"})
@@ -589,6 +590,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WorkerError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_WORKER
     except RflocError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

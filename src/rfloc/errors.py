@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: usage/configuration problems
-exit 2, data problems exit 3, numerical failures exit 4.
+exit 2, data problems exit 3, numerical failures exit 4, a worker process
+that died exits 5.
 """
 
 
@@ -35,3 +36,8 @@ class ArtifactError(DataError):
 
 class NumericalError(RflocError):
     """A computation produced non-finite values."""
+
+
+class WorkerError(RflocError):
+    """A worker process died before returning its result (for example,
+    killed by the operating system)."""

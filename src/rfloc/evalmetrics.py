@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, make_folds
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, WorkerError
 
 METRIC_NAMES = ("mae_x", "mae_y", "mae_d", "rmse_x", "rmse_y", "rmse_d")
 # Largest heatmap grid: 1000 x 1000 cells, a 10 m room at 1 cm resolution,
@@ -237,7 +237,9 @@ def cross_validate(
     pool of min(configs x folds, os.cpu_count()) forked processes, and the
     scores come back in grid order, so the results equal a serial run's.
     An exception raised by a recipe call reaches the caller with its type
-    and message, the first in grid order, after the pool has shut down.
+    and message, the first in grid order, after the pool has shut down. A
+    worker that dies (say, killed by the operating system) raises
+    WorkerError, also after the shutdown.
     """
     if not configs:
         raise ConfigError("empty config grid")
@@ -249,19 +251,23 @@ def cross_validate(
     # 3.11 on a 2-vCPU Xeon).
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     tasks = [(ci, fold) for ci in range(len(configs)) for fold in range(n_folds)]
     # Workers are forked, so they inherit the dataset, folds, configs and
     # recipe (closures and lambdas included) instead of receiving them
     # pickled. The method is named because Python 3.14 makes forkserver the
     # Linux default.
-    with ProcessPoolExecutor(
-        max_workers=min(len(tasks), os.cpu_count() or 1),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_fold_worker,
-        initargs=(train_set, recipe, configs, folds),
-    ) as pool:
-        scores = list(pool.map(_score_fold, tasks))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(len(tasks), os.cpu_count() or 1),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_fold_worker,
+            initargs=(train_set, recipe, configs, folds),
+        ) as pool:
+            scores = list(pool.map(_score_fold, tasks))
+    except BrokenProcessPool as e:
+        raise WorkerError(f"a fold selection worker process died: {e}") from e
     results = [
         {**config, "val_mae_d": float(np.mean(scores[ci * n_folds : (ci + 1) * n_folds]))}
         for ci, config in enumerate(configs)

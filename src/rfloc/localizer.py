@@ -70,8 +70,11 @@ class SourceStats:
                 f"got {self.feat_cov.shape}"
             )
         scale = max(1.0, float(np.abs(self.feat_cov).max()))
-        if np.abs(self.feat_cov - self.feat_cov.T).max() > 1e-8 * scale:
+        asymmetry = self.feat_cov - self.feat_cov.T
+        np.abs(asymmetry, out=asymmetry)
+        if asymmetry.max() > 1e-8 * scale:
             raise ConfigError("feature covariance is not symmetric")
+        del asymmetry  # freed before eigvalsh makes its own copy of the matrix
         min_eig = float(np.linalg.eigvalsh(self.feat_cov).min())
         if min_eig < -1e-8 * scale:
             raise ConfigError(f"feature covariance is not positive semidefinite ({min_eig})")

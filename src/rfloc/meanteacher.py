@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
 from .localizer import LocalizerModel
-from .nn import Adam, ParamSet, Rng, l1_loss
+from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
 
 log = logging.getLogger(__name__)
 
@@ -247,14 +247,9 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
 
 
 def ema_update(teacher: ParamSet, student: ParamSet, alpha: float) -> None:
-    """teacher <- alpha * student + (1 - alpha) * teacher, elementwise."""
-    if teacher.names() != student.names():
-        raise ConfigError("teacher and student parameter sets do not match")
-    for name, t in teacher.items():
-        s = student[name]
-        if s.value.shape != t.value.shape:
-            raise ConfigError(f"shape mismatch for parameter {name!r}")
-        t.value = alpha * s.value + (1.0 - alpha) * t.value
+    """teacher <- alpha * student + (1 - alpha) * teacher, elementwise and
+    in place."""
+    ema_blend(teacher, student, alpha, 1.0 - alpha)
 
 
 def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):

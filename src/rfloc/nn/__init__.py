@@ -7,7 +7,7 @@ keeps the arithmetic auditable and bit-reproducible.
 """
 
 from .rng import Rng
-from .params import Param, ParamSet
+from .params import Param, ParamSet, ema_blend
 from .adam import Adam
 from .layers import (
     conv1d_backward,
@@ -36,6 +36,7 @@ __all__ = [
     "dense_forward",
     "dropout_backward",
     "dropout_forward",
+    "ema_blend",
     "glorot_uniform",
     "l1_loss",
     "l2_loss",

@@ -74,7 +74,9 @@ def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     db = dy.sum(axis=(0, 1))
     dx = np.zeros_like(x)
     for j in range(k):
-        dx[:, j : j + out_len, :] += dy @ w[:, :, j]
+        # A contiguous copy of the tap: numpy's batched matmul is slow on the
+        # strided w[:, :, j] and gives the same bits on the copy.
+        dx[:, j : j + out_len, :] += dy @ np.ascontiguousarray(w[:, :, j])
     return dx, dw, db
 
 

@@ -32,7 +32,7 @@ from .data import Dataset, normalize_features
 from .errors import ArtifactError, ConfigError, NumericalError, UsageError
 from .localizer import LocalizerModel, SourceStats
 from .networks import FeatureExtractor, Localizer, Regressor
-from .nn import Adam, Rng
+from .nn import Adam, Rng, ema_blend
 
 log = logging.getLogger(__name__)
 
@@ -227,9 +227,9 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = No
                 )
             adam.step()
             if teacher_ext is not None:
-                for name, t in teacher_ext.params.items():
-                    s = student_ext.params[name]
-                    t.value = cfg.teacher_ema * t.value + (1.0 - cfg.teacher_ema) * s.value
+                ema_blend(
+                    teacher_ext.params, student_ext.params, 1.0 - cfg.teacher_ema, cfg.teacher_ema
+                )
             epoch_terms.append(terms)
         means = {key: float(np.mean([t[key] for t in epoch_terms])) for key in epoch_terms[0]}
         diagnostics.append(ShotEpochDiagnostics(epoch, **means))

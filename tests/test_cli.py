@@ -441,10 +441,10 @@ _CLI_COUNTING_CHILDREN = (
 )
 
 
-def _run_cli_counting_children(args):
+def _run_cli_counting_children(args, prelude=""):
     env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-c", _CLI_COUNTING_CHILDREN, *args],
+        [sys.executable, "-c", prelude + _CLI_COUNTING_CHILDREN, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -466,6 +466,19 @@ def test_cv_grid_errors_exit_typed_without_traceback(workdir, tmp_path, grid, co
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    assert "children left: 0" in proc.stderr
+    assert not (tmp_path / "cv.csv").exists()
+
+
+def test_cv_dead_worker_exits_5_without_traceback(workdir, tmp_path):
+    # Every fold's adaptation ends its worker process at once, as the
+    # out-of-memory killer would.
+    prelude = "import os, rfloc.cli\nrfloc.cli.adapt = lambda *args: os._exit(9)\n"
+    args, _ = _cv_args(workdir, tmp_path)
+    proc = _run_cli_counting_children(args, prelude)
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: a fold selection worker process died" in proc.stderr
     assert "children left: 0" in proc.stderr
     assert not (tmp_path / "cv.csv").exists()
 

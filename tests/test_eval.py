@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rfloc.data import Dataset
-from rfloc.errors import ConfigError, DataError
+from rfloc.errors import ConfigError, DataError, WorkerError
 from rfloc.evalmetrics import (
     MAX_HEATMAP_CELLS,
     METRIC_NAMES,
@@ -320,4 +320,16 @@ def test_cross_validate_error_leaves_no_workers():
     grid = [{"bad": False, "name": "a"}, {"bad": True, "name": "b"}, {"bad": True, "name": "c"}]
     with pytest.raises(ConfigError, match="bad config b"):
         cross_validate(_grid_dataset(), recipe, grid, n_folds=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_cross_validate_dead_worker_raises_worker_error():
+    def recipe(train, val, config):
+        if config["die"]:
+            os._exit(9)
+        return np.zeros((len(val), 2))
+
+    grid = [{"die": False}, {"die": True}]
+    with pytest.raises(WorkerError, match="worker process died"):
+        cross_validate(_grid_dataset(), recipe, grid, n_folds=2)
     assert multiprocessing.active_children() == []

@@ -6,7 +6,13 @@ import pytest
 from rfloc.errors import ConfigError, UsageError
 from rfloc.nn import layers
 
-from util import central_difference, conv1d_backward_loops, conv1d_loops, max_rel_error
+from util import (
+    central_difference,
+    conv1d_backward_loops,
+    conv1d_dx_strided,
+    conv1d_loops,
+    max_rel_error,
+)
 
 TOL = 1e-6
 
@@ -80,6 +86,18 @@ def test_conv1d_gradients_match_loop_oracle(gen, batch, length, in_ch, out_ch):
     for got, want in zip(layers.conv1d_backward(dy, x, w), conv1d_backward_loops(dy, x, w)):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("batch", [1, 32, 257])
+@pytest.mark.parametrize(
+    "length, in_ch, out_ch", [(8, 1, 64), (7, 64, 128)], ids=["conv1", "conv2"]
+)
+def test_conv1d_dx_bit_equal_to_strided_taps(gen, batch, length, in_ch, out_ch):
+    x = gen.normal(size=(batch, length, in_ch))
+    w = gen.normal(size=(out_ch, in_ch, 2))
+    dy = gen.normal(size=(batch, length - 1, out_ch))
+    dx, _, _ = layers.conv1d_backward(dy, x, w)
+    assert np.array_equal(dx, conv1d_dx_strided(dy, w, x.shape))  # 0 ulp
 
 
 def test_conv1d_shape_errors(gen):

@@ -1,10 +1,12 @@
 """Source training, prediction, oracle fine-tuning, artifact round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rfloc import localizer
 from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.data import Dataset
 from rfloc.errors import ArtifactError, ConfigError, UsageError
@@ -18,6 +20,8 @@ from rfloc.localizer import (
     train_source,
 )
 from rfloc.networks import FEATURE_DIM
+
+from util import AdamAllocating
 
 
 def test_training_reduces_error(small_source, source_model):
@@ -38,6 +42,16 @@ def test_training_is_deterministic(small_source):
         not np.array_equal(m1.net.params[n].value, m3.net.params[n].value)
         for n in m1.net.params.names()
     )
+
+
+def test_training_bit_equal_with_allocating_adam(monkeypatch, small_source):
+    cfg = TrainConfig(epochs=2, seed=5)
+    new = train_source(small_source, cfg)
+    monkeypatch.setattr(localizer, "Adam", AdamAllocating)
+    old = train_source(small_source, cfg)
+    for name, p in new.net.params.items():
+        assert np.array_equal(p.value, old.net.params[name].value), name
+    assert np.array_equal(new.source_stats.feat_cov, old.source_stats.feat_cov)
 
 
 def test_training_requires_labels(small_source):
@@ -147,6 +161,24 @@ def test_artifact_round_trip_bit_exact(tmp_path, source_model):
     assert back.meta["kind"] == source_model.meta["kind"]
     x = np.random.default_rng(0).normal(-50, 5, size=(4, 8))
     assert np.array_equal(predict(back, x), predict(source_model, x))
+
+
+def test_artifact_load_peak_memory(tmp_path, source_model):
+    # The file's bytes plus one copy of its arrays, and the covariance
+    # checks' temporaries after the bytes are gone, stay below 2.5 times
+    # the file size (a copied payload, kept alive through validation with
+    # two covariance-sized temporaries, peaked at 4.8 times).
+    path = tmp_path / "m.rfm"
+    save_model(source_model, path)
+    size = path.stat().st_size
+    assert size > 5_000_000  # dominated by the 768 x 768 feature covariance
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_artifact_without_source_stats(tmp_path, source_model):

@@ -18,7 +18,12 @@ from rfloc.meanteacher import (
 )
 from rfloc.nn import ParamSet, Rng
 
-from util import correct_labels_bruteforce, correct_labels_per_row
+from util import (
+    AdamAllocating,
+    correct_labels_bruteforce,
+    correct_labels_per_row,
+    ema_update_allocating,
+)
 
 
 def unit_row(value: float) -> np.ndarray:
@@ -296,6 +301,40 @@ def test_ema_name_mismatch_rejected():
         ema_update(t, s, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 0.3, 0.005, 1.0])
+def test_ema_in_place_bit_equal_to_allocating_oracle(alpha):
+    # One parameter spans several blocks of the in-place update.
+    gen = np.random.default_rng(5)
+    shapes = [(300, 130), (64, 1, 2), (1,), ()]
+    t, s = make_pair([gen.normal(size=sh) for sh in shapes], [gen.normal(size=sh) for sh in shapes])
+    ref = t.clone()
+    arrays = {n: p.value for n, p in t.items()}
+    for _ in range(5):
+        for _, p in s.items():
+            p.value = gen.normal(size=p.value.shape)
+        ema_update(t, s, alpha)
+        ema_update_allocating(ref, s, alpha)
+        for n, p in t.items():
+            assert p.value is arrays[n]  # updated in place
+            assert np.array_equal(p.value, ref[n].value)  # 0 ulp
+
+
+def test_ema_teacher_and_student_the_same_set():
+    gen = np.random.default_rng(6)
+    ps, _ = make_pair([gen.normal(size=(300, 130)), gen.normal(size=3)], [np.zeros(1)] * 2)
+    before = {n: p.value.copy() for n, p in ps.items()}
+    ema_update(ps, ps, 0.7)
+    for n, p in ps.items():
+        assert np.array_equal(p.value, 0.7 * before[n] + (1.0 - 0.7) * before[n])
+
+
+def test_ema_shape_mismatch_changes_nothing():
+    t, s = make_pair([np.ones(2), np.ones(3)], [np.full(2, 5.0), np.full(4, 5.0)])
+    with pytest.raises(ConfigError, match="p1"):
+        ema_update(t, s, 0.5)
+    assert np.array_equal(t["p0"].value, np.ones(2))
+
+
 # ---------------------------------------------------------------- adapt
 
 def test_adapt_rejects_labeled_target(source_model, small_target):
@@ -386,3 +425,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MeanTeacherConfig(confidence=True, k=0).validate()
     MeanTeacherConfig(alpha=1.0).validate()  # boundary allowed
+
+
+@pytest.mark.parametrize("confidence", [False, True], ids=["mtloc", "mtloc-conf"])
+def test_adapt_bit_equal_with_allocating_oracles(monkeypatch, source_model, small_target, confidence):
+    cfg = dict(alpha=0.8, epochs=2, seed=4, confidence=confidence, c_x=1.0, c_y=1.0)
+    target = small_target.without_labels()
+    new, _ = adapt(source_model, target, MeanTeacherConfig(**cfg))
+    monkeypatch.setattr(meanteacher, "Adam", AdamAllocating)
+    monkeypatch.setattr(meanteacher, "ema_update", ema_update_allocating)
+    old, _ = adapt(source_model, target, MeanTeacherConfig(**cfg))
+    for name, p in new.net.params.items():
+        assert np.array_equal(p.value, old.net.params[name].value), name

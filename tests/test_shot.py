@@ -5,10 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
+from rfloc import shot
 from rfloc.errors import ArtifactError, ConfigError, UsageError
 from rfloc.localizer import LocalizerModel, SourceStats
 from rfloc.networks import FEATURE_DIM
-from rfloc.nn import Rng
+from rfloc.nn import ParamSet, Rng, ema_blend
 from rfloc.shot import (
     ShotConfig,
     _shot_step,
@@ -21,7 +22,13 @@ from rfloc.shot import (
     teacher_loss,
 )
 
-from util import max_rel_error, sampled_central_difference, sampled_coords
+from util import (
+    AdamAllocating,
+    max_rel_error,
+    sampled_central_difference,
+    sampled_coords,
+    shot_ema_allocating,
+)
 
 
 def zero_stats() -> SourceStats:
@@ -230,3 +237,33 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ShotConfig(batch_size=0).validate()
     ShotConfig().validate()
+
+
+@pytest.mark.parametrize("teacher_ema", [0.995, 0.5, 0.3, 0.0, 1.0])
+def test_teacher_update_bit_equal_to_old_expression(teacher_ema):
+    # For teacher_ema < 0.5, 1 - (1 - teacher_ema) != teacher_ema in
+    # general, so both weights must reach the kernel as given.
+    gen = np.random.default_rng(8)
+    t, s = ParamSet(), ParamSet()
+    for name, shape in (("w", (300, 130)), ("b", (7,))):
+        t.add(name, gen.normal(size=shape))
+        s.add(name, gen.normal(size=shape))
+    ref = t.clone()
+    for _ in range(3):
+        ema_blend(t, s, 1.0 - teacher_ema, teacher_ema)
+        shot_ema_allocating(ref, s, teacher_ema)
+        for name, p in t.items():
+            assert np.array_equal(p.value, ref[name].value)  # 0 ulp
+
+
+def test_run_shot_bit_equal_with_allocating_oracles(monkeypatch, source_model, small_target):
+    cfg = ShotConfig(epochs=2, seed=2, teacher_ema=0.3)
+    target = small_target.without_labels()
+    new, _ = run_shot(source_model, target, cfg)
+    monkeypatch.setattr(shot, "Adam", AdamAllocating)
+    monkeypatch.setattr(
+        shot, "ema_blend", lambda t, s, w_student, w_teacher: shot_ema_allocating(t, s, w_teacher)
+    )
+    old, _ = run_shot(source_model, target, cfg)
+    for name, p in new.net.params.items():
+        assert np.array_equal(p.value, old.net.params[name].value), name

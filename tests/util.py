@@ -3,7 +3,7 @@
 import numpy as np
 
 from rfloc.data import make_folds
-from rfloc.errors import ConfigError, DataError
+from rfloc.errors import ConfigError, DataError, NumericalError
 from rfloc.evalmetrics import compute_metrics
 
 
@@ -152,3 +152,61 @@ def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
     best = min(results, key=sort_key)
     best_config = {k: v for k, v in best.items() if k != "val_mae_d"}
     return best_config, results
+
+
+class AdamAllocating:
+    """The whole-array Adam step the optimizer ran before its in-place,
+    blocked update; the oracle the blocked step must equal bit for bit."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {name: np.zeros_like(p.value) for name, p in params.items()}
+        self._v = {name: np.zeros_like(p.value) for name, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite gradient for parameter {name!r}")
+            m = self._m[name]
+            v = self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.grad[...] = 0.0
+
+
+def ema_update_allocating(teacher, student, alpha):
+    """The mean-teacher EMA as it was before it ran in place: each teacher
+    value rebound to alpha * student + (1 - alpha) * teacher."""
+    for name, t in teacher.items():
+        t.value = alpha * student[name].value + (1.0 - alpha) * t.value
+
+
+def shot_ema_allocating(teacher, student, teacher_ema):
+    """SHOT's inline teacher update before it ran in place:
+    teacher_ema * teacher + (1 - teacher_ema) * student."""
+    for name, t in teacher.items():
+        t.value = teacher_ema * t.value + (1.0 - teacher_ema) * student[name].value
+
+
+def conv1d_dx_strided(dy, w, x_shape):
+    """conv1d_backward's dx as it was computed before its taps were made
+    contiguous: the batched product with the strided slice w[:, :, j]."""
+    k = w.shape[2]
+    out_len = x_shape[1] - k + 1
+    dx = np.zeros(x_shape)
+    for j in range(k):
+        dx[:, j : j + out_len, :] += dy @ w[:, :, j]
+    return dx
