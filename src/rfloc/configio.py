@@ -19,25 +19,29 @@ _FALSE = {"false", "0", "no", "off"}
 
 
 def read_kv(path) -> dict[str, str]:
-    kv: dict[str, str] = {}
+    """The key = value pairs of a UTF-8 text file; an unreadable file,
+    bytes that are not UTF-8 or a line without '=' raise ConfigError."""
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot open config file {path}: {e}") from e
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    kv: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        kv[key.strip()] = value.strip()
     return kv
 
 
 def write_kv(path, mapping: dict, header: str | None = None) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for key, value in mapping.items():

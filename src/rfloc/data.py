@@ -100,48 +100,59 @@ def _resolve_columns(header: list[str], mapping: dict | None):
 
 
 def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Dataset:
-    """Load a fingerprint CSV.
+    """Load a fingerprint CSV (UTF-8 text).
 
     Rows with any non-finite value are dropped with a logged count;
-    non-numeric cells raise CsvParseError with their line number.
+    non-numeric cells raise CsvParseError with their line number, and so
+    does a row whose field count differs from the header's. A header that
+    names a column twice raises SchemaError; a file that cannot be read or
+    is not UTF-8 raises DataError.
     """
     name = name or str(path)
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        header = None
-        feats, labels = [], []
-        dropped = 0
-        for row in reader:
-            if not row or (row[0].startswith("#")):
-                continue
-            if header is None:
-                header = [h.strip() for h in row]
-                feat_idx, label_idx = _resolve_columns(header, mapping)
-                continue
-            values = []
-            for i in feat_idx + (label_idx or []):
-                if i >= len(row):
-                    raise CsvParseError(f"{path}: line {reader.line_num}: too few columns")
-                cell = row[i].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: line {reader.line_num}, column {header[i]!r}: "
-                        f"not a number: {cell!r}"
-                    ) from None
-            if not all(np.isfinite(v) for v in values):
-                dropped += 1
-                continue
-            feats.append(values[:NUM_FEATURES])
-            if label_idx:
-                labels.append(values[NUM_FEATURES:])
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    reader = csv.reader(lines)
+    header = None
+    feats, labels = [], []
+    dropped = 0
+    for row in reader:
+        if not row or (row[0].startswith("#")):
+            continue
         if header is None:
-            raise DataError(f"{path}: no header row")
+            header = [h.strip() for h in row]
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                names = ", ".join(map(repr, repeated))
+                raise SchemaError(f"{path}: header repeats column(s) {names}")
+            feat_idx, label_idx = _resolve_columns(header, mapping)
+            continue
+        if len(row) != len(header):
+            raise CsvParseError(
+                f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+            )
+        values = []
+        for i in feat_idx + (label_idx or []):
+            cell = row[i].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}: line {reader.line_num}, column {header[i]!r}: "
+                    f"not a number: {cell!r}"
+                ) from None
+        if not all(np.isfinite(v) for v in values):
+            dropped += 1
+            continue
+        feats.append(values[:NUM_FEATURES])
+        if label_idx:
+            labels.append(values[NUM_FEATURES:])
+    if header is None:
+        raise DataError(f"{path}: no header row")
     if dropped:
         log.warning("%s: dropped %d rows with non-finite values", path, dropped)
     if not feats:

@@ -1,6 +1,9 @@
-"""Adam optimizer over a ParamSet, with bias correction."""
+"""Adam optimizer over a ParamSet, with bias correction folded into two
+per-step scalars."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,19 +39,26 @@ class Adam:
 
         Every gradient is checked before any value changes, so a step that
         raises leaves the parameters, moments and step count as they were.
-        The update runs in place, block by block; each element goes through
-        the same operations in the same order as the textbook expressions
-        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
-        value -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-equal
-        to evaluating them whole.
+
+        The moments are kept unnormalized, m = b1*m + g and v = b2*v + g*g
+        (the textbook moments times 1/(1-b1) and 1/(1-b2)). The (1-b)
+        factors and both bias corrections fold into two per-step scalars,
+        so the update is value -= lr_t*m / (sqrt(v) + eps_t) with
+        s = sqrt((1-b2)/(1-b2**t)), lr_t = lr*(1-b1)/(1-b1**t)/s and
+        eps_t = eps/s. In exact arithmetic this is Kingma & Ba's step
+        lr*m_hat / (sqrt(v_hat) + eps); in float64 it differs from that
+        expression in the last bits. The update runs in place, block by
+        block, with the same operations per element as evaluating
+        lr_t*m / (sqrt(v) + eps_t) on whole arrays.
         """
         for name, p in self.params.items():
             if not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        s = math.sqrt((1.0 - b2) / (1.0 - b2**self.t))
+        lr_t = self.lr * (1.0 - b1) / (1.0 - b1**self.t) / s
+        eps_t = self.eps / s
         buf_a, buf_b = self._scratch
         for name, p in self.params.items():
             m, v, value, grad = self._m[name], self._v[name], p.value, p.grad
@@ -56,17 +66,13 @@ class Adam:
                 g, mb, vb, pb = grad[rows], m[rows], v[rows], value[rows]
                 a, b = scratch_like(buf_a, g), scratch_like(buf_b, g)
                 mb *= b1
-                np.multiply(g, 1.0 - b1, out=a)
-                mb += a
-                vb *= b2
+                mb += g
                 np.multiply(g, g, out=a)
-                a *= 1.0 - b2
+                vb *= b2
                 vb += a
-                np.divide(mb, bc1, out=a)
-                a *= self.lr
-                np.divide(vb, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                pb -= a
+                np.sqrt(vb, out=a)
+                a += eps_t
+                np.multiply(mb, lr_t, out=b)
+                b /= a
+                pb -= b
                 g[...] = 0.0

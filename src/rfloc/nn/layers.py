@@ -108,9 +108,14 @@ def sigmoid_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- dropout
 
 def dropout_forward(x: np.ndarray, rate: float, gen: np.random.Generator | None, training: bool):
-    """Inverted dropout. Returns (out, mask); mask is None when inert.
+    """Inverted dropout (Srivastava et al., JMLR 2014). Returns (out, mask);
+    mask is None when inert.
 
     Kept units are scaled by 1/(1-rate) so inference needs no rescaling.
+    The mask costs half a Philox word per unit: each raw 64-bit word of
+    gen's bit generator gives two 32-bit lanes, low half first, and unit i
+    (in C order) is kept iff lane i >= round(rate * 2**32), capped at
+    2**32 - 1. The keep probability is within 2**-32 of 1 - rate.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -118,7 +123,12 @@ def dropout_forward(x: np.ndarray, rate: float, gen: np.random.Generator | None,
         return x, None
     if gen is None:
         raise UsageError("training-mode dropout needs a random generator")
-    mask = (gen.random(x.shape) >= rate) / (1.0 - rate)
+    threshold = np.uint32(min(round(rate * 2.0**32), 2**32 - 1))
+    words = gen.bit_generator.random_raw((x.size + 1) // 2)
+    lanes = words.astype("<u8", copy=False).view("<u4")[: x.size].reshape(x.shape)
+    # keep * (1/(1-rate)) gives the same float64 values as keep / (1-rate),
+    # without a division per unit.
+    mask = np.multiply(lanes >= threshold, 1.0 / (1.0 - rate))
     return x * mask, mask
 
 

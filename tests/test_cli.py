@@ -582,6 +582,104 @@ def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt
     assert not (tmp_path / "r.csv").exists()
 
 
+def _edit_feat_cov(edit):
+    def corrupt(src, dst):
+        model = load_model(src)
+        # SourceStats checks the covariance when built, not when changed,
+        # so the edited matrix reaches the file as written.
+        edit(model.source_stats.feat_cov)
+        save_model(model, dst)
+    return corrupt
+
+
+def _break_symmetry(cov):
+    cov[0, 1] += max(1.0, np.abs(cov).max())
+
+
+def _make_indefinite(cov):
+    # e0' C e0 = -scale, so the smallest eigenvalue is at most -scale.
+    cov[0, 0] = -max(1.0, np.abs(cov).max())
+
+
+@pytest.mark.parametrize("verb", ["eval", "adapt-shot"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_edit_feat_cov(_break_symmetry), "feature covariance is not symmetric"),
+        (_edit_feat_cov(_make_indefinite), "feature covariance is not positive semidefinite"),
+    ],
+    ids=["asymmetric", "indefinite"],
+)
+def test_bad_feature_covariance_exits_3_without_traceback(
+    workdir, tmp_path, corrupt, message, verb
+):
+    bad = tmp_path / "bad.model"
+    corrupt(workdir / "source.model", bad)
+    target = str(workdir / "data" / "target.csv")
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--model", str(bad), "--csv", target, "--out-report", str(out)],
+        "adapt-shot": ["adapt", "--method", "shot", "--model", str(bad),
+                       "--target-csv", target, "--set", "epochs=1", "--out", str(out)],
+    }[verb]
+    proc = _run_cli_counting_children(args)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad.model" in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- non-UTF-8 inputs
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe\x00\x01abcdef")
+    return path
+
+
+def test_non_utf8_csv_exits_3(workdir, tmp_path, capsys):
+    bad = _not_utf8(tmp_path / "bad.csv")
+    args = ["eval", "--model", str(workdir / "source.model"), "--csv", str(bad),
+            "--out-report", str(tmp_path / "r.csv")]
+    assert main(args) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_non_utf8_manifest_exits_2(tmp_path, capsys):
+    bad = _not_utf8(tmp_path / "bad.manifest")
+    assert main(["replay", "--manifest", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(workdir, tmp_path, capsys):
+    bad = _not_utf8(tmp_path / "bad.cfg")
+    args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+            "--config", str(bad), "--out", str(tmp_path / "m.model")]
+    assert main(args) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_csv_schema_errors_exit_3(workdir, tmp_path, capsys):
+    lines = (workdir / "data" / "target.csv").read_text().splitlines()
+    header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cases = {
+        "repeated": lines[:header_at] + [lines[header_at] + ",r1x"]
+        + [row + ",0.0" for row in lines[header_at + 1 :]],
+        "long-row": lines[: header_at + 1] + [lines[header_at + 1] + ",0.0"]
+        + lines[header_at + 2 :],
+    }
+    for name, text in cases.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(text) + "\n")
+        args = ["eval", "--model", str(workdir / "source.model"), "--csv", str(bad),
+                "--out-report", str(tmp_path / f"{name}.report.csv")]
+        assert main(args) == 3, name
+        err = capsys.readouterr().err
+        assert ("repeats column" if name == "repeated" else "fields, header has") in err
+        assert not (tmp_path / f"{name}.report.csv").exists()
+
+
 # ---------------------------------------------------------------- edited manifests
 
 def _heatmap_args(workdir, out):

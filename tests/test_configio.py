@@ -36,6 +36,13 @@ def test_read_kv_missing_file(tmp_path):
         read_kv(tmp_path / "absent.cfg")
 
 
+def test_read_kv_not_utf8(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_bytes(b"\xff\xfealpha = 0.8\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        read_kv(p)
+
+
 def test_write_read_round_trip(tmp_path):
     p = tmp_path / "c.cfg"
     mapping = {"alpha": "0.7", "name": "target", "k": "2"}

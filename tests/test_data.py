@@ -90,6 +90,38 @@ def test_csv_bad_cell_reports_line_and_column(tmp_path):
         load_csv(path)
 
 
+HEADER = "r1x,r1y,r2x,r2y,r3x,r3y,r4x,r4y,x,y"
+
+
+def test_csv_header_repeating_a_column_is_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + ",r1x\n" + ",".join(["1.0"] * 11) + "\n")
+    with pytest.raises(SchemaError, match="repeats column.*'r1x'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("fields", [11, 9], ids=["one-more", "one-fewer"])
+def test_csv_row_field_count_must_match_header(tmp_path, fields):
+    path = tmp_path / "d.csv"
+    good = ",".join(["1.0"] * 10)
+    path.write_text(f"{HEADER}\n{good}\n" + ",".join(["1.0"] * fields) + "\n")
+    with pytest.raises(CsvParseError, match=f"line 3: {fields} fields, header has 10"):
+        load_csv(path)
+
+
+def test_csv_extra_named_column_is_allowed(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + ",note\n" + ",".join(["1.0"] * 10) + ",a\n")
+    assert len(load_csv(path)) == 1
+
+
+def test_csv_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xff\xfer1x,r1y\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(path)
+
+
 def test_csv_drops_nonfinite_rows(tmp_path):
     path = tmp_path / "d.csv"
     header = "r1x,r1y,r2x,r2y,r3x,r3y,r4x,r4y,x,y"

@@ -1,10 +1,12 @@
 """Layer forward/backward contracts against finite differences and loops."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rfloc.errors import ConfigError, UsageError
-from rfloc.nn import layers
+from rfloc.nn import Rng, layers
 
 from util import (
     central_difference,
@@ -156,6 +158,87 @@ def test_dropout_zero_rate(gen):
     x = np.ones((4, 4))
     out, mask = layers.dropout_forward(x, 0.0, training=True, gen=gen)
     assert np.array_equal(out, x)
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.5])
+def test_dropout_keep_rate(rate):
+    x = np.ones((1000, 1000))
+    out, mask = layers.dropout_forward(x, rate, Rng(3).stream("dropout", 0, 0), training=True)
+    kept = mask != 0
+    # Five binomial standard deviations of the mean of 10**6 units.
+    assert abs(kept.mean() - (1.0 - rate)) < 5.0 * np.sqrt(rate * (1.0 - rate) / x.size)
+    assert np.array_equal(np.unique(mask), [0.0, 1.0 / (1.0 - rate)])
+    assert np.array_equal(out, mask)
+
+
+class _RawWords:
+    """Stands in for a Generator: its bit generator hands out given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.bit_generator = self
+
+    def random_raw(self, n):
+        assert n == self.words.size
+        return self.words
+
+
+def _pack(lanes):
+    """64-bit words holding the 32-bit lanes low half first."""
+    lanes = [int(v) for v in lanes] + [0] * (len(lanes) % 2)
+    return [lo | (hi << 32) for lo, hi in zip(lanes[::2], lanes[1::2])]
+
+
+@pytest.mark.parametrize(
+    "rate", [1e-12, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.999999, 1.0 - 2.0**-33, 1.0 - 2.0**-34]
+)
+def test_dropout_threshold_within_one_lane_of_rate(rate):
+    # A keep probability within 2**-32 of 1 - rate means the integer
+    # threshold T lies in [edge - 1, edge + 1], edge = rate * 2**32: lane
+    # ceil(edge - 1) - 1 is dropped and lane floor(edge + 1) is kept.
+    edge = rate * 2.0**32
+    dropped = [v for v in (0, math.ceil(edge - 1.0) - 1) if 0 <= v < math.ceil(edge - 1.0)]
+    kept = [v for v in (math.floor(edge + 1.0), 2**32 - 1) if math.floor(edge + 1.0) <= v < 2**32]
+    lanes = dropped + kept
+    _, mask = layers.dropout_forward(
+        np.ones(len(lanes)), rate, _RawWords(_pack(lanes)), training=True
+    )
+    assert np.array_equal(mask != 0, [False] * len(dropped) + [True] * len(kept))
+
+
+def test_dropout_rate_next_to_one_does_not_overflow():
+    rate = 1.0 - 2.0**-34
+    lanes = [0, 2**32 - 2, 2**32 - 1]
+    out, mask = layers.dropout_forward(
+        np.ones(3), rate, _RawWords(_pack(lanes)), training=True
+    )
+    # The threshold saturates at the largest lane: only it is kept.
+    assert np.array_equal(mask, [0.0, 0.0, 1.0 / (1.0 - rate)])
+    out, mask = layers.dropout_forward(
+        np.ones((64, 64)), rate, Rng(0).stream("dropout", 0, 0), training=True
+    )
+    assert np.isfinite(out).all() and np.isfinite(mask).all()
+
+
+def test_dropout_same_key_same_mask():
+    x = np.ones((32, 768))
+    _, a = layers.dropout_forward(x, 0.2, Rng(9).stream("dropout", 4, 2), training=True)
+    _, b = layers.dropout_forward(x, 0.2, Rng(9).stream("dropout", 4, 2), training=True)
+    _, c = layers.dropout_forward(x, 0.2, Rng(9).stream("dropout", 4, 3), training=True)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_dropout_pinned_mask_and_lane_order():
+    # Unit 2i takes the low half of raw word i and unit 2i+1 the high half;
+    # the high-half-first order would give 0 0 1 1 0 1 0 0 1 0 0 1 1 0 1.
+    gen = Rng(0).stream("dropout", 0, 0)
+    _, mask = layers.dropout_forward(np.ones((3, 5)), 0.5, gen, training=True)
+    pinned = [[0, 0, 1, 1, 1], [0, 0, 0, 0, 1], [1, 0, 0, 1, 0]]
+    assert np.array_equal(mask != 0, np.array(pinned, dtype=bool))
+    words = Rng(0).stream("dropout", 0, 0).bit_generator.random_raw(8)
+    lanes = [int(w) >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+    assert np.array_equal(mask.ravel() != 0, np.array(lanes[:15]) >= 2**31)
 
 
 def test_l1_loss_value_and_gradient(gen):

@@ -1,5 +1,7 @@
 """Finite-difference helpers and brute-force oracles used across tests."""
 
+import math
+
 import numpy as np
 
 from rfloc.data import make_folds
@@ -155,8 +157,10 @@ def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
 
 
 class AdamAllocating:
-    """The whole-array Adam step the optimizer ran before its in-place,
-    blocked update; the oracle the blocked step must equal bit for bit."""
+    """The whole-array form of the folded Adam step: unnormalized moments
+    m = b1*m + g and v = b2*v + g*g, and value -= lr_t*m / (sqrt(v) + eps_t)
+    with the (1-b) factors and bias corrections folded into lr_t and eps_t.
+    The oracle the blocked in-place step must equal bit for bit."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -169,14 +173,37 @@ class AdamAllocating:
         self._v = {name: np.zeros_like(p.value) for name, p in params.items()}
 
     def step(self):
+        for name, p in self.params.items():
+            if not np.all(np.isfinite(p.grad)):
+                raise NumericalError(f"non-finite gradient for parameter {name!r}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        s = math.sqrt((1.0 - b2) / (1.0 - b2**self.t))
+        lr_t = self.lr * (1.0 - b1) / (1.0 - b1**self.t) / s
+        eps_t = self.eps / s
+        for name, p in self.params.items():
+            g = p.grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= b1
+            m += g
+            v *= b2
+            v += g * g
+            p.value -= lr_t * m / (np.sqrt(v) + eps_t)
+            p.grad[...] = 0.0
+
+
+class AdamTextbook(AdamAllocating):
+    """Kingma & Ba's Adam as printed: normalized moments and explicit bias
+    corrections, value -= lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
+
+    def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
             m *= b1
