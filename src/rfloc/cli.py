@@ -280,9 +280,10 @@ def _exec_adapt(config_kv, inputs, outputs, run_id) -> None:
 
 
 def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
-    runs = _config_value(config_kv, "runs", "1", parse_int)
-    if runs < 1:
-        raise ConfigError("runs must be at least 1")
+    if config_kv:
+        # Manifests written while eval had a --runs option carry config.runs.
+        keys = ", ".join(map(repr, sorted(config_kv)))
+        raise ConfigError(f"eval takes no configuration; manifest has config key(s) {keys}")
     data = load_csv(inputs["csv"])
     if not data.labeled:
         raise DataError("evaluation requires a labeled CSV")
@@ -291,8 +292,6 @@ def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
     for key in model_keys:
         model = load_model(inputs[key])
         reports.append(compute_metrics(predict(model, data), data.labels))
-    if len(reports) == 1 and runs > 1:
-        reports = reports * runs
     report = aggregate_runs(reports)
     with open(outputs["report"], "w") as fh:
         fh.write(f"# run: {run_id}\n")
@@ -436,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate model(s) on a labeled CSV")
     e.add_argument("--model", required=True, nargs="+", help="one or more model artifacts")
     e.add_argument("--csv", required=True, help="labeled CSV")
-    e.add_argument("--runs", type=int, default=1, help="replicate a single-model run n times")
     e.add_argument("--out-report", required=True)
 
     h = sub.add_parser("heatmap", help="per-cell mean distance error by true location")
@@ -512,7 +510,7 @@ def _dispatch(args) -> int:
         _run_command("adapt", config_kv, inputs, outputs, args.out + ".manifest")
 
     elif args.command == "eval":
-        config_kv = {"runs": str(args.runs)}
+        config_kv = {}
         inputs = {"csv": args.csv}
         for i, m in enumerate(args.model):
             inputs[f"model{i:03d}"] = m

@@ -99,28 +99,41 @@ def _resolve_columns(header: list[str], mapping: dict | None):
     return feat_idx, label_idx if labeled else None
 
 
+def _csv_rows(lines, path):
+    """(line number, fields) of each CSV record; a record the csv module
+    cannot split (say, a quoted field that runs past the field size limit)
+    raises CsvParseError."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise CsvParseError(f"{path}: line {reader.line_num}: {e}") from None
+
+
 def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Dataset:
-    """Load a fingerprint CSV (UTF-8 text).
+    """Load a fingerprint CSV (UTF-8 text; a leading byte-order mark, as
+    spreadsheet exports write it, is skipped).
 
     Rows with any non-finite value are dropped with a logged count;
     non-numeric cells raise CsvParseError with their line number, and so
-    does a row whose field count differs from the header's. A header that
-    names a column twice raises SchemaError; a file that cannot be read or
-    is not UTF-8 raises DataError.
+    do a row whose field count differs from the header's and a record the
+    csv module cannot split. A header that names a column twice raises
+    SchemaError; a file that cannot be read or is not UTF-8 raises
+    DataError.
     """
     name = name or str(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
-    reader = csv.reader(lines)
     header = None
     feats, labels = [], []
     dropped = 0
-    for row in reader:
+    for line_num, row in _csv_rows(lines, path):
         if not row or (row[0].startswith("#")):
             continue
         if header is None:
@@ -133,7 +146,7 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
             continue
         if len(row) != len(header):
             raise CsvParseError(
-                f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+                f"{path}: line {line_num}: {len(row)} fields, header has {len(header)}"
             )
         values = []
         for i in feat_idx + (label_idx or []):
@@ -142,7 +155,7 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
                 values.append(float(cell))
             except ValueError:
                 raise CsvParseError(
-                    f"{path}: line {reader.line_num}, column {header[i]!r}: "
+                    f"{path}: line {line_num}, column {header[i]!r}: "
                     f"not a number: {cell!r}"
                 ) from None
         if not all(np.isfinite(v) for v in values):

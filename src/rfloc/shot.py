@@ -19,6 +19,18 @@ prediction statistics are per-coordinate batch mean/variance of the
 weak-view predictions, and the covariance is the unbiased (1/(B-1))
 covariance of the weak-view features. The source-side statistics come
 from the model artifact; source data itself is never read.
+
+The coral term and its gradient are computed without forming the 768 x 768
+batch covariance: with fc the centred (B, 768) features, C the source
+covariance, the B x B Gram matrix G = fc fc^T and one (B, 768) x (768, 768)
+product P = fc C per batch,
+
+  coral    = ||G||_F^2 / (B-1)^2 - 2 sum(fc * P) / (B-1) + ||C||_F^2
+  gradient = 4/(B-1) (G fc / (B-1) - P), centred over the batch
+
+which is ||Cov(F) - C||_F^2 in exact arithmetic (it differs from the direct
+form in the last bits). ||C||_F^2 is computed once per run_shot call.
+coral_loss keeps the direct definition.
 """
 
 from __future__ import annotations
@@ -119,12 +131,14 @@ def _shot_step(
     stats: SourceStats,
     cfg: ShotConfig,
     drop_gen: np.random.Generator | None = None,
+    _cov_sq: float | None = None,
 ) -> dict:
     """One batch: compute the four terms and accumulate weighted gradients
     into the student extractor. The regressor is evaluated in inference
     mode and its gradients are never touched. Views are taken as given, so
     the mapping from extractor parameters to the total loss is
-    deterministic when drop_gen is None."""
+    deterministic when drop_gen is None. _cov_sq is ||stats.feat_cov||_F^2,
+    computed here when not given."""
     b = len(z_weak)
     f_w, c_w = student_ext.forward(z_weak, drop_gen)
     f_s, c_s = student_ext.forward(z_strong, drop_gen)
@@ -153,10 +167,15 @@ def _shot_step(
     dy_w = dy_w + cfg.lambda_stat * ((2.0 / b) * dmu + (4.0 / b) * dvar * (y_w - mu))
 
     if b >= 2:
+        # Batch-Gram form of ||Cov(F) - C||_F^2 (see the module docstring).
+        if _cov_sq is None:
+            _cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
+        s = 1.0 / (b - 1)
         fc = f_w - f_w.mean(axis=0)
-        delta = fc.T @ fc / (b - 1) - stats.feat_cov
-        coral = float((delta * delta).sum())
-        g = (4.0 / (b - 1)) * (fc @ delta)
+        gram = fc @ fc.T
+        proj = fc @ stats.feat_cov
+        coral = float(s * s * np.vdot(gram, gram) - 2.0 * s * np.vdot(fc, proj) + _cov_sq)
+        g = (4.0 * s) * (s * (gram @ fc) - proj)
         df_w_extra = cfg.lambda_coral * (g - g.mean(axis=0))
     else:
         log.warning("batch of size 1: covariance alignment term skipped")
@@ -208,6 +227,7 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = No
     adam = Adam(student_ext.params, lr=cfg.lr)
     z = normalize_features(target.features, model.norm)
     n = len(z)
+    cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
     diagnostics: list[ShotEpochDiagnostics] = []
     for epoch in range(cfg.epochs):
         order = rng.stream("shuffle", epoch).permutation(n)
@@ -220,7 +240,9 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = No
                 zb, rng.stream("strong", epoch, bi), cfg.strong_mask_prob, cfg.strong_noise_std
             )
             drop_gen = rng.stream("dropout", epoch, bi)
-            terms = _shot_step(student_ext, regressor, teacher_ext, z_w, z_s, stats, cfg, drop_gen)
+            terms = _shot_step(
+                student_ext, regressor, teacher_ext, z_w, z_s, stats, cfg, drop_gen, cov_sq
+            )
             if not np.isfinite(terms["total"]):
                 raise NumericalError(
                     f"adaptation diverged at epoch {epoch}, batch {bi // cfg.batch_size}"

@@ -15,7 +15,10 @@ import rfloc
 from rfloc import cli
 from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.cli import main, read_manifest
+from rfloc.configio import dataclass_to_kv, kv_to_dataclass, read_kv, write_kv
 from rfloc.data import load_csv, write_csv
+from rfloc.errors import RflocError
+from rfloc.localizer import TrainConfig
 from util import cross_validate_serial
 
 SMALL_SCENARIO = [
@@ -294,25 +297,6 @@ def test_missing_input_exits_3(workdir, tmp_path, capsys):
     )
     assert rc == 3
     assert "cannot read input" in capsys.readouterr().err
-
-
-def test_eval_runs_replication(workdir, tmp_path):
-    report = tmp_path / "rep.csv"
-    rc = main(
-        [
-            "eval",
-            "--model", str(workdir / "source.model"),
-            "--csv", str(workdir / "data" / "target.csv"),
-            "--runs", "3",
-            "--out-report", str(report),
-        ]
-    )
-    assert rc == 0
-    rows = report.read_text().splitlines()
-    assert rows[1] == "metric,mean,std,run_1,run_2,run_3"
-    mae_d = next(r for r in rows if r.startswith("mae_d,")).split(",")
-    assert mae_d[3] == mae_d[4] == mae_d[5]  # deterministic model replicated
-    assert float(mae_d[2]) == 0.0
 
 
 def test_eval_prints_table(workdir, tmp_path, capsys):
@@ -680,6 +664,63 @@ def test_csv_schema_errors_exit_3(workdir, tmp_path, capsys):
         assert not (tmp_path / f"{name}.report.csv").exists()
 
 
+# ---------------------------------------------------------------- text reader fuzz
+
+# Bytes that mean something to one of the readers: quote, NUL, separators,
+# newlines, comment and assignment marks, a byte-order mark, invalid UTF-8.
+_SPECIAL_BYTES = [b'"', b"\x00", b",", b"\r", b"\n", b"#", b"=", b"\xef\xbb\xbf", b"\xff", b"\xc3"]
+
+
+def _fuzzed(raw: bytes, gen) -> bytes:
+    """raw truncated, with 1-3 bytes overwritten, or with a special byte
+    sequence inserted; edits land in the first 256 bytes (header) half of
+    the time."""
+    blob = bytearray(raw)
+    kind = int(gen.integers(0, 3))
+    if kind == 0:
+        del blob[int(gen.integers(0, len(blob))) :]
+        return bytes(blob)
+    for _ in range(int(gen.integers(1, 4))):
+        span = min(len(blob), 256) if gen.random() < 0.5 else len(blob)
+        at = int(gen.integers(0, span))
+        if kind == 1:
+            blob[at] = int(gen.integers(0, 256))
+        else:
+            blob[at:at] = _SPECIAL_BYTES[int(gen.integers(0, len(_SPECIAL_BYTES)))]
+    return bytes(blob)
+
+
+def _config_file(path):
+    write_kv(path, dataclass_to_kv(TrainConfig()))
+    return path
+
+
+@pytest.mark.parametrize(
+    "reader, make_seed",
+    [
+        (load_csv, lambda workdir, tmp: workdir / "data" / "target.csv"),
+        (read_manifest, lambda workdir, tmp: workdir / "source.model.manifest"),
+        (lambda p: kv_to_dataclass(TrainConfig, read_kv(p)),
+         lambda workdir, tmp: _config_file(tmp / "train.cfg")),
+    ],
+    ids=["load_csv", "read_manifest", "read_kv"],
+)
+def test_text_reader_fuzz_raises_only_rfloc_error(workdir, tmp_path, reader, make_seed):
+    # Truncations, byte flips and inserted special bytes either parse or
+    # fail with a typed RflocError, never with an untyped exception.
+    seed = make_seed(workdir, tmp_path)
+    reader(seed)  # the unfuzzed file parses
+    raw = seed.read_bytes()
+    gen = np.random.default_rng(0)
+    bad = tmp_path / "fuzzed"
+    for _ in range(300):
+        bad.write_bytes(_fuzzed(raw, gen))
+        try:
+            reader(bad)
+        except RflocError:
+            pass
+
+
 # ---------------------------------------------------------------- edited manifests
 
 def _heatmap_args(workdir, out):
@@ -719,9 +760,8 @@ def _eval_args(workdir, out):
         (_heatmap_args, "config.cell", "abc"),
         (_cv_args, "config.folds", "x"),
         (_cv_args, "config.fold_seed", "1.5"),
-        (_eval_args, "config.runs", "two"),
     ],
-    ids=["cell", "folds", "fold_seed", "runs"],
+    ids=["cell", "folds", "fold_seed"],
 )
 def test_replay_of_edited_manifest_exits_2_without_traceback(
     workdir, tmp_path, make_args, key, value
@@ -747,3 +787,29 @@ def test_replay_of_edited_manifest_exits_2_without_traceback(
     assert "Traceback" not in proc.stderr
     assert f"config key {key.split('.', 1)[1]!r}" in proc.stderr
     assert repr(value) in proc.stderr
+
+
+@pytest.mark.parametrize("runs", ["1", "3"])
+def test_replay_of_eval_manifest_with_runs_exits_2_without_traceback(workdir, tmp_path, runs):
+    # eval no longer has a --runs option; a manifest recorded with one is
+    # refused rather than replayed into a different report.
+    args, manifest = _eval_args(workdir, tmp_path)
+    assert main(args) == 0
+    assert "config." not in manifest.read_text()
+    with open(manifest, "a") as fh:
+        fh.write(f"config.runs = {runs}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "rfloc.cli", "replay",
+            "--manifest", str(manifest),
+            "--out-dir", str(tmp_path / "replayed"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "eval takes no configuration" in proc.stderr and "'runs'" in proc.stderr
+    assert not (tmp_path / "replayed" / "r.csv").exists()

@@ -122,6 +122,39 @@ def test_csv_not_utf8_is_a_data_error(tmp_path):
         load_csv(path)
 
 
+def test_csv_leading_byte_order_mark_is_skipped(tmp_path):
+    ds = make_dataset(3)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_csv(ds, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back = load_csv(marked)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    # Before a comment line too, as in a file written with a run id.
+    write_csv(ds, plain, run_id="abc123")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(load_csv(marked).features, ds.features)
+
+
+def test_csv_byte_order_mark_inside_the_file_is_kept(tmp_path):
+    # Only a leading mark is skipped; one inside a cell is data.
+    path = tmp_path / "d.csv"
+    path.write_bytes(
+        HEADER.encode() + b"\n" + b"\xef\xbb\xbf1.0," + b",".join([b"1.0"] * 9) + b"\n"
+    )
+    with pytest.raises(CsvParseError, match="line 2, column 'r1x'"):
+        load_csv(path)
+
+
+def test_csv_overlong_quoted_field_is_a_parse_error(tmp_path):
+    # A stray quote makes the csv module read on past the field size limit.
+    path = tmp_path / "d.csv"
+    row = ",".join(["1.0"] * 10) + "\n"
+    path.write_text(f"{HEADER}\n{row}\"" + row * 4000)
+    with pytest.raises(CsvParseError, match="line 3.*field larger than field limit"):
+        load_csv(path)
+
+
 def test_csv_drops_nonfinite_rows(tmp_path):
     path = tmp_path / "d.csv"
     header = "r1x,r1y,r2x,r2y,r3x,r3y,r4x,r4y,x,y"

@@ -27,6 +27,7 @@ from util import (
     max_rel_error,
     sampled_central_difference,
     sampled_coords,
+    shot_coral_direct,
     shot_ema_allocating,
 )
 
@@ -162,6 +163,83 @@ def test_step_total_is_weighted_sum(source_model):
         + cfg.lambda_coral * terms["coral"]
     )
     assert terms["total"] == pytest.approx(expected, rel=1e-12)
+
+
+class _RecordingExtractor:
+    """Wraps an extractor and keeps the features of each forward call and
+    the feature gradient of each backward call."""
+
+    def __init__(self, ext):
+        self.ext = ext
+        self.feats, self.grads = [], []
+
+    def forward(self, z, drop_gen=None):
+        f, cache = self.ext.forward(z, drop_gen)
+        self.feats.append(f.copy())
+        return f, cache
+
+    def backward(self, df, cache):
+        self.grads.append(np.array(df, copy=True))
+        return self.ext.backward(df, cache)
+
+
+def _coral_only_step(source_model, z_w, stats):
+    """Run _shot_step with only the covariance term switched on (weight 1);
+    returns (coral value, weak-view features, weak-view feature gradient)."""
+    cfg = ShotConfig(lambda_cons=0.0, lambda_teach=0.0, lambda_stat=0.0, lambda_coral=1.0)
+    ext = _RecordingExtractor(source_model.net.extractor.clone())
+    reg = source_model.net.regressor.clone()
+    terms = _shot_step(ext, reg, None, z_w, z_w + 0.1, stats, cfg, drop_gen=None)
+    return terms["coral"], ext.feats[0], ext.grads[0]
+
+
+@pytest.mark.parametrize("b", [2, 3, 32])
+def test_step_coral_matches_direct_oracle(source_model, b):
+    stats = source_model.source_stats
+    z_w = np.random.default_rng(11 + b).normal(size=(b, 8))
+    coral, f_w, grad = _coral_only_step(source_model, z_w, stats)
+    want, want_grad = shot_coral_direct(f_w, stats.feat_cov)
+    assert want > 0.0
+    assert abs(coral - want) <= 1e-12 * want
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_step_coral_near_zero_on_matched_statistics(source_model):
+    z_w = np.random.default_rng(13).normal(size=(32, 8))
+    f_w = source_model.net.extractor.forward(z_w)[0]
+    fc = f_w - f_w.mean(axis=0)
+    cov = fc.T @ fc / (len(f_w) - 1)
+    stats = SourceStats(np.zeros(2), np.zeros(2), cov)
+    coral, feats, _ = _coral_only_step(source_model, z_w, stats)
+    assert np.array_equal(feats, f_w)
+    assert abs(coral) <= 1e-12 * float((cov * cov).sum())
+
+
+def test_step_uses_given_covariance_norm(source_model):
+    # run_shot passes ||C||_F^2 in once per call; the step adds it as given.
+    cfg = ShotConfig()
+    stats = source_model.source_stats
+    z = np.random.default_rng(17).normal(size=(8, 8))
+    ext = source_model.net.extractor.clone()
+    reg = source_model.net.regressor.clone()
+    cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
+    computed = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None)
+    given = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None, cov_sq)
+    shifted = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None, cov_sq + 1.0)
+    assert given == computed
+    assert shifted["coral"] == pytest.approx(computed["coral"] + 1.0, rel=1e-12)
+
+
+def test_run_shot_passes_the_covariance_norm(monkeypatch, source_model, small_target):
+    # The norm run_shot computes once gives the same diagnostics, bit for
+    # bit, as the step computing it on every batch.
+    cfg = ShotConfig(epochs=1, seed=3)
+    target = small_target.without_labels()
+    _, once = run_shot(source_model, target, cfg)
+    step = shot._shot_step
+    monkeypatch.setattr(shot, "_shot_step", lambda *args: step(*args[:8]))
+    _, per_batch = run_shot(source_model, target, cfg)
+    assert once == per_batch
 
 
 # ------------------------------------------------------------ run contracts

@@ -237,3 +237,14 @@ def conv1d_dx_strided(dy, w, x_shape):
     for j in range(k):
         dx[:, j : j + out_len, :] += dy @ w[:, :, j]
     return dx
+
+
+def shot_coral_direct(f_w, feat_cov):
+    """SHOT's covariance-alignment term as _shot_step computed it before
+    its batch-Gram form: the full difference delta = fc.T @ fc / (b-1) - C.
+    Returns (||delta||_F^2, 4/(b-1) * fc @ delta centred over the batch)."""
+    b = len(f_w)
+    fc = f_w - f_w.mean(axis=0)
+    delta = fc.T @ fc / (b - 1) - feat_cov
+    g = (4.0 / (b - 1)) * (fc @ delta)
+    return float((delta * delta).sum()), g - g.mean(axis=0)
