@@ -31,11 +31,9 @@ from .data import (  # noqa: E402
     Dataset,
     FoldAssignment,
     NormStats,
-    apply_normalizer,
     fit_normalizer,
     load_csv,
     make_folds,
-    split_train_test,
     write_csv,
 )
 from .synthetic import SynthConfig, generate_synthetic  # noqa: E402
@@ -57,7 +55,6 @@ from .meanteacher import (  # noqa: E402
     compute_thresholds,
     correct_labels,
     ema_update,
-    probe_uncertainty,
 )
 from .dann import DannConfig, disc_loss, reg_loss, run_dann  # noqa: E402
 from .shot import (  # noqa: E402

@@ -59,7 +59,6 @@ EXIT_NUMERIC = 4
 EXIT_WORKER = 5
 
 ADAPT_METHODS = ("mtloc", "mtloc-conf", "dann", "shot", "oracle")
-SOURCE_FREE_METHODS = frozenset({"mtloc", "mtloc-conf", "shot"})
 
 
 # ---------------------------------------------------------------- scenario

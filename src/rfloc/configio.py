@@ -19,10 +19,11 @@ _FALSE = {"false", "0", "no", "off"}
 
 
 def read_kv(path) -> dict[str, str]:
-    """The key = value pairs of a UTF-8 text file; an unreadable file,
-    bytes that are not UTF-8 or a line without '=' raise ConfigError."""
+    """The key = value pairs of a UTF-8 text file, read past a leading
+    byte-order mark; an unreadable file, bytes that are not UTF-8 or a line
+    without '=' raise ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot open config file {path}: {e}") from e

@@ -230,25 +230,7 @@ def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
     return (features - stats.mean) / stats.std
 
 
-def apply_normalizer(dataset: Dataset, stats: NormStats) -> Dataset:
-    return Dataset(dataset.name, normalize_features(dataset.features, stats), dataset.labels)
-
-
-# ---------------------------------------------------------------- splits
-
-def split_train_test(dataset: Dataset, ratio: float = 0.8, seed: int = 0):
-    """Seeded shuffle, then floor(n * ratio) samples for training."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio must lie in (0, 1), got {ratio}")
-    n = len(dataset)
-    perm = Rng(seed).stream("split").permutation(n)
-    n_train = int(n * ratio)
-    if n_train == 0 or n_train == n:
-        raise DataError(f"split of {n} samples at ratio {ratio} leaves an empty side")
-    train = dataset.subset(perm[:n_train], f"{dataset.name}-train")
-    test = dataset.subset(perm[n_train:], f"{dataset.name}-test")
-    return train, test
-
+# ---------------------------------------------------------------- folds
 
 @dataclass
 class FoldAssignment:

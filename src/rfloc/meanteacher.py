@@ -114,22 +114,6 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     return labels, preds.std(axis=0)
 
 
-def probe_uncertainty(
-    model: LocalizerModel,
-    target: Dataset,
-    cfg: MeanTeacherConfig,
-    rng: Rng | None = None,
-    epoch: int = 0,
-) -> PseudoLabelSet:
-    """Label the target set with the model and measure prediction spread."""
-    rng = rng if rng is not None else Rng(cfg.seed)
-    z = normalize_features(target.features, model.norm)
-    labels, sigma = _probe(
-        model.net.predict, z, float(np.sqrt(cfg.noise_variance)), cfg.n_probe, rng, epoch
-    )
-    return PseudoLabelSet(labels, sigma)
-
-
 def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Thresholds:
     """Set confidence flags in place; a sample is uncertain when either
     coordinate's spread exceeds mean + c * std of the spreads."""

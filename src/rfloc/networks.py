@@ -2,9 +2,19 @@
 and the domain discriminator used by the adversarial baseline.
 
 Input is one 8-value received-power fingerprint per sample (4 receivers x
-2 polarizations), treated as a length-8 single-channel sequence. Backward
-passes are written explicitly against forward caches and accumulate (+=)
-into the parameter gradients, so several loss paths can share one step.
+2 polarizations), treated as a length-8 single-channel sequence. Each
+network is a :class:`Sequential` over a tuple of layers and one named
+:class:`ParamSet`. Backward passes run the layers in reverse against the
+forward caches and accumulate (+=) into the parameter gradients, so
+several loss paths can share one step.
+
+The layer kernels (``conv1d_forward``, ``dense_forward``,
+``dropout_forward`` and their backwards) are looked up as globals of this
+module at call time, and ``FeatureExtractor``, ``Regressor`` and
+``Discriminator`` each bind ``forward`` and ``backward`` in their own class
+body. The benchmark tracer times layers by patching exactly these names,
+so binding the kernels elsewhere or inheriting the two methods would hide
+them from it.
 """
 
 from __future__ import annotations
@@ -66,225 +76,211 @@ def in_blocks(fn, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_param_shapes(params: ParamSet, expected: dict[str, tuple]) -> None:
-    if params.names() != list(expected):
-        raise ConfigError(
-            f"parameter names {params.names()} do not match expected {list(expected)}"
+# ---------------------------------------------------------------- layers
+#
+# A layer holds only its configuration. forward(values, x, drop_gen)
+# returns (output, cache) and backward(values, dy, cache) returns
+# (dx, gradients), where values and gradients follow the order of the
+# layer's shapes.
+
+class Layer:
+    shapes: dict[str, tuple] = {}
+
+    def init(self, gen: np.random.Generator) -> list[np.ndarray]:
+        return []
+
+
+class Dense(Layer):
+    def __init__(self, name: str, n_in: int, n_out: int):
+        self.n_in, self.n_out = n_in, n_out
+        self.shapes = {f"{name}_w": (n_in, n_out), f"{name}_b": (n_out,)}
+
+    def init(self, gen):
+        w = glorot_uniform(gen, (self.n_in, self.n_out), self.n_in, self.n_out)
+        return [w, np.zeros(self.n_out)]
+
+    def forward(self, values, x, drop_gen):
+        return dense_forward(x, *values), x
+
+    def backward(self, values, dy, x):
+        dx, dw, db = dense_backward(dy, x, values[0])
+        return dx, (dw, db)
+
+
+class Conv1D(Layer):
+    """Valid stride-1 convolution over (batch, length, channels)."""
+
+    def __init__(self, name: str, in_ch: int, out_ch: int):
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.shapes = {f"{name}_w": (out_ch, in_ch, KERNEL_SIZE), f"{name}_b": (out_ch,)}
+
+    def init(self, gen):
+        w = glorot_uniform(
+            gen,
+            (self.out_ch, self.in_ch, KERNEL_SIZE),
+            fan_in=self.in_ch * KERNEL_SIZE,
+            fan_out=self.out_ch * KERNEL_SIZE,
         )
-    for name, shape in expected.items():
-        if params[name].value.shape != shape:
-            raise ConfigError(
-                f"parameter {name!r} has shape {params[name].value.shape}, expected {shape}"
-            )
+        return [w, np.zeros(self.out_ch)]
+
+    def forward(self, values, x, drop_gen):
+        return conv1d_forward(x, *values), x
+
+    def backward(self, values, dy, x):
+        dx, dw, db = conv1d_backward(dy, x, values[0])
+        return dx, (dw, db)
 
 
-class FeatureExtractor:
-    """Conv1d(64, k=2) + ReLU + Dropout, Conv1d(128, k=2) + ReLU + Dropout, flatten."""
+class ReLU(Layer):
+    def forward(self, values, x, drop_gen):
+        return relu(x), x
 
-    SHAPES = {
-        "conv1_w": (CONV1_FILTERS, IN_CHANNELS, KERNEL_SIZE),
-        "conv1_b": (CONV1_FILTERS,),
-        "conv2_w": (CONV2_FILTERS, CONV1_FILTERS, KERNEL_SIZE),
-        "conv2_b": (CONV2_FILTERS,),
-    }
-
-    def __init__(self, params: ParamSet | None = None, init_gen: np.random.Generator | None = None):
-        if params is None:
-            if init_gen is None:
-                raise ConfigError("need either existing parameters or an init generator")
-            params = ParamSet()
-            params.add(
-                "conv1_w",
-                glorot_uniform(
-                    init_gen,
-                    self.SHAPES["conv1_w"],
-                    fan_in=IN_CHANNELS * KERNEL_SIZE,
-                    fan_out=CONV1_FILTERS * KERNEL_SIZE,
-                ),
-            )
-            params.add("conv1_b", np.zeros(CONV1_FILTERS))
-            params.add(
-                "conv2_w",
-                glorot_uniform(
-                    init_gen,
-                    self.SHAPES["conv2_w"],
-                    fan_in=CONV1_FILTERS * KERNEL_SIZE,
-                    fan_out=CONV2_FILTERS * KERNEL_SIZE,
-                ),
-            )
-            params.add("conv2_b", np.zeros(CONV2_FILTERS))
-        else:
-            _check_param_shapes(params, self.SHAPES)
-        self.params = params
-
-    def forward(self, x: np.ndarray, drop_gen: np.random.Generator | None = None):
-        """x: (batch, 8). Returns (features (batch, 768), cache).
-
-        Dropout is active iff drop_gen is given; None means inference.
-        """
-        if x.ndim != 2 or x.shape[1] != INPUT_LEN:
-            raise ConfigError(f"expected input of shape (batch, {INPUT_LEN}), got {x.shape}")
-        training = drop_gen is not None
-        p = self.params
-        a0 = x[:, :, None]
-        z1 = conv1d_forward(a0, p["conv1_w"].value, p["conv1_b"].value)
-        r1 = relu(z1)
-        d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
-        z2 = conv1d_forward(d1, p["conv2_w"].value, p["conv2_b"].value)
-        r2 = relu(z2)
-        d2, m2 = dropout_forward(r2, DROPOUT_RATE, drop_gen, training)
-        feats = d2.reshape(x.shape[0], FEATURE_DIM)
-        cache = {"a0": a0, "z1": z1, "m1": m1, "d1": d1, "z2": z2, "m2": m2, "shape2": d2.shape}
-        return feats, cache
-
-    def backward(self, dfeats: np.ndarray, cache: dict, accumulate: bool = True) -> np.ndarray:
-        """Gradient of a scalar loss w.r.t. the input, accumulating parameter grads."""
-        if cache is None:
-            raise UsageError("backward requires the cache of a matching forward pass")
-        p = self.params
-        dd2 = dfeats.reshape(cache["shape2"])
-        dr2 = dropout_backward(dd2, cache["m2"])
-        dz2 = relu_backward(dr2, cache["z2"])
-        dd1, dw2, db2 = conv1d_backward(dz2, cache["d1"], p["conv2_w"].value)
-        dr1 = dropout_backward(dd1, cache["m1"])
-        dz1 = relu_backward(dr1, cache["z1"])
-        da0, dw1, db1 = conv1d_backward(dz1, cache["a0"], p["conv1_w"].value)
-        if accumulate:
-            p["conv2_w"].grad += dw2
-            p["conv2_b"].grad += db2
-            p["conv1_w"].grad += dw1
-            p["conv1_b"].grad += db1
-        return da0[:, :, 0]
-
-    def clone(self) -> "FeatureExtractor":
-        return FeatureExtractor(self.params.clone())
+    def backward(self, values, dy, x):
+        return relu_backward(dy, x), ()
 
 
-class Regressor:
-    """Dense(128) + ReLU + Dropout, Dense(64) + ReLU, Dense(2)."""
+class Dropout(Layer):
+    """Active iff the forward pass is given a generator."""
 
-    SHAPES = {
-        "dense1_w": (FEATURE_DIM, HIDDEN1),
-        "dense1_b": (HIDDEN1,),
-        "dense2_w": (HIDDEN1, HIDDEN2),
-        "dense2_b": (HIDDEN2,),
-        "dense3_w": (HIDDEN2, OUTPUT_DIM),
-        "dense3_b": (OUTPUT_DIM,),
-    }
+    def forward(self, values, x, drop_gen):
+        return dropout_forward(x, DROPOUT_RATE, drop_gen, drop_gen is not None)
 
-    def __init__(self, params: ParamSet | None = None, init_gen: np.random.Generator | None = None):
-        if params is None:
-            if init_gen is None:
-                raise ConfigError("need either existing parameters or an init generator")
-            params = ParamSet()
-            params.add("dense1_w", glorot_uniform(init_gen, (FEATURE_DIM, HIDDEN1), FEATURE_DIM, HIDDEN1))
-            params.add("dense1_b", np.zeros(HIDDEN1))
-            params.add("dense2_w", glorot_uniform(init_gen, (HIDDEN1, HIDDEN2), HIDDEN1, HIDDEN2))
-            params.add("dense2_b", np.zeros(HIDDEN2))
-            params.add("dense3_w", glorot_uniform(init_gen, (HIDDEN2, OUTPUT_DIM), HIDDEN2, OUTPUT_DIM))
-            params.add("dense3_b", np.zeros(OUTPUT_DIM))
-        else:
-            _check_param_shapes(params, self.SHAPES)
-        self.params = params
-
-    def forward(self, feats: np.ndarray, drop_gen: np.random.Generator | None = None):
-        if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
-            raise ConfigError(f"expected features of shape (batch, {FEATURE_DIM}), got {feats.shape}")
-        training = drop_gen is not None
-        p = self.params
-        z1 = dense_forward(feats, p["dense1_w"].value, p["dense1_b"].value)
-        r1 = relu(z1)
-        d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
-        z2 = dense_forward(d1, p["dense2_w"].value, p["dense2_b"].value)
-        r2 = relu(z2)
-        out = dense_forward(r2, p["dense3_w"].value, p["dense3_b"].value)
-        cache = {"feats": feats, "z1": z1, "m1": m1, "d1": d1, "z2": z2, "r2": r2}
-        return out, cache
-
-    def backward(self, dout: np.ndarray, cache: dict, accumulate: bool = True) -> np.ndarray:
-        if cache is None:
-            raise UsageError("backward requires the cache of a matching forward pass")
-        p = self.params
-        dr2, dw3, db3 = dense_backward(dout, cache["r2"], p["dense3_w"].value)
-        dz2 = relu_backward(dr2, cache["z2"])
-        dd1, dw2, db2 = dense_backward(dz2, cache["d1"], p["dense2_w"].value)
-        dr1 = dropout_backward(dd1, cache["m1"])
-        dz1 = relu_backward(dr1, cache["z1"])
-        dfeats, dw1, db1 = dense_backward(dz1, cache["feats"], p["dense1_w"].value)
-        if accumulate:
-            p["dense3_w"].grad += dw3
-            p["dense3_b"].grad += db3
-            p["dense2_w"].grad += dw2
-            p["dense2_b"].grad += db2
-            p["dense1_w"].grad += dw1
-            p["dense1_b"].grad += db1
-        return dfeats
-
-    def clone(self) -> "Regressor":
-        return Regressor(self.params.clone())
+    def backward(self, values, dy, mask):
+        return dropout_backward(dy, mask), ()
 
 
-class Discriminator:
-    """Dense(128) + ReLU, Dense(64) + ReLU, Dense(1) + sigmoid.
+class ClippedSigmoid(Layer):
+    """Sigmoid clipped into (0, 1), so downstream logs stay finite."""
 
-    The sigmoid output is clipped into (0, 1) so downstream logs stay finite.
+    def forward(self, values, x, drop_gen):
+        prob = np.clip(sigmoid(x), SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
+        return prob, prob
+
+    def backward(self, values, dy, prob):
+        return sigmoid_backward(dy, prob), ()
+
+
+class Reshape(Layer):
+    """Each row reshaped to `shape`; the batch axis is kept."""
+
+    def __init__(self, *shape: int):
+        self.shape = shape
+
+    def forward(self, values, x, drop_gen):
+        return x.reshape((len(x),) + self.shape), x.shape
+
+    def backward(self, values, dy, in_shape):
+        return dy.reshape(in_shape), ()
+
+
+# ---------------------------------------------------------------- networks
+
+class Sequential:
+    """LAYERS run in order over one ParamSet of (batch, IN_DIM) inputs.
+
+    SHAPES, the parameter names and shapes in ParamSet order, is derived
+    from LAYERS for each subclass.
     """
 
-    SHAPES = {
-        "disc1_w": (FEATURE_DIM, HIDDEN1),
-        "disc1_b": (HIDDEN1,),
-        "disc2_w": (HIDDEN1, HIDDEN2),
-        "disc2_b": (HIDDEN2,),
-        "disc3_w": (HIDDEN2, 1),
-        "disc3_b": (1,),
-    }
+    LAYERS: tuple[Layer, ...] = ()
+    IN_DIM = 0
+    SHAPES: dict[str, tuple] = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.SHAPES = {name: shape for layer in cls.LAYERS for name, shape in layer.shapes.items()}
 
     def __init__(self, params: ParamSet | None = None, init_gen: np.random.Generator | None = None):
         if params is None:
             if init_gen is None:
                 raise ConfigError("need either existing parameters or an init generator")
             params = ParamSet()
-            params.add("disc1_w", glorot_uniform(init_gen, (FEATURE_DIM, HIDDEN1), FEATURE_DIM, HIDDEN1))
-            params.add("disc1_b", np.zeros(HIDDEN1))
-            params.add("disc2_w", glorot_uniform(init_gen, (HIDDEN1, HIDDEN2), HIDDEN1, HIDDEN2))
-            params.add("disc2_b", np.zeros(HIDDEN2))
-            params.add("disc3_w", glorot_uniform(init_gen, (HIDDEN2, 1), HIDDEN2, 1))
-            params.add("disc3_b", np.zeros(1))
-        else:
-            _check_param_shapes(params, self.SHAPES)
+            for layer in self.LAYERS:
+                for name, value in zip(layer.shapes, layer.init(init_gen)):
+                    params.add(name, value)
+        elif params.names() != list(self.SHAPES):
+            raise ConfigError(
+                f"parameter names {params.names()} do not match expected {list(self.SHAPES)}"
+            )
+        for name, shape in self.SHAPES.items():
+            if params[name].value.shape != shape:
+                raise ConfigError(
+                    f"parameter {name!r} has shape {params[name].value.shape}, expected {shape}"
+                )
         self.params = params
+        self._layer_params = [tuple(params[n] for n in layer.shapes) for layer in self.LAYERS]
 
-    def forward(self, feats: np.ndarray):
-        if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
-            raise ConfigError(f"expected features of shape (batch, {FEATURE_DIM}), got {feats.shape}")
-        p = self.params
-        z1 = dense_forward(feats, p["disc1_w"].value, p["disc1_b"].value)
-        r1 = relu(z1)
-        z2 = dense_forward(r1, p["disc2_w"].value, p["disc2_b"].value)
-        r2 = relu(z2)
-        z3 = dense_forward(r2, p["disc3_w"].value, p["disc3_b"].value)
-        prob = np.clip(sigmoid(z3), SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
-        cache = {"feats": feats, "z1": z1, "r1": r1, "z2": z2, "r2": r2, "prob": prob}
-        return prob, cache
+    def forward(self, x: np.ndarray, drop_gen: np.random.Generator | None = None):
+        """Returns (output, cache). Dropout is active iff drop_gen is
+        given; None means inference."""
+        if x.ndim != 2 or x.shape[1] != self.IN_DIM:
+            raise ConfigError(f"expected input of shape (batch, {self.IN_DIM}), got {x.shape}")
+        cache = []
+        for layer, ps in zip(self.LAYERS, self._layer_params):
+            x, c = layer.forward([p.value for p in ps], x, drop_gen)
+            cache.append(c)
+        return x, cache
 
-    def backward(self, dprob: np.ndarray, cache: dict, accumulate: bool = True) -> np.ndarray:
+    def backward(self, dy: np.ndarray, cache, accumulate: bool = True) -> np.ndarray:
+        """Gradient of a scalar loss w.r.t. the input; parameter gradients
+        are added to the grads when accumulate is true."""
         if cache is None:
             raise UsageError("backward requires the cache of a matching forward pass")
-        p = self.params
-        dz3 = sigmoid_backward(dprob, cache["prob"])
-        dr2, dw3, db3 = dense_backward(dz3, cache["r2"], p["disc3_w"].value)
-        dz2 = relu_backward(dr2, cache["z2"])
-        dr1, dw2, db2 = dense_backward(dz2, cache["r1"], p["disc2_w"].value)
-        dz1 = relu_backward(dr1, cache["z1"])
-        dfeats, dw1, db1 = dense_backward(dz1, cache["feats"], p["disc1_w"].value)
-        if accumulate:
-            p["disc3_w"].grad += dw3
-            p["disc3_b"].grad += db3
-            p["disc2_w"].grad += dw2
-            p["disc2_b"].grad += db2
-            p["disc1_w"].grad += dw1
-            p["disc1_b"].grad += db1
-        return dfeats
+        for i in reversed(range(len(self.LAYERS))):
+            ps = self._layer_params[i]
+            dy, grads = self.LAYERS[i].backward([p.value for p in ps], dy, cache[i])
+            if accumulate:
+                for p, g in zip(ps, grads):
+                    p.grad += g
+        return dy
+
+    def clone(self):
+        return type(self)(self.params.clone())
+
+
+class FeatureExtractor(Sequential):
+    """Conv1d(64, k=2) + ReLU + Dropout, Conv1d(128, k=2) + ReLU + Dropout,
+    flatten: (batch, 8) -> (batch, 768)."""
+
+    LAYERS = (
+        Reshape(INPUT_LEN, IN_CHANNELS),
+        Conv1D("conv1", IN_CHANNELS, CONV1_FILTERS), ReLU(), Dropout(),
+        Conv1D("conv2", CONV1_FILTERS, CONV2_FILTERS), ReLU(), Dropout(),
+        Reshape(FEATURE_DIM),
+    )
+    IN_DIM = INPUT_LEN
+    # Bound in each class body for the tracer (see the module docstring).
+    forward = Sequential.forward
+    backward = Sequential.backward
+
+
+class Regressor(Sequential):
+    """Dense(128) + ReLU + Dropout, Dense(64) + ReLU, Dense(2)."""
+
+    LAYERS = (
+        Dense("dense1", FEATURE_DIM, HIDDEN1), ReLU(), Dropout(),
+        Dense("dense2", HIDDEN1, HIDDEN2), ReLU(),
+        Dense("dense3", HIDDEN2, OUTPUT_DIM),
+    )
+    IN_DIM = FEATURE_DIM
+    forward = Sequential.forward
+    backward = Sequential.backward
+
+
+class Discriminator(Sequential):
+    """Dense(128) + ReLU, Dense(64) + ReLU, Dense(1) + clipped sigmoid."""
+
+    LAYERS = (
+        Dense("disc1", FEATURE_DIM, HIDDEN1), ReLU(),
+        Dense("disc2", HIDDEN1, HIDDEN2), ReLU(),
+        Dense("disc3", HIDDEN2, 1), ClippedSigmoid(),
+    )
+    IN_DIM = FEATURE_DIM
+    backward = Sequential.backward
+
+    def forward(self, feats: np.ndarray):
+        """Returns (probabilities (batch, 1), cache)."""
+        return Sequential.forward(self, feats)
 
 
 class Localizer:

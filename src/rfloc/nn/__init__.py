@@ -1,9 +1,9 @@
 """Minimal float64 neural-network kernel: named parameters, handwritten
 layer gradients, Adam, and counter-based random streams.
 
-There is no autodiff graph. Every network in this package writes its
-backward pass explicitly against the forward caches returned here, which
-keeps the arithmetic auditable and bit-reproducible.
+There is no autodiff graph. The networks (`rfloc.networks`) run their
+layers' handwritten backward passes in reverse order against the forward
+caches, which keeps the arithmetic auditable and bit-reproducible.
 """
 
 from .rng import Rng

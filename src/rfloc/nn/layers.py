@@ -3,7 +3,7 @@ reverse-mode gradients. All arrays are float64.
 
 Forward functions return plain arrays; the matching backward takes the
 original inputs it needs. Composition and gradient accumulation live in
-the network classes, not here.
+the layer objects and the `Sequential` of `rfloc.networks`, not here.
 """
 
 from __future__ import annotations

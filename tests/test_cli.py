@@ -534,18 +534,32 @@ def _nan_bias(src, dst):
     save_model(model, dst)
 
 
+def _reshape_conv2_w(header):
+    # Same element count, so the header still agrees with the payload size.
+    for entry in header["arrays"]:
+        if entry["name"] == "param.conv2_w":
+            assert entry["shape"] == [128, 64, 2]
+            entry["shape"] = [128, 128, 1]
+    return header
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda src, dst: _rewrite_header(src, dst, lambda h: [h]),
-        lambda src, dst: _rewrite_header(
-            src, dst, lambda h: {k: v for k, v in h.items() if k != "arrays"}
+        (lambda src, dst: _rewrite_header(src, dst, lambda h: [h]), "not a JSON object"),
+        (
+            lambda src, dst: _rewrite_header(
+                src, dst, lambda h: {k: v for k, v in h.items() if k != "arrays"}
+            ),
+            "lacks an array list",
         ),
-        _nan_bias,
+        (_nan_bias, "non-finite values"),
+        (lambda src, dst: _rewrite_header(src, dst, _reshape_conv2_w),
+         "invalid artifact contents"),
     ],
-    ids=["list-header", "no-arrays", "nan-bias"],
+    ids=["list-header", "no-arrays", "nan-bias", "wrong-shape"],
 )
-def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt):
+def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt, message):
     bad = tmp_path / "bad.model"
     corrupt(workdir / "source.model", bad)
     env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
@@ -563,6 +577,7 @@ def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr and "bad.model" in proc.stderr
+    assert message in proc.stderr
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -642,6 +657,25 @@ def test_non_utf8_config_exits_2(workdir, tmp_path, capsys):
     assert main(args) == 2
     assert "not UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "m.model").exists()
+
+
+def test_config_with_byte_order_mark_is_read(workdir, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfepochs = 1\n")
+    out = tmp_path / "m.model"
+    args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+            "--config", str(cfg), "--out", str(out)]
+    assert main(args) == 0
+    assert load_model(out).meta["epochs_run"] == 1
+
+
+def test_manifest_with_byte_order_mark_replays(workdir, tmp_path):
+    data = workdir / "data"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"\xef\xbb\xbf" + (data / "manifest.txt").read_bytes())
+    out = tmp_path / "redo"
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+    assert (out / "target.csv").read_bytes() == (data / "target.csv").read_bytes()
 
 
 def test_csv_schema_errors_exit_3(workdir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""CSV round trips, schema/parse failures, normalization, splits, folds."""
+"""CSV round trips, schema/parse failures, normalization, folds."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from rfloc.data import (
     Dataset,
     NormStats,
-    apply_normalizer,
     fit_normalizer,
     load_csv,
     make_folds,
     normalize_features,
-    split_train_test,
     write_csv,
 )
 from rfloc.errors import ConfigError, CsvParseError, DataError, SchemaError
@@ -219,9 +217,9 @@ def test_normalizer_constant_column_floored():
 def test_normalized_source_has_zero_mean_unit_std():
     ds = make_dataset(200, seed=3)
     stats = fit_normalizer(ds)
-    z = apply_normalizer(ds, stats)
-    assert np.allclose(z.features.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(z.features.std(axis=0), 1.0, atol=1e-12)
+    z = normalize_features(ds.features, stats)
+    assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_norm_stats_validation():
@@ -229,42 +227,6 @@ def test_norm_stats_validation():
         NormStats(np.zeros(8), np.zeros(8))  # zero std
     with pytest.raises(ConfigError):
         NormStats(np.zeros(4), np.ones(4))  # wrong length
-
-
-# ---------------------------------------------------------------- splits
-
-def test_split_sizes():
-    ds = make_dataset(1485, seed=1)
-    train, test = split_train_test(ds, ratio=0.8, seed=0)
-    assert len(train) == 1188
-    assert len(test) == 297
-
-
-def test_split_is_a_partition():
-    ds = make_dataset(50, seed=2)
-    train, test = split_train_test(ds, ratio=0.8, seed=0)
-    joined = np.vstack([train.features, test.features])
-    assert joined.shape == ds.features.shape
-    # every original row appears exactly once
-    orig = {tuple(r) for r in ds.features}
-    assert {tuple(r) for r in joined} == orig
-
-
-def test_split_deterministic():
-    ds = make_dataset(30)
-    a1, _ = split_train_test(ds, seed=7)
-    a2, _ = split_train_test(ds, seed=7)
-    b, _ = split_train_test(ds, seed=8)
-    assert np.array_equal(a1.features, a2.features)
-    assert not np.array_equal(a1.features, b.features)
-
-
-def test_split_rejects_degenerate():
-    ds = make_dataset(3)
-    with pytest.raises(ConfigError):
-        split_train_test(ds, ratio=1.5)
-    with pytest.raises(DataError):
-        split_train_test(ds, ratio=0.05)
 
 
 # ---------------------------------------------------------------- folds

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rfloc import meanteacher
+from rfloc.data import normalize_features
 from rfloc.errors import ConfigError, UsageError
 from rfloc.meanteacher import (
     MeanTeacherConfig,
@@ -14,7 +15,6 @@ from rfloc.meanteacher import (
     compute_thresholds,
     correct_labels,
     ema_update,
-    probe_uncertainty,
 )
 from rfloc.nn import ParamSet, Rng
 
@@ -33,19 +33,23 @@ def unit_row(value: float) -> np.ndarray:
 
 # ---------------------------------------------------------------- probing
 
+def probe_model(model, target, noise_variance):
+    # As adapt probes its teacher: on the normalized target features.
+    z = normalize_features(target.features, model.norm)
+    n_probe = MeanTeacherConfig().n_probe
+    return _probe(model.net.predict, z, float(np.sqrt(noise_variance)), n_probe, Rng(0), epoch=0)
+
+
 def test_probe_zero_noise_zero_sigma(source_model, small_target):
-    cfg = MeanTeacherConfig(noise_variance=0.0, confidence=True)
-    pls = probe_uncertainty(source_model, small_target.without_labels(), cfg)
-    assert np.allclose(pls.sigma, 0.0)
-    assert pls.confident is None  # set later by compute_thresholds
+    _, sigma = probe_model(source_model, small_target, 0.0)
+    assert np.allclose(sigma, 0.0)
 
 
 def test_probe_labels_are_clean_predictions(source_model, small_target):
     from rfloc.localizer import predict
 
-    cfg = MeanTeacherConfig(noise_variance=0.1, confidence=True)
-    pls = probe_uncertainty(source_model, small_target.without_labels(), cfg)
-    assert np.array_equal(pls.labels, predict(source_model, small_target))
+    labels, _ = probe_model(source_model, small_target, 0.1)
+    assert np.array_equal(labels, predict(source_model, small_target))
 
 
 def test_probe_linear_map_sigma():

@@ -16,9 +16,21 @@ from rfloc.networks import (
     Localizer,
     Regressor,
 )
-from rfloc.nn import Rng, l1_loss
+from rfloc.nn import ParamSet, Rng, l1_loss
 
-from util import max_rel_error, sampled_central_difference, sampled_coords
+from util import (
+    dense_head_init_unrolled,
+    discriminator_backward_unrolled,
+    discriminator_forward_unrolled,
+    extractor_backward_unrolled,
+    extractor_forward_unrolled,
+    extractor_init_unrolled,
+    max_rel_error,
+    regressor_backward_unrolled,
+    regressor_forward_unrolled,
+    sampled_central_difference,
+    sampled_coords,
+)
 
 
 def test_total_parameter_count():
@@ -202,3 +214,98 @@ def test_training_reduces_loss_on_memorized_sample():
         adam.step()
     assert min(losses[-100:]) < 1e-3
     assert losses[-1] < losses[0]
+
+
+# ---------------------------------------------------------------- unrolled oracle
+
+# (network, oracle init, oracle forward, oracle backward, input width,
+# whether forward takes a dropout generator)
+ORACLES = {
+    "extractor": (FeatureExtractor, extractor_init_unrolled, extractor_forward_unrolled,
+                  extractor_backward_unrolled, 8, True),
+    "regressor": (Regressor, lambda g: dense_head_init_unrolled(g, "dense", 2),
+                  regressor_forward_unrolled, regressor_backward_unrolled, FEATURE_DIM, True),
+    "discriminator": (Discriminator, lambda g: dense_head_init_unrolled(g, "disc", 1),
+                      discriminator_forward_unrolled, discriminator_backward_unrolled,
+                      FEATURE_DIM, False),
+}
+
+
+def same_bits(a, b):
+    bits = [np.ascontiguousarray(v).tobytes() for v in (a, b)]
+    return a.shape == b.shape and bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_init_matches_unrolled_oracle(kind):
+    cls, init, *_ = ORACLES[kind]
+    net = cls(init_gen=Rng(20).stream("init"))
+    ref = init(Rng(20).stream("init"))
+    assert net.params.names() == ref.names() == list(cls.SHAPES)
+    for name, p in ref.items():
+        assert same_bits(net.params[name].value, p.value), name
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+@pytest.mark.parametrize("batch", [1, 32, 257])
+@pytest.mark.parametrize(
+    "kind, dropout",
+    [(kind, dropout) for kind in ORACLES for dropout in (False, True)
+     if ORACLES[kind][5] or not dropout],
+)
+def test_forward_backward_match_unrolled_oracle(kind, dropout, batch, accumulate):
+    cls, _, ref_forward, ref_backward, width, takes_gen = ORACLES[kind]
+    gen = np.random.default_rng(batch)
+    net = cls(init_gen=Rng(21).stream("init"))
+    ref = net.params.clone()
+    for name, p in net.params.items():
+        # Equal nonzero starting grads, so accumulation must add to them.
+        p.grad[...] = gen.normal(size=p.grad.shape)
+        ref[name].grad[...] = p.grad
+    x = gen.normal(size=(batch, width))
+    drop = (Rng(22).stream("drop"), Rng(22).stream("drop")) if dropout else (None, None)
+    if takes_gen:
+        out, cache = net.forward(x, drop[0])
+        ref_out, ref_cache = ref_forward(ref, x, drop[1])
+    else:
+        out, cache = net.forward(x)
+        ref_out, ref_cache = ref_forward(ref, x)
+    assert same_bits(out, ref_out)
+    if dropout:
+        # Philox's state holds small arrays, which repr prints in full.
+        assert repr(drop[0].bit_generator.state) == repr(drop[1].bit_generator.state)
+    dy = gen.normal(size=out.shape)
+    dx = net.backward(dy, cache, accumulate=accumulate)
+    ref_dx = ref_backward(ref, dy, ref_cache, accumulate=accumulate)
+    assert same_bits(dx, ref_dx)
+    for name, p in ref.items():
+        assert same_bits(net.params[name].grad, p.grad), name
+
+
+# ---------------------------------------------------------------- parameter checks
+
+def _params_like(shapes: dict) -> ParamSet:
+    ps = ParamSet()
+    for name, shape in shapes.items():
+        ps.add(name, np.zeros(shape))
+    return ps
+
+
+@pytest.mark.parametrize("cls", [FeatureExtractor, Regressor, Discriminator])
+def test_constructor_rejects_mismatched_params(cls):
+    shapes = dict(cls.SHAPES)
+    names = list(shapes)
+    cls(_params_like(shapes))  # the expected set is accepted
+    renamed = {("x" + n if i == 0 else n): s for i, (n, s) in enumerate(shapes.items())}
+    reordered = {n: shapes[n] for n in [names[1], names[0], *names[2:]]}
+    reshaped = {**shapes, names[-2]: shapes[names[-2]] + (1,)}
+    missing = {n: shapes[n] for n in names[:-1]}
+    for bad in (renamed, reordered, reshaped, missing):
+        with pytest.raises(ConfigError):
+            cls(_params_like(bad))
+
+
+@pytest.mark.parametrize("cls", [FeatureExtractor, Regressor, Discriminator])
+def test_constructor_needs_params_or_init_generator(cls):
+    with pytest.raises(ConfigError, match="init generator"):
+        cls()

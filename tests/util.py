@@ -7,6 +7,31 @@ import numpy as np
 from rfloc.data import make_folds
 from rfloc.errors import ConfigError, DataError, NumericalError
 from rfloc.evalmetrics import compute_metrics
+from rfloc.networks import (
+    CONV1_FILTERS,
+    CONV2_FILTERS,
+    DROPOUT_RATE,
+    FEATURE_DIM,
+    HIDDEN1,
+    HIDDEN2,
+    IN_CHANNELS,
+    KERNEL_SIZE,
+    SIGMOID_CLIP,
+)
+from rfloc.nn import (
+    ParamSet,
+    conv1d_backward,
+    conv1d_forward,
+    dense_backward,
+    dense_forward,
+    dropout_backward,
+    dropout_forward,
+    glorot_uniform,
+    relu,
+    relu_backward,
+    sigmoid,
+    sigmoid_backward,
+)
 
 
 def central_difference(scalar_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -248,3 +273,118 @@ def shot_coral_direct(f_w, feat_cov):
     delta = fc.T @ fc / (b - 1) - feat_cov
     g = (4.0 / (b - 1)) * (fc @ delta)
     return float((delta * delta).sum()), g - g.mean(axis=0)
+
+
+# The networks as they were written before they became layer lists: init,
+# forward and backward unrolled by hand over a ParamSet. The oracle the
+# Sequential networks must equal bit for bit.
+
+def extractor_init_unrolled(gen):
+    p = ParamSet()
+    p.add("conv1_w", glorot_uniform(gen, (CONV1_FILTERS, IN_CHANNELS, KERNEL_SIZE),
+                                    fan_in=IN_CHANNELS * KERNEL_SIZE,
+                                    fan_out=CONV1_FILTERS * KERNEL_SIZE))
+    p.add("conv1_b", np.zeros(CONV1_FILTERS))
+    p.add("conv2_w", glorot_uniform(gen, (CONV2_FILTERS, CONV1_FILTERS, KERNEL_SIZE),
+                                    fan_in=CONV1_FILTERS * KERNEL_SIZE,
+                                    fan_out=CONV2_FILTERS * KERNEL_SIZE))
+    p.add("conv2_b", np.zeros(CONV2_FILTERS))
+    return p
+
+
+def extractor_forward_unrolled(p, x, drop_gen=None):
+    training = drop_gen is not None
+    a0 = x[:, :, None]
+    z1 = conv1d_forward(a0, p["conv1_w"].value, p["conv1_b"].value)
+    r1 = relu(z1)
+    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
+    z2 = conv1d_forward(d1, p["conv2_w"].value, p["conv2_b"].value)
+    r2 = relu(z2)
+    d2, m2 = dropout_forward(r2, DROPOUT_RATE, drop_gen, training)
+    feats = d2.reshape(x.shape[0], FEATURE_DIM)
+    cache = {"a0": a0, "z1": z1, "m1": m1, "d1": d1, "z2": z2, "m2": m2, "shape2": d2.shape}
+    return feats, cache
+
+
+def extractor_backward_unrolled(p, dfeats, cache, accumulate=True):
+    dd2 = dfeats.reshape(cache["shape2"])
+    dr2 = dropout_backward(dd2, cache["m2"])
+    dz2 = relu_backward(dr2, cache["z2"])
+    dd1, dw2, db2 = conv1d_backward(dz2, cache["d1"], p["conv2_w"].value)
+    dr1 = dropout_backward(dd1, cache["m1"])
+    dz1 = relu_backward(dr1, cache["z1"])
+    da0, dw1, db1 = conv1d_backward(dz1, cache["a0"], p["conv1_w"].value)
+    if accumulate:
+        p["conv2_w"].grad += dw2
+        p["conv2_b"].grad += db2
+        p["conv1_w"].grad += dw1
+        p["conv1_b"].grad += db1
+    return da0[:, :, 0]
+
+
+def dense_head_init_unrolled(gen, prefix, n_out):
+    p = ParamSet()
+    p.add(f"{prefix}1_w", glorot_uniform(gen, (FEATURE_DIM, HIDDEN1), FEATURE_DIM, HIDDEN1))
+    p.add(f"{prefix}1_b", np.zeros(HIDDEN1))
+    p.add(f"{prefix}2_w", glorot_uniform(gen, (HIDDEN1, HIDDEN2), HIDDEN1, HIDDEN2))
+    p.add(f"{prefix}2_b", np.zeros(HIDDEN2))
+    p.add(f"{prefix}3_w", glorot_uniform(gen, (HIDDEN2, n_out), HIDDEN2, n_out))
+    p.add(f"{prefix}3_b", np.zeros(n_out))
+    return p
+
+
+def regressor_forward_unrolled(p, feats, drop_gen=None):
+    training = drop_gen is not None
+    z1 = dense_forward(feats, p["dense1_w"].value, p["dense1_b"].value)
+    r1 = relu(z1)
+    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
+    z2 = dense_forward(d1, p["dense2_w"].value, p["dense2_b"].value)
+    r2 = relu(z2)
+    out = dense_forward(r2, p["dense3_w"].value, p["dense3_b"].value)
+    cache = {"feats": feats, "z1": z1, "m1": m1, "d1": d1, "z2": z2, "r2": r2}
+    return out, cache
+
+
+def regressor_backward_unrolled(p, dout, cache, accumulate=True):
+    dr2, dw3, db3 = dense_backward(dout, cache["r2"], p["dense3_w"].value)
+    dz2 = relu_backward(dr2, cache["z2"])
+    dd1, dw2, db2 = dense_backward(dz2, cache["d1"], p["dense2_w"].value)
+    dr1 = dropout_backward(dd1, cache["m1"])
+    dz1 = relu_backward(dr1, cache["z1"])
+    dfeats, dw1, db1 = dense_backward(dz1, cache["feats"], p["dense1_w"].value)
+    if accumulate:
+        p["dense3_w"].grad += dw3
+        p["dense3_b"].grad += db3
+        p["dense2_w"].grad += dw2
+        p["dense2_b"].grad += db2
+        p["dense1_w"].grad += dw1
+        p["dense1_b"].grad += db1
+    return dfeats
+
+
+def discriminator_forward_unrolled(p, feats):
+    z1 = dense_forward(feats, p["disc1_w"].value, p["disc1_b"].value)
+    r1 = relu(z1)
+    z2 = dense_forward(r1, p["disc2_w"].value, p["disc2_b"].value)
+    r2 = relu(z2)
+    z3 = dense_forward(r2, p["disc3_w"].value, p["disc3_b"].value)
+    prob = np.clip(sigmoid(z3), SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
+    cache = {"feats": feats, "z1": z1, "r1": r1, "z2": z2, "r2": r2, "prob": prob}
+    return prob, cache
+
+
+def discriminator_backward_unrolled(p, dprob, cache, accumulate=True):
+    dz3 = sigmoid_backward(dprob, cache["prob"])
+    dr2, dw3, db3 = dense_backward(dz3, cache["r2"], p["disc3_w"].value)
+    dz2 = relu_backward(dr2, cache["z2"])
+    dr1, dw2, db2 = dense_backward(dz2, cache["r1"], p["disc2_w"].value)
+    dz1 = relu_backward(dr1, cache["z1"])
+    dfeats, dw1, db1 = dense_backward(dz1, cache["feats"], p["disc1_w"].value)
+    if accumulate:
+        p["disc3_w"].grad += dw3
+        p["disc3_b"].grad += db3
+        p["disc2_w"].grad += dw2
+        p["disc2_b"].grad += db2
+        p["disc1_w"].grad += dw1
+        p["disc1_b"].grad += db1
+    return dfeats
