@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .artifact import load_model, save_model
@@ -57,9 +58,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
-
-ADAPT_METHODS = ("mtloc", "mtloc-conf", "dann", "shot", "oracle")
-
 
 # ---------------------------------------------------------------- scenario
 
@@ -230,52 +228,78 @@ def _exec_train(config_kv, inputs, outputs, run_id) -> None:
     save_model(model, outputs["model"])
 
 
-def _write_diag_csv(path, header: str, rows, run_id: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# run: {run_id}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+# Adapt runners: (cfg, model, target CSV, inputs) -> (adapted model,
+# diagnostics rows). They call the trainers as this module's globals at
+# call time, so whatever rebinds rfloc.cli.adapt (or run_shot, run_dann,
+# finetune_oracle) also sees adapt runs.
+
+def _run_mean_teacher(cfg, model, target, inputs):
+    return adapt(model, target.without_labels(), cfg)
+
+
+def _run_shot(cfg, model, target, inputs):
+    return run_shot(model, target.without_labels(), cfg)
+
+
+def _run_dann(cfg, model, target, inputs):
+    source = load_csv(inputs["source_csv"])
+    if not source.labeled:
+        raise DataError("adversarial adaptation needs labeled source data")
+    return run_dann(model, source, target.without_labels(), cfg)
+
+
+def _run_oracle(cfg, model, target, inputs):
+    if not target.labeled:
+        raise DataError("oracle fine-tuning requires x,y labels in the target CSV")
+    return finetune_oracle(model, target, cfg), []
+
+
+@dataclass(frozen=True)
+class Method:
+    """One adapt method. defaults is its config with the method's default
+    values; its type parses the method's config keys. columns is the
+    diagnostics-CSV header; needs_source says whether it reads source
+    data (--source-csv)."""
+
+    defaults: object
+    run: Callable
+    columns: tuple[str, ...]
+    needs_source: bool = False
+
+
+_MT_COLUMNS = ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y")
+
+METHODS = {
+    "mtloc": Method(MeanTeacherConfig(alpha=0.7, confidence=False), _run_mean_teacher, _MT_COLUMNS),
+    "mtloc-conf": Method(MeanTeacherConfig(alpha=0.8, confidence=True), _run_mean_teacher, _MT_COLUMNS),
+    "dann": Method(
+        DannConfig(), _run_dann, ("epoch", "reg_loss", "disc_loss", "feat_loss"), needs_source=True
+    ),
+    "shot": Method(ShotConfig(), _run_shot, ("epoch", "cons", "teach", "stat", "coral", "total")),
+    "oracle": Method(TrainConfig(), _run_oracle, ("epoch",)),
+}
 
 
 def _exec_adapt(config_kv, inputs, outputs, run_id) -> None:
-    method = config_kv.get("method")
-    if method not in ADAPT_METHODS:
-        raise ConfigError(f"unknown adaptation method {method!r}")
+    name = config_kv.get("method")
+    if name not in METHODS:
+        raise ConfigError(f"unknown adaptation method {name!r}")
+    method = METHODS[name]
     method_kv = {k: v for k, v in config_kv.items() if k != "method"}
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
-    diag_header, diag_rows = None, []
-    if method in ("mtloc", "mtloc-conf"):
-        cfg = kv_to_dataclass(MeanTeacherConfig, method_kv)
-        adapted, diags = adapt(model, target.without_labels(), cfg)
-        diag_header = "epoch,kd_loss,n_uncertain,t_x,t_y"
-        diag_rows = [(d.epoch, d.kd_loss, d.n_uncertain, d.t_x, d.t_y) for d in diags]
-    elif method == "dann":
-        cfg = kv_to_dataclass(DannConfig, method_kv)
-        source = load_csv(inputs["source_csv"])
-        if not source.labeled:
-            raise DataError("adversarial adaptation needs labeled source data")
-        adapted, diags = run_dann(model, source, target.without_labels(), cfg)
-        diag_header = "epoch,reg_loss,disc_loss,feat_loss"
-        diag_rows = [(d.epoch, d.reg_loss, d.disc_loss, d.feat_loss) for d in diags]
-    elif method == "shot":
-        cfg = kv_to_dataclass(ShotConfig, method_kv)
-        adapted, diags = run_shot(model, target.without_labels(), cfg)
-        diag_header = "epoch,cons,teach,stat,coral,total"
-        diag_rows = [(d.epoch, d.cons, d.teach, d.stat, d.coral, d.total) for d in diags]
-    else:  # oracle
-        cfg = kv_to_dataclass(TrainConfig, method_kv)
-        if not target.labeled:
-            raise DataError("oracle fine-tuning requires x,y labels in the target CSV")
-        adapted = finetune_oracle(model, target, cfg)
+    cfg = kv_to_dataclass(type(method.defaults), method_kv)
+    adapted, rows = method.run(cfg, model, target, inputs)
     adapted.meta["run_id"] = run_id
     save_model(adapted, outputs["model"])
     if "diagnostics" in outputs:
-        if diag_header is None:
-            _write_diag_csv(outputs["diagnostics"], "epoch", [], run_id)
-        else:
-            _write_diag_csv(outputs["diagnostics"], diag_header, diag_rows, run_id)
+        with open(outputs["diagnostics"], "w") as fh:
+            fh.write(f"# run: {run_id}\n" + ",".join(method.columns) + "\n")
+            for row in rows:
+                cells = (row[c] for c in method.columns)
+                fh.write(",".join(
+                    "" if v is None else repr(v) if isinstance(v, float) else str(v) for v in cells
+                ) + "\n")
 
 
 def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
@@ -422,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="model artifact path")
 
     a = sub.add_parser("adapt", help="adapt a trained model to a target CSV")
-    a.add_argument("--method", required=True, choices=ADAPT_METHODS)
+    a.add_argument("--method", required=True, choices=tuple(METHODS))
     a.add_argument("--model", required=True, help="source model artifact")
     a.add_argument("--target-csv", required=True)
     a.add_argument("--source-csv", help="labeled source CSV (dann only)")
@@ -460,15 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_ADAPT_DEFAULTS = {
-    "mtloc": lambda: MeanTeacherConfig(alpha=0.7, confidence=False),
-    "mtloc-conf": lambda: MeanTeacherConfig(alpha=0.8, confidence=True),
-    "dann": DannConfig,
-    "shot": ShotConfig,
-    "oracle": TrainConfig,
-}
-
-
 def _dispatch(args) -> int:
     if args.command == "gen-synth":
         out_dir = Path(args.out_dir)
@@ -489,15 +504,15 @@ def _dispatch(args) -> int:
         _run_command("train", config_kv, inputs, outputs, args.out + ".manifest")
 
     elif args.command == "adapt":
-        defaults = _ADAPT_DEFAULTS[args.method]()
+        defaults = METHODS[args.method].defaults
         config_kv = _merge_config(dataclass_to_kv(defaults), args.config, args.set)
         kv_to_dataclass(type(defaults), config_kv)
         config_kv["method"] = args.method
         inputs = {"model": args.model, "target_csv": args.target_csv}
-        if args.method == "dann":
+        if METHODS[args.method].needs_source:
             if not args.source_csv:
                 raise UsageError(
-                    "method 'dann' requires access to source data: pass --source-csv"
+                    f"method {args.method!r} requires access to source data: pass --source-csv"
                 )
             inputs["source_csv"] = args.source_csv
         elif args.source_csv:
@@ -529,7 +544,7 @@ def _dispatch(args) -> int:
         _run_command("heatmap", config_kv, inputs, outputs, args.out_prefix + ".manifest")
 
     elif args.command == "cv":
-        defaults = _ADAPT_DEFAULTS[args.method]()
+        defaults = METHODS[args.method].defaults
         config_kv = _merge_config(dataclass_to_kv(defaults), args.config, args.set)
         base = kv_to_dataclass(MeanTeacherConfig, config_kv)
         for entry in _parse_grid(args.grid):

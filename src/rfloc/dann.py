@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel
+from .errors import ConfigError, UsageError
+from .localizer import LocalizerModel, run_epochs
 from .networks import Discriminator
 from .nn import Adam, Rng, l1_loss
 
@@ -44,14 +44,6 @@ class DannConfig:
             raise ConfigError("batch size must be at least 1")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
-
-
-@dataclass
-class DannEpochDiagnostics:
-    epoch: int
-    reg_loss: float
-    disc_loss: float
-    feat_loss: float  # reg_loss - disc_loss
 
 
 def reg_loss(preds: np.ndarray, labels: np.ndarray | None) -> float:
@@ -83,6 +75,22 @@ def _disc_loss_grads(p_s: np.ndarray, p_t: np.ndarray):
     return loss, dp_s, dp_t
 
 
+def cycled(n_s: int, n_t: int, batch_size: int, rng: Rng):
+    """batches(epoch) for run_epochs over both domains: max(n_s, n_t) //
+    batch_size batches (at least one), keyed by their index, each an
+    (idx_s, idx_t) pair of batch_size rows taken in the epoch's shuffled
+    order of each domain; the smaller domain is cycled."""
+    n_batches = max(max(n_s, n_t) // batch_size, 1)
+    take = np.arange(n_batches * batch_size).reshape(n_batches, batch_size)
+
+    def batches(epoch: int):
+        order_s = rng.stream("shuffle_s", epoch).permutation(n_s)
+        order_t = rng.stream("shuffle_t", epoch).permutation(n_t)
+        return [(bi, (order_s[t % n_s], order_t[t % n_t])) for bi, t in enumerate(take)]
+
+    return batches
+
+
 def run_dann(
     source_model: LocalizerModel,
     source: Dataset,
@@ -91,7 +99,9 @@ def run_dann(
 ):
     """Adversarial adaptation starting from the source localizer.
 
-    Returns (adapted model, per-epoch diagnostics).
+    Returns (adapted model, per-epoch diagnostics); the diagnostics are
+    run_epochs rows {"epoch", "reg_loss", "disc_loss", "feat_loss"}, with
+    feat_loss = reg_loss - disc_loss.
     """
     cfg = cfg or DannConfig()
     cfg.validate()
@@ -106,63 +116,50 @@ def run_dann(
     z_s = normalize_features(source.features, source_model.norm)
     y_s = source.labels
     z_t = normalize_features(target.features, source_model.norm)
-    n_s, n_t = len(z_s), len(z_t)
-    b = cfg.batch_size
-    n_batches = max(max(n_s, n_t) // b, 1)
-    diagnostics: list[DannEpochDiagnostics] = []
-    for epoch in range(cfg.epochs):
-        order_s = rng.stream("shuffle_s", epoch).permutation(n_s)
-        order_t = rng.stream("shuffle_t", epoch).permutation(n_t)
-        reg_losses, disc_losses = [], []
-        for bi in range(n_batches):
-            take = np.arange(bi * b, (bi + 1) * b)
-            idx_s = order_s[take % n_s]
-            idx_t = order_t[take % n_t]
-            xs, ys, xt = z_s[idx_s], y_s[idx_s], z_t[idx_t]
 
-            # 1. regressor step: gradient of the regression loss only.
-            preds, (c_ext, c_reg) = net.forward(xs, rng.stream("drop_r", epoch, bi))
-            loss_r, dpred = l1_loss(preds, ys)
-            if not np.isfinite(loss_r):
-                raise NumericalError(f"regression loss diverged at epoch {epoch}, batch {bi}")
-            net.regressor.backward(dpred, c_reg)
-            adam_r.step()
+    def step(epoch, bi, idx):
+        # Steps 1 and 2 apply their updates here, since the passes after
+        # them read the updated parameters; update() runs step 3's.
+        xs, ys, xt = z_s[idx[0]], y_s[idx[0]], z_t[idx[1]]
 
-            # 2. extractor step: gradient of (regression loss - discriminator loss),
-            # both paths evaluated on the same source features.
-            gen_f = rng.stream("drop_f", epoch, bi)
-            f_s, c_ext = net.extractor.forward(xs, gen_f)
-            preds, c_reg = net.regressor.forward(f_s, gen_f)
-            _, dpred = l1_loss(preds, ys)
-            dfeat_reg = net.regressor.backward(dpred, c_reg, accumulate=False)
-            net.extractor.backward(dfeat_reg, c_ext)
-            f_t, c_t = net.extractor.forward(xt, rng.stream("drop_ft", epoch, bi))
-            p_s, cd_s = disc.forward(f_s)
-            p_t, cd_t = disc.forward(f_t)
-            _, dp_s, dp_t = _disc_loss_grads(p_s, p_t)
-            df_s = disc.backward(dp_s, cd_s, accumulate=False)
-            df_t = disc.backward(dp_t, cd_t, accumulate=False)
-            net.extractor.backward(-df_s, c_ext)
-            net.extractor.backward(-df_t, c_t)
-            adam_f.step()
+        # 1. regressor step: gradient of the regression loss only.
+        preds, (c_ext, c_reg) = net.forward(xs, rng.stream("drop_r", epoch, bi))
+        loss_r, dpred = l1_loss(preds, ys)
+        net.regressor.backward(dpred, c_reg)
+        adam_r.step()
 
-            # 3. discriminator step on freshly extracted features.
-            f_s2, _ = net.extractor.forward(xs, rng.stream("drop_ds", epoch, bi))
-            f_t2, _ = net.extractor.forward(xt, rng.stream("drop_dt", epoch, bi))
-            p_s2, cd_s2 = disc.forward(f_s2)
-            p_t2, cd_t2 = disc.forward(f_t2)
-            loss_d2, dp_s2, dp_t2 = _disc_loss_grads(p_s2, p_t2)
-            if not np.isfinite(loss_d2):
-                raise NumericalError(f"discriminator loss diverged at epoch {epoch}, batch {bi}")
-            disc.backward(dp_s2, cd_s2)
-            disc.backward(dp_t2, cd_t2)
-            adam_d.step()
+        # 2. extractor step: gradient of (regression loss - discriminator loss),
+        # both paths evaluated on the same source features.
+        gen_f = rng.stream("drop_f", epoch, bi)
+        f_s, c_ext = net.extractor.forward(xs, gen_f)
+        preds, c_reg = net.regressor.forward(f_s, gen_f)
+        _, dpred = l1_loss(preds, ys)
+        dfeat_reg = net.regressor.backward(dpred, c_reg, accumulate=False)
+        net.extractor.backward(dfeat_reg, c_ext)
+        f_t, c_t = net.extractor.forward(xt, rng.stream("drop_ft", epoch, bi))
+        p_s, cd_s = disc.forward(f_s)
+        p_t, cd_t = disc.forward(f_t)
+        _, dp_s, dp_t = _disc_loss_grads(p_s, p_t)
+        df_s = disc.backward(dp_s, cd_s, accumulate=False)
+        df_t = disc.backward(dp_t, cd_t, accumulate=False)
+        net.extractor.backward(-df_s, c_ext)
+        net.extractor.backward(-df_t, c_t)
+        adam_f.step()
 
-            reg_losses.append(loss_r)
-            disc_losses.append(loss_d2)
-        mean_r = float(np.mean(reg_losses))
-        mean_d = float(np.mean(disc_losses))
-        diagnostics.append(DannEpochDiagnostics(epoch, mean_r, mean_d, mean_r - mean_d))
+        # 3. discriminator gradients on freshly extracted features.
+        f_s2, _ = net.extractor.forward(xs, rng.stream("drop_ds", epoch, bi))
+        f_t2, _ = net.extractor.forward(xt, rng.stream("drop_dt", epoch, bi))
+        p_s2, cd_s2 = disc.forward(f_s2)
+        p_t2, cd_t2 = disc.forward(f_t2)
+        loss_d2, dp_s2, dp_t2 = _disc_loss_grads(p_s2, p_t2)
+        disc.backward(dp_s2, cd_s2)
+        disc.backward(dp_t2, cd_t2)
+        return {"reg_loss": loss_r, "disc_loss": loss_d2}
+
+    batches = cycled(len(z_s), len(z_t), cfg.batch_size, rng)
+    diagnostics = run_epochs(cfg.epochs, batches, step, adam_d.step, "adaptation")
+    for row in diagnostics:
+        row["feat_loss"] = row["reg_loss"] - row["disc_loss"]
     meta = {**source_model.meta, "kind": "dann", "adapt_config": asdict(cfg)}
     return (
         LocalizerModel(net, source_model.norm, source_model.source_stats, meta),

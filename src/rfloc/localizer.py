@@ -4,11 +4,16 @@ A trained model carries its normalization statistics and summary
 statistics of the source domain (prediction mean/variance and feature
 covariance) so that source-free adapters never need the source data
 itself.
+
+run_epochs is the epoch/batch loop of source training and of every
+adapter; each trainer supplies its batches, its per-batch gradient step
+and its update, and gets back one dict row of per-epoch means.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -108,10 +113,49 @@ def compute_source_stats(net: Localizer, normalized_features: np.ndarray) -> Sou
     )
 
 
-def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rng) -> dict:
-    """Shared mini-batch Adam loop with early stopping on a held-out slice.
+def shuffled(rows: np.ndarray, batch_size: int, rng: Rng):
+    """batches(epoch) for run_epochs: rows in the order of the epoch's
+    "shuffle" stream, cut into batches keyed by their offset."""
 
-    Mutates net in place; returns training metadata.
+    def batches(epoch: int):
+        order = rows[rng.stream("shuffle", epoch).permutation(rows.size)]
+        return [(bi, order[bi : bi + batch_size]) for bi in range(0, order.size, batch_size)]
+
+    return batches
+
+
+def run_epochs(epochs, batches, step, update, what, start=None, stop=None) -> list[dict]:
+    """The epoch/batch loop every trainer runs; returns one row per epoch.
+
+    batches(epoch) gives the epoch's (key, idx) pairs. step(epoch, key, idx)
+    computes one batch's gradients and returns its loss terms; if any term
+    is non-finite, NumericalError is raised before update() applies them.
+    start(epoch), if given, runs before the batches and returns extra
+    columns; stop(epoch), if given, runs after them and ends training when
+    true. A row is {"epoch", <batch mean of each term>, <start's columns>}.
+    """
+    rows = []
+    for epoch in range(epochs):
+        extra = start(epoch) if start else {}
+        terms = []
+        for i, (key, idx) in enumerate(batches(epoch)):
+            t = step(epoch, key, idx)
+            if not all(math.isfinite(v) for v in t.values()):
+                raise NumericalError(f"{what} diverged at epoch {epoch}, batch {i}")
+            update()
+            terms.append(t)
+        means = {k: float(np.mean([t[k] for t in terms])) for k in terms[0]} if terms else {}
+        rows.append({"epoch": epoch, **means, **extra})
+        if stop and stop(epoch):
+            break
+    return rows
+
+
+def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rng) -> dict:
+    """Mini-batch Adam with early stopping on a held-out slice.
+
+    Mutates net in place; returns training metadata. The losses are null
+    when no epoch ran or no finite validation loss was seen.
     """
     loss_fn = LOSSES[cfg.loss]
     n = len(z)
@@ -121,42 +165,33 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
     if train_idx.size == 0:
         raise ConfigError("validation fraction leaves no training samples")
     adam = Adam(net.params, lr=cfg.lr)
-    best_val = np.inf
-    best_params = None
-    patience_left = cfg.patience
-    epochs_run = 0
-    last_train_loss = float("nan")
-    for epoch in range(cfg.epochs):
-        order = train_idx[rng.stream("shuffle", epoch).permutation(train_idx.size)]
-        batch_losses = []
-        for bi in range(0, order.size, cfg.batch_size):
-            idx = order[bi : bi + cfg.batch_size]
-            drop_gen = rng.stream("dropout", epoch, bi)
-            preds, cache = net.forward(z[idx], drop_gen)
-            loss, dpred = loss_fn(preds, y[idx])
-            if not np.isfinite(loss):
-                raise NumericalError(f"training diverged at epoch {epoch}, batch {bi // cfg.batch_size}")
-            batch_losses.append(loss)
-            net.backward(dpred, cache)
-            adam.step()
-        last_train_loss = float(np.mean(batch_losses))
-        epochs_run = epoch + 1
-        if n_val:
-            val_loss = loss_fn(net.predict(z[val_idx]), y[val_idx])[0]
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = net.params.clone()
-                patience_left = cfg.patience
-            else:
-                patience_left -= 1
-                if patience_left == 0:
-                    break
+    best_val, best_params, patience_left = np.inf, None, cfg.patience
+
+    def step(epoch, bi, idx):
+        preds, cache = net.forward(z[idx], rng.stream("dropout", epoch, bi))
+        loss, dpred = loss_fn(preds, y[idx])
+        net.backward(dpred, cache)
+        return {"loss": loss}
+
+    def stop(epoch):
+        nonlocal best_val, best_params, patience_left
+        val_loss = loss_fn(net.predict(z[val_idx]), y[val_idx])[0]
+        if val_loss < best_val:
+            best_val, best_params, patience_left = val_loss, net.params.clone(), cfg.patience
+            return False
+        patience_left -= 1
+        return patience_left == 0
+
+    rows = run_epochs(
+        cfg.epochs, shuffled(train_idx, cfg.batch_size, rng), step, adam.step, "training",
+        stop=stop if n_val else None,
+    )
     if best_params is not None:
         net.params.copy_values_from(best_params)
     return {
-        "epochs_run": epochs_run,
-        "final_train_loss": last_train_loss,
-        "best_val_loss": float(best_val) if n_val else None,
+        "epochs_run": len(rows),
+        "final_train_loss": rows[-1]["loss"] if rows else None,
+        "best_val_loss": float(best_val) if best_params is not None else None,
     }
 
 

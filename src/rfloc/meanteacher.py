@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel
+from .errors import ConfigError, UsageError
+from .localizer import LocalizerModel, run_epochs, shuffled
 from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
 
 log = logging.getLogger(__name__)
@@ -86,15 +86,6 @@ class PseudoLabelSet:
 class Thresholds:
     t_x: float
     t_y: float
-
-
-@dataclass
-class EpochDiagnostics:
-    epoch: int
-    kd_loss: float
-    n_uncertain: int | None  # None when confidence gating is off
-    t_x: float | None
-    t_y: float | None
 
 
 def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, epoch: int):
@@ -239,8 +230,11 @@ def ema_update(teacher: ParamSet, student: ParamSet, alpha: float) -> None:
 def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     """Adapt the source localizer to unlabeled target data.
 
-    Returns (student model, per-epoch diagnostics). Source data is never
-    touched; only the model artifact and target fingerprints are read.
+    Returns (student model, per-epoch diagnostics). The diagnostics are
+    run_epochs rows {"epoch", "kd_loss", "n_uncertain", "t_x", "t_y"}; the
+    last three are None when confidence gating is off. Source data is
+    never touched; only the model artifact and target fingerprints are
+    read.
     """
     cfg.validate()
     if target.labeled:
@@ -249,48 +243,38 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     student = model.net.clone()
     teacher = model.net.clone()
     z = normalize_features(target.features, model.norm)
-    n = len(z)
     adam = Adam(student.params, lr=cfg.lr)
     noise_std = float(np.sqrt(cfg.noise_variance))
     ema_alpha = (1.0 - cfg.alpha) if cfg.conventional_ema else cfg.alpha
-    diagnostics: list[EpochDiagnostics] = []
-    for epoch in range(cfg.epochs):
-        if cfg.confidence:
-            labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
-            pls = PseudoLabelSet(labels, sigma)
-            thresholds = compute_thresholds(pls, cfg.c_x, cfg.c_y)
-            n_uncertain = int((~pls.confident).sum())
-            pls = correct_labels(pls, z, cfg.k)
-            pseudo = pls.labels
-        else:
+    pseudo = None
+
+    def start(epoch):
+        nonlocal pseudo
+        if not cfg.confidence:
             pseudo = teacher.predict(z)
-            thresholds = None
-            n_uncertain = None
-        order = rng.stream("shuffle", epoch).permutation(n)
-        batch_losses = []
-        for bi in range(0, n, cfg.batch_size):
-            idx = order[bi : bi + cfg.batch_size]
-            noise = rng.stream("aug", epoch, bi).normal(0.0, noise_std, size=(idx.size, z.shape[1]))
-            drop_gen = rng.stream("dropout", epoch, bi)
-            preds, cache = student.forward(z[idx] + noise, drop_gen)
-            loss, dpred = l1_loss(preds, pseudo[idx])
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"adaptation diverged at epoch {epoch}, batch {bi // cfg.batch_size}"
-                )
-            batch_losses.append(loss)
-            student.backward(dpred, cache)
-            adam.step()
-            ema_update(teacher.params, student.params, ema_alpha)
-        diagnostics.append(
-            EpochDiagnostics(
-                epoch,
-                float(np.mean(batch_losses)) if batch_losses else float("nan"),
-                n_uncertain,
-                thresholds.t_x if thresholds else None,
-                thresholds.t_y if thresholds else None,
-            )
-        )
+            return {"n_uncertain": None, "t_x": None, "t_y": None}
+        labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
+        pls = PseudoLabelSet(labels, sigma)
+        thresholds = compute_thresholds(pls, cfg.c_x, cfg.c_y)
+        n_uncertain = int((~pls.confident).sum())
+        pseudo = correct_labels(pls, z, cfg.k).labels
+        return {"n_uncertain": n_uncertain, "t_x": thresholds.t_x, "t_y": thresholds.t_y}
+
+    def step(epoch, bi, idx):
+        noise = rng.stream("aug", epoch, bi).normal(0.0, noise_std, size=(idx.size, z.shape[1]))
+        preds, cache = student.forward(z[idx] + noise, rng.stream("dropout", epoch, bi))
+        loss, dpred = l1_loss(preds, pseudo[idx])
+        student.backward(dpred, cache)
+        return {"kd_loss": loss}
+
+    def update():
+        adam.step()
+        ema_update(teacher.params, student.params, ema_alpha)
+
+    diagnostics = run_epochs(
+        cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update,
+        "adaptation", start=start,
+    )
     meta = {
         **model.meta,
         "kind": "mean-teacher-confidence" if cfg.confidence else "mean-teacher",

@@ -41,8 +41,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ArtifactError, ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel, SourceStats
+from .errors import ArtifactError, ConfigError, UsageError
+from .localizer import LocalizerModel, SourceStats, run_epochs, shuffled
 from .networks import FeatureExtractor, Localizer, Regressor
 from .nn import Adam, Rng, ema_blend
 
@@ -195,21 +195,12 @@ def _shot_step(
     return {"cons": cons, "teach": teach, "stat": stat, "coral": coral, "total": total}
 
 
-@dataclass
-class ShotEpochDiagnostics:
-    epoch: int
-    cons: float
-    teach: float
-    stat: float
-    coral: float
-    total: float
-
-
 def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = None):
     """Adapt the extractor to unlabeled target data; the regressor is frozen.
 
-    Requires source statistics in the model artifact. Returns
-    (adapted model, per-epoch diagnostics).
+    Requires source statistics in the model artifact. Returns (adapted
+    model, per-epoch diagnostics); the diagnostics are run_epochs rows
+    {"epoch", "cons", "teach", "stat", "coral", "total"} of batch means.
     """
     cfg = cfg or ShotConfig()
     cfg.validate()
@@ -226,35 +217,27 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = No
     teacher_ext = student_ext.clone() if cfg.use_teacher else None
     adam = Adam(student_ext.params, lr=cfg.lr)
     z = normalize_features(target.features, model.norm)
-    n = len(z)
     cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
-    diagnostics: list[ShotEpochDiagnostics] = []
-    for epoch in range(cfg.epochs):
-        order = rng.stream("shuffle", epoch).permutation(n)
-        epoch_terms: list[dict] = []
-        for bi in range(0, n, cfg.batch_size):
-            idx = order[bi : bi + cfg.batch_size]
-            zb = z[idx]
-            z_w = augment_weak(zb, rng.stream("weak", epoch, bi), cfg.weak_noise_std)
-            z_s = augment_strong(
-                zb, rng.stream("strong", epoch, bi), cfg.strong_mask_prob, cfg.strong_noise_std
-            )
-            drop_gen = rng.stream("dropout", epoch, bi)
-            terms = _shot_step(
-                student_ext, regressor, teacher_ext, z_w, z_s, stats, cfg, drop_gen, cov_sq
-            )
-            if not np.isfinite(terms["total"]):
-                raise NumericalError(
-                    f"adaptation diverged at epoch {epoch}, batch {bi // cfg.batch_size}"
-                )
-            adam.step()
-            if teacher_ext is not None:
-                ema_blend(
-                    teacher_ext.params, student_ext.params, 1.0 - cfg.teacher_ema, cfg.teacher_ema
-                )
-            epoch_terms.append(terms)
-        means = {key: float(np.mean([t[key] for t in epoch_terms])) for key in epoch_terms[0]}
-        diagnostics.append(ShotEpochDiagnostics(epoch, **means))
+
+    def step(epoch, bi, idx):
+        zb = z[idx]
+        z_w = augment_weak(zb, rng.stream("weak", epoch, bi), cfg.weak_noise_std)
+        z_s = augment_strong(
+            zb, rng.stream("strong", epoch, bi), cfg.strong_mask_prob, cfg.strong_noise_std
+        )
+        drop_gen = rng.stream("dropout", epoch, bi)
+        return _shot_step(
+            student_ext, regressor, teacher_ext, z_w, z_s, stats, cfg, drop_gen, cov_sq
+        )
+
+    def update():
+        adam.step()
+        if teacher_ext is not None:
+            ema_blend(teacher_ext.params, student_ext.params, 1.0 - cfg.teacher_ema, cfg.teacher_ema)
+
+    diagnostics = run_epochs(
+        cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update, "adaptation"
+    )
     meta = {**model.meta, "kind": "shot", "adapt_config": asdict(cfg)}
     net = Localizer(student_ext, regressor)
     return LocalizerModel(net, model.norm, stats, meta), diagnostics

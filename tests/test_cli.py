@@ -72,31 +72,54 @@ def test_train_artifact_carries_run_id(workdir):
     assert man["config"]["epochs"] == "6"
 
 
-def test_adapt_eval_heatmap_pipeline(workdir, tmp_path):
+# Per method: the kind recorded in the adapted model and the header of its
+# diagnostics CSV.
+ADAPT_CASES = {
+    "mtloc": ("mean-teacher", "epoch,kd_loss,n_uncertain,t_x,t_y"),
+    "mtloc-conf": ("mean-teacher-confidence", "epoch,kd_loss,n_uncertain,t_x,t_y"),
+    "shot": ("shot", "epoch,cons,teach,stat,coral,total"),
+    "dann": ("dann", "epoch,reg_loss,disc_loss,feat_loss"),
+    "oracle": ("oracle", "epoch"),
+}
+
+
+def _adapt_args(workdir, method, out, *settings):
     data = workdir / "data"
-    adapted = tmp_path / "adapted.model"
-    diag = tmp_path / "diag.csv"
-    rc = main(
-        [
-            "adapt",
-            "--method", "mtloc",
-            "--model", str(workdir / "source.model"),
-            "--target-csv", str(data / "target.csv"),
-            "--set", "epochs=2",
-            "--out", str(adapted),
-            "--diagnostics", str(diag),
-        ]
-    )
-    assert rc == 0
-    man = read_manifest(str(adapted) + ".manifest")
+    args = ["adapt", "--method", method, "--model", str(workdir / "source.model"),
+            "--target-csv", str(data / "target.csv"), "--out", str(out)]
+    if method == "dann":
+        args += ["--source-csv", str(data / "source.csv")]
+    return args + [arg for pair in settings for arg in ("--set", pair)]
+
+
+@pytest.mark.parametrize("method", list(ADAPT_CASES))
+def test_adapt_eval_heatmap_pipeline(workdir, tmp_path, method):
+    data = workdir / "data"
+    kind, header = ADAPT_CASES[method]
+
+    def adapt_with_diagnostics(name, epochs):
+        out, diag = tmp_path / f"{name}.model", tmp_path / f"{name}.diag.csv"
+        args = _adapt_args(workdir, method, out, f"epochs={epochs}")
+        assert main(args + ["--diagnostics", str(diag)]) == 0
+        man = read_manifest(str(out) + ".manifest")
+        lines = diag.read_text().splitlines()
+        assert lines[0] == f"# run: {man['run_id']}"
+        assert lines[1] == header
+        return out, man, lines[2:]
+
+    _, _, rows = adapt_with_diagnostics("zero", 0)
+    assert rows == []  # header only
+    adapted, man, rows = adapt_with_diagnostics("adapted", 2)
     model = load_model(adapted)
-    assert model.meta["kind"] == "mean-teacher"
+    assert model.meta["kind"] == kind
     assert model.meta["run_id"] == man["run_id"]
-    lines = diag.read_text().splitlines()
-    assert lines[0] == f"# run: {man['run_id']}"
-    assert lines[1] == "epoch,kd_loss,n_uncertain,t_x,t_y"
-    assert len(lines) == 4  # two epochs
-    assert lines[2].endswith(",,,")  # confidence fields blank for plain mtloc
+    if method == "oracle":
+        assert rows == []  # fine-tuning records no per-epoch rows
+    else:
+        assert [r.split(",")[0] for r in rows] == ["0", "1"]  # two epochs
+        assert all(r.count(",") == header.count(",") for r in rows)
+    if method == "mtloc":
+        assert rows[0].endswith(",,,")  # confidence fields blank for plain mtloc
 
     report = tmp_path / "report.csv"
     rc = main(
@@ -346,6 +369,63 @@ def test_oracle_adapts_on_labeled_target(workdir, tmp_path):
     assert rc == 0
     model = load_model(out)
     assert model.meta["kind"] == "oracle"
+
+
+def _strict_header(path) -> dict:
+    """The artifact's JSON header, refusing NaN and Infinity, which are not
+    standard JSON."""
+    raw = Path(path).read_bytes()
+    assert raw[:4] == MAGIC
+    (length,) = struct.unpack("<Q", raw[8:16])
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(raw[16 : 16 + length].decode("utf-8"), parse_constant=reject)
+
+
+@pytest.mark.parametrize("verb", ["train", "oracle"])
+def test_zero_epoch_artifact_header_is_standard_json(workdir, tmp_path, verb):
+    out = tmp_path / "m.model"
+    if verb == "train":
+        args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+                "--set", "epochs=0", "--out", str(out)]
+    else:
+        args = _adapt_args(workdir, "oracle", out, "epochs=0")
+    assert main(args) == 0
+    meta = _strict_header(out)["meta"]
+    assert meta["epochs_run"] == 0
+    assert meta["final_train_loss"] is None
+    assert meta["best_val_loss"] is None
+    trained = _strict_header(workdir / "source.model")["meta"]
+    assert trained["epochs_run"] == 6
+    assert trained["final_train_loss"] > 0.0 and trained["best_val_loss"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        ("train", "training diverged at epoch 0, batch 1"),
+        ("oracle", "training diverged at epoch 0, batch 1"),
+        ("mtloc", "adaptation diverged at epoch 0, batch 1"),
+        ("mtloc-conf", "adaptation diverged at epoch 0, batch 1"),
+        ("shot", "adaptation diverged at epoch 0, batch 1"),
+        ("dann", "non-finite gradient for parameter 'conv1_w'"),
+    ],
+)
+def test_divergence_exits_4_without_traceback(workdir, tmp_path, capsys, verb, message):
+    out = tmp_path / "m.model"
+    if verb == "train":
+        args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+                "--set", "lr=1e300", "--out", str(out)]
+    else:
+        args = _adapt_args(workdir, verb, out, "lr=1e300")
+    with np.errstate(all="ignore"):
+        assert main(args) == 4
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cv_table(workdir, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfloc.dann import DannConfig, _disc_loss_grads, disc_loss, reg_loss, run_dann
+from rfloc.dann import DannConfig, _disc_loss_grads, cycled, disc_loss, reg_loss, run_dann
 from rfloc.errors import ConfigError, UsageError
 from rfloc.networks import Discriminator
 from rfloc.nn import Rng
@@ -79,23 +79,47 @@ def test_run_requires_labeled_source(source_model, small_source, small_target):
 def test_feat_loss_is_reg_minus_disc(source_model, small_source, small_target):
     _, diags = run_dann(source_model, small_source, small_target, DannConfig(epochs=2, seed=0))
     for d in diags:
-        assert abs(d.feat_loss - (d.reg_loss - d.disc_loss)) <= 1e-10
+        assert abs(d["feat_loss"] - (d["reg_loss"] - d["disc_loss"])) <= 1e-10
 
 
 def test_identical_domains_keep_disc_near_chance(source_model, small_source):
     # When source and target are the same dataset the discriminator cannot
     # separate them; its loss should hover near 2 log 2.
     _, diags = run_dann(source_model, small_source, small_source, DannConfig(epochs=6, seed=0))
-    tail = [d.disc_loss for d in diags[-3:]]
+    tail = [d["disc_loss"] for d in diags[-3:]]
     for v in tail:
         assert abs(v - 2.0 * np.log(2.0)) < 0.3
+
+
+@pytest.mark.parametrize("n_s, n_t", [(70, 25), (25, 70), (10, 7), (64, 64)])
+def test_cycled_layout_wraps_the_smaller_domain(n_s, n_t):
+    rng = Rng(2)
+    b = 32
+    batches = cycled(n_s, n_t, b, rng)
+    n_batches = max(max(n_s, n_t) // b, 1)
+    for epoch in range(2):
+        order_s = rng.stream("shuffle_s", epoch).permutation(n_s)
+        order_t = rng.stream("shuffle_t", epoch).permutation(n_t)
+        got = batches(epoch)
+        assert [key for key, _ in got] == list(range(n_batches))  # keys are batch indices
+        for bi, (idx_s, idx_t) in got:
+            pos = np.arange(bi * b, (bi + 1) * b)
+            assert np.array_equal(idx_s, order_s[pos % n_s])
+            assert np.array_equal(idx_t, order_t[pos % n_t])
+        # The smaller domain restarts its shuffled order when it runs out:
+        # its row sequence over the epoch has period n_small.
+        n_small = min(n_s, n_t)
+        seen = np.concatenate([pair[0 if n_s <= n_t else 1] for _, pair in got])
+        assert seen.size == n_batches * b
+        assert np.array_equal(seen[n_small:], seen[: seen.size - n_small])
+        assert set(seen) == set(range(n_small))
 
 
 def test_unequal_sizes_cycled(source_model, small_source, small_target):
     short = small_target.subset(np.arange(40))
     model, diags = run_dann(source_model, small_source, short, DannConfig(epochs=1, seed=0))
     assert len(diags) == 1
-    assert np.isfinite(diags[0].disc_loss)
+    assert np.isfinite(diags[0]["disc_loss"])
     assert model.meta["kind"] == "dann"
 
 
@@ -105,7 +129,7 @@ def test_deterministic(source_model, small_source, small_target):
     m2, d2 = run_dann(source_model, small_source, small_target, cfg)
     for name in m1.net.params.names():
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
-    assert [d.disc_loss for d in d1] == [d.disc_loss for d in d2]
+    assert [d["disc_loss"] for d in d1] == [d["disc_loss"] for d in d2]
 
 
 def test_source_model_untouched(source_model, small_source, small_target):

@@ -9,7 +9,7 @@ import pytest
 from rfloc import localizer
 from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.data import Dataset
-from rfloc.errors import ArtifactError, ConfigError, UsageError
+from rfloc.errors import ArtifactError, ConfigError, NumericalError, UsageError
 from rfloc.localizer import (
     LocalizerModel,
     SourceStats,
@@ -17,11 +17,77 @@ from rfloc.localizer import (
     compute_source_stats,
     finetune_oracle,
     predict,
+    run_epochs,
+    shuffled,
     train_source,
 )
 from rfloc.networks import FEATURE_DIM
+from rfloc.nn import Rng
 
 from util import AdamAllocating
+
+
+# ------------------------------------------------------------ epoch driver
+
+def _two_batches(epoch):
+    return [(0, np.array([0, 1])), (2, np.array([2, 3]))]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_run_epochs_non_finite_term_raises_before_update(bad):
+    log = []
+
+    def step(epoch, key, idx):
+        log.append(("step", epoch, key))
+        return {"a": 1.0, "b": bad if (epoch, key) == (1, 2) else 2.0}
+
+    with pytest.raises(NumericalError, match=r"^fitting diverged at epoch 1, batch 1$"):
+        run_epochs(3, _two_batches, step, lambda: log.append(("update",)), "fitting")
+    assert log == [
+        ("step", 0, 0), ("update",), ("step", 0, 2), ("update",),
+        ("step", 1, 0), ("update",), ("step", 1, 2),
+    ]
+
+
+def test_run_epochs_stop_ends_training():
+    stopped_at = []
+
+    def stop(epoch):
+        stopped_at.append(epoch)
+        return epoch == 1
+
+    rows = run_epochs(5, _two_batches, lambda e, k, i: {"loss": 1.0}, lambda: None, "t", stop=stop)
+    assert [row["epoch"] for row in rows] == [0, 1]
+    assert stopped_at == [0, 1]
+
+
+def test_run_epochs_rows_are_epoch_then_means_then_start_columns():
+    def step(epoch, key, idx):
+        return {"z_term": float(key + epoch), "a_term": float(idx.sum())}
+
+    rows = run_epochs(
+        2, _two_batches, step, lambda: None, "t",
+        start=lambda epoch: {"n": epoch * 10, "b_col": None},
+    )
+    assert [list(row) for row in rows] == [["epoch", "z_term", "a_term", "n", "b_col"]] * 2
+    assert rows[1] == {"epoch": 1, "z_term": 2.0, "a_term": 3.0, "n": 10, "b_col": None}
+    assert all(type(row["z_term"]) is float for row in rows)
+    assert run_epochs(0, _two_batches, step, lambda: None, "t") == []
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 100])
+@pytest.mark.parametrize("first", [0, 30])  # 30: a held-out split leaves a subset of rows
+def test_shuffled_batches_are_slices_of_the_shuffle_stream(batch_size, first):
+    rng = Rng(11)
+    rows = np.arange(first, 80)
+    batches = shuffled(rows, batch_size, rng)
+    for epoch in range(3):
+        order = rows[rng.stream("shuffle", epoch).permutation(rows.size)]
+        got = batches(epoch)
+        assert [key for key, _ in got] == list(range(0, rows.size, batch_size))
+        for key, idx in got:
+            assert np.array_equal(idx, order[key : key + batch_size])
+        assert np.array_equal(np.concatenate([idx for _, idx in got]), order)
 
 
 def test_training_reduces_error(small_source, source_model):

@@ -352,7 +352,7 @@ def test_adapt_deterministic(source_model, small_target):
     m2, d2 = adapt(source_model, small_target.without_labels(), cfg)
     for name in m1.net.params.names():
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
-    assert [e.kd_loss for e in d1] == [e.kd_loss for e in d2]
+    assert [e["kd_loss"] for e in d1] == [e["kd_loss"] for e in d2]
 
 
 def test_adapt_ignores_confidence_knobs_when_off(source_model, small_target):
@@ -381,13 +381,13 @@ def test_adapt_diagnostics_shape(source_model, small_target):
         small_target.without_labels(),
         MeanTeacherConfig(alpha=0.8, confidence=True, c_x=1.0, c_y=1.0, epochs=3, seed=0),
     )
-    assert [d.epoch for d in diags] == [0, 1, 2]
-    assert all(np.isfinite(d.kd_loss) for d in diags)
-    assert all(d.n_uncertain is not None and d.t_x is not None for d in diags)
+    assert [d["epoch"] for d in diags] == [0, 1, 2]
+    assert all(np.isfinite(d["kd_loss"]) for d in diags)
+    assert all(d["n_uncertain"] is not None and d["t_x"] is not None for d in diags)
     _, plain = adapt(
         source_model, small_target.without_labels(), MeanTeacherConfig(epochs=1, seed=0)
     )
-    assert plain[0].n_uncertain is None and plain[0].t_x is None
+    assert plain[0]["n_uncertain"] is None and plain[0]["t_x"] is None
 
 
 def test_adapt_zero_epochs_identity(source_model, small_target):

@@ -264,7 +264,7 @@ def test_zero_lambdas_leave_model_bit_identical(source_model, small_target):
     out, diags = run_shot(source_model, small_target.without_labels(), cfg)
     for name in source_model.net.params.names():
         assert np.array_equal(out.net.params[name].value, source_model.net.params[name].value)
-    assert all(d.total == 0.0 for d in diags)
+    assert all(d["total"] == 0.0 for d in diags)
 
 
 def test_requires_source_statistics(source_model, small_target):
@@ -281,7 +281,7 @@ def test_rejects_labeled_target(source_model, small_target):
 def test_teacher_disabled_zeroes_term(source_model, small_target):
     cfg = ShotConfig(use_teacher=False, epochs=1, seed=0)
     out, diags = run_shot(source_model, small_target.without_labels(), cfg)
-    assert all(d.teach == 0.0 for d in diags)
+    assert all(d["teach"] == 0.0 for d in diags)
     with_teacher, _ = run_shot(
         source_model, small_target.without_labels(), ShotConfig(epochs=1, seed=0)
     )
@@ -297,7 +297,7 @@ def test_deterministic(source_model, small_target):
     m2, d2 = run_shot(source_model, small_target.without_labels(), cfg)
     for name in m1.net.params.names():
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
-    assert [d.total for d in d1] == [d.total for d in d2]
+    assert [d["total"] for d in d1] == [d["total"] for d in d2]
 
 
 def test_meta_kind(source_model, small_target):
