@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,7 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
                     f"{path}: line {line_num}, column {header[i]!r}: "
                     f"not a number: {cell!r}"
                 ) from None
-        if not all(np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             dropped += 1
             continue
         feats.append(values[:NUM_FEATURES])

@@ -28,14 +28,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, normalize_features
+from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, UsageError
 from .localizer import LocalizerModel, run_epochs, shuffled
+from .networks import PREDICT_BLOCK_ROWS
 from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
 
 log = logging.getLogger(__name__)
 
 DISTANCE_EPS = 1e-8
+
+# Probing holds one block's noise and noisy predictions at a time,
+# PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats; a larger
+# request (n_probe above 13,107) is refused.
+MAX_PROBE_FLOATS = 1 << 25
 
 
 @dataclass
@@ -71,6 +77,13 @@ class MeanTeacherConfig:
                 raise ConfigError("threshold coefficients must be non-negative")
             if self.k < 1:
                 raise ConfigError("k must be at least 1")
+            per_probe = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
+            if self.n_probe * per_probe > MAX_PROBE_FLOATS:
+                raise ConfigError(
+                    f"n_probe={self.n_probe} needs {self.n_probe * per_probe:.3g} floats of"
+                    f" probe buffers, over the cap of {MAX_PROBE_FLOATS:.3g}; n_probe may be"
+                    f" at most {MAX_PROBE_FLOATS // per_probe}"
+                )
 
 
 @dataclass
@@ -92,17 +105,23 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     """Clean predictions plus per-coordinate spread under input noise.
 
     Noise comes from per-sample streams, so results do not depend on how
-    probing is batched or scheduled.
+    probing is batched or scheduled. The noisy passes run over blocks of
+    PREDICT_BLOCK_ROWS rows, the blocks predict_fn's in_blocks forms, so
+    only the outputs grow with the number of rows.
     """
     if n_probe < 2:
         raise ConfigError("uncertainty probing needs at least 2 probes")
     n, dim = z.shape
     labels = predict_fn(z)
-    noise = rng.row_normals(("probe", epoch), n, noise_std, (n_probe, dim))
-    preds = np.empty((n_probe, n, 2))
-    for p in range(n_probe):
-        preds[p] = predict_fn(z + noise[:, p])
-    return labels, preds.std(axis=0)
+    sigma = np.empty((n, 2))
+    for start in range(0, n, PREDICT_BLOCK_ROWS):
+        zb = z[start : start + PREDICT_BLOCK_ROWS]
+        noise = rng.row_normals(("probe", epoch), len(zb), noise_std, (n_probe, dim), offset=start)
+        preds = np.empty((n_probe, len(zb), 2))
+        for p in range(n_probe):
+            preds[p] = predict_fn(zb + noise[:, p])
+        sigma[start : start + len(zb)] = preds.std(axis=0)
+    return labels, sigma
 
 
 def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Thresholds:
@@ -121,37 +140,62 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Threshold
 
 
 # Cells per (uncertain rows x confident samples) distance block; bounds the
-# memory of label correction independently of the target size.
-_BLOCK_CELLS = 1 << 19
+# memory of label correction independently of the target size. A block
+# array of 2^16 cells (512 KiB) stays in L2. With 2,746 uncertain x 7,304
+# confident rows of random features on a 2-vCPU Xeon, correct_labels takes
+# a median of 390-410 ms with a 3.3 MB tracemalloc peak; 2^15 and 2^17
+# cells took 420-470 and 425-445 ms. Fresh arrays for all eight terms of
+# a 2^19-cell block took 600-650 ms and peaked at 43.9 MB.
+_BLOCK_CELLS = 1 << 16
 
 
-def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays, added in the order numpy's
-    pairwise summation adds the elements of one row: eight running sums
-    combined as ((0+1)+(2+3))+((4+5)+(6+7)), blocks over 128 split in
-    halves. So the result is bit-equal to np.stack(terms, -1).sum(-1).
-    Accumulates in place into the arrays of terms."""
-    n = len(terms)
+def _pairwise_sum(term, n: int, lo: int = 0, slot: int = 0) -> np.ndarray:
+    """Elementwise sum of the n equal-shape terms lo, ..., lo + n - 1,
+    added in the order numpy's pairwise summation adds the elements of one
+    row: eight running sums combined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    blocks over 128 split in halves. So the result is bit-equal to
+    np.stack(terms, -1).sum(-1).
+
+    term(i, s) makes term i, in index order, as entry s of a stack of
+    partial sums; the result is entry slot. An entry is added into the one
+    below it before another term is made for its slot, so term may write
+    every term made for one slot into the same buffer. For n < 16 sums are
+    formed as soon as both operands exist, which keeps the stack at most
+    four deep."""
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        acc = _pairwise_sum(terms[:half])
-        acc += _pairwise_sum(terms[half:])
+        acc = _pairwise_sum(term, half, lo, slot)
+        acc += _pairwise_sum(term, n - half, lo + half, slot + 1)
         return acc
     if n < 8:
-        acc = terms[0]
-        for t in terms[1:]:
-            acc += t
+        acc = term(lo, slot)
+        for i in range(lo + 1, lo + n):
+            acc += term(i, slot + 1)
         return acc
     tail = n - n % 8
-    r = terms[:8]
-    for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += terms[i + j]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    for t in terms[tail:]:
-        r[0] += t
-    return r[0]
+    if tail == 8:
+        acc = _tree(term, lo, 8, slot)
+    else:
+        r = [term(lo + j, slot + j) for j in range(8)]
+        for i in range(lo + 8, lo + tail, 8):
+            for j in range(8):
+                r[j] += term(i + j, slot + 8)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        acc = r[0]
+    for i in range(lo + tail, lo + n):
+        acc += term(i, slot + 1)
+    return acc
+
+
+def _tree(term, lo: int, width: int, slot: int) -> np.ndarray:
+    # Terms lo, ..., lo + width - 1 summed as a balanced binary tree;
+    # width is a power of two.
+    if width == 1:
+        return term(lo, slot)
+    acc = _tree(term, lo, width // 2, slot)
+    acc += _tree(term, lo + width // 2, width // 2, slot + 1)
+    return acc
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -202,16 +246,23 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     conf_cols = np.ascontiguousarray(features[conf_idx].T)  # (dim, n_confident)
     conf_labels = pls.labels[conf_idx]
     labels = pls.labels.copy()
-    block = max(1, _BLOCK_CELLS // conf_idx.size)
+    block = max(1, min(_BLOCK_CELLS // conf_idx.size, unc_idx.size))
+    # One block buffer per slot of _pairwise_sum's stack, reused by every
+    # block: fresh arrays of this size cost page faults on each block.
+    buffers = []
+
+    def squared_difference(d, slot):
+        if slot == len(buffers):
+            buffers.append(np.empty((block, conf_idx.size)))
+        t = buffers[slot][: len(x)]
+        np.subtract(conf_cols[d], x[:, d, None], out=t)
+        return np.multiply(t, t, out=t)
+
     for start in range(0, unc_idx.size, block):
         rows = unc_idx[start : start + block]
         x = features[rows]
-        terms = []
-        for d, col in enumerate(conf_cols):
-            t = col - x[:, d, None]
-            t *= t
-            terms.append(t)
-        dist = np.sqrt(_pairwise_sum(terms))
+        dist = _pairwise_sum(squared_difference, len(conf_cols))
+        np.sqrt(dist, out=dist)
         nearest = _nearest(dist, k_eff)
         w = 1.0 / np.maximum(np.take_along_axis(dist, nearest, axis=1), DISTANCE_EPS)
         num = w[:, 0, None] * conf_labels[nearest[:, 0]]

@@ -64,9 +64,13 @@ class Rng:
         """
         return np.random.Generator(np.random.Philox(key=self.key(*tags)))
 
-    def row_normals(self, tags: tuple, n: int, scale: float, shape: tuple) -> np.ndarray:
-        """Row i is ``self.stream(*tags, i).normal(0.0, scale, shape)``, bit
-        for bit, for i in range(n); the result has shape (n, *shape).
+    def row_normals(
+        self, tags: tuple, n: int, scale: float, shape: tuple, offset: int = 0
+    ) -> np.ndarray:
+        """Row i is ``self.stream(*tags, offset + i).normal(0.0, scale,
+        shape)``, bit for bit, for i in range(n); the result has shape
+        (n, *shape). So rows drawn in blocks, each with its first row as
+        offset, equal the rows of one draw.
 
         One Philox is re-keyed per row, with the zero counter and empty
         buffer of a new one, instead of building a generator per row; the
@@ -79,7 +83,7 @@ class Rng:
         prefix = _fold(_splitmix64(self.seed), tags)
         out = np.empty((n, *shape))
         for i in range(n):
-            key = np.array(_key_words(_fold(prefix, (i,))), dtype=np.uint64)
+            key = np.array(_key_words(_fold(prefix, (offset + i,))), dtype=np.uint64)
             state["state"] = {"counter": counter, "key": key}
             bits.state = state
             out[i] = gen.normal(0.0, scale, shape)

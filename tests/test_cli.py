@@ -428,6 +428,25 @@ def test_divergence_exits_4_without_traceback(workdir, tmp_path, capsys, verb, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["adapt", "cv"])
+def test_oversized_n_probe_exits_2_without_traceback(workdir, tmp_path, capsys, verb):
+    # A billion probes would need 2.56e12 floats of probe buffers (20 TB);
+    # the request is refused before anything is allocated.
+    out = tmp_path / "out"
+    if verb == "adapt":
+        args = _adapt_args(workdir, "mtloc-conf", out, "n_probe=1000000000")
+    else:
+        args = _cv_grid_args(workdir, "n_probe=1000000000", out)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert (
+        "error: n_probe=1000000000 needs 2.56e+12 floats of probe buffers,"
+        " over the cap of 3.36e+07; n_probe may be at most 13107\n"
+    ) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cv_table(workdir, tmp_path, capsys):
     table = tmp_path / "cv.csv"
     rc = main(

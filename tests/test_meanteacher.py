@@ -1,5 +1,7 @@
 """Mean-teacher adaptation: probing, thresholds, label correction, EMA."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rfloc import meanteacher
 from rfloc.data import normalize_features
 from rfloc.errors import ConfigError, UsageError
 from rfloc.meanteacher import (
+    MAX_PROBE_FLOATS,
     MeanTeacherConfig,
     PseudoLabelSet,
     _pairwise_sum,
@@ -16,6 +19,7 @@ from rfloc.meanteacher import (
     correct_labels,
     ema_update,
 )
+from rfloc.networks import PREDICT_BLOCK_ROWS
 from rfloc.nn import ParamSet, Rng
 
 from util import (
@@ -23,6 +27,7 @@ from util import (
     correct_labels_bruteforce,
     correct_labels_per_row,
     ema_update_allocating,
+    probe_whole_set,
 )
 
 
@@ -94,6 +99,48 @@ def test_probe_noise_matches_per_sample_streams():
 def test_probe_rejects_single_probe():
     with pytest.raises(ConfigError):
         _probe(lambda v: v[:, :2], np.zeros((2, 8)), 0.1, 1, Rng(0), 0)
+
+
+@pytest.mark.parametrize("n_probe", [2, 10])
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 700, 1029])
+def test_blocked_probe_matches_whole_set_oracle_bitwise(source_model, rows, n_probe):
+    z = np.random.default_rng(rows).normal(size=(rows, 8))
+    predict = source_model.net.predict
+    labels, sigma = _probe(predict, z, 0.5, n_probe, Rng(4), epoch=3)
+    want_labels, want_sigma = probe_whole_set(predict, z, 0.5, n_probe, Rng(4), epoch=3)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(sigma, want_sigma)
+    assert sigma.min() > 0.0
+
+
+def test_probe_passes_run_on_the_blocks_of_in_blocks():
+    # So every forward call computes exactly the block predict would.
+    sizes = []
+
+    def record(v):
+        sizes.append(len(v))
+        return v[:, :2]
+
+    _probe(record, np.zeros((700, 8)), 0.1, 3, Rng(0), 0)
+    b = PREDICT_BLOCK_ROWS
+    assert sizes == [700] + [b] * 3 + [b] * 3 + [700 - 2 * b] * 3
+
+
+def test_probe_memory_grows_only_by_its_outputs(source_model):
+    # Noise and noisy predictions are held one block at a time. Drawing all
+    # of the noise at once (6000 more rows x 4 probes x 8 floats) and
+    # predicting each pass over every row grew the peak by 2.5 MB.
+    def peak(rows):
+        z = np.random.default_rng(rows).normal(size=(rows, 8))
+        tracemalloc.start()
+        try:
+            _probe(source_model.net.predict, z, 0.5, 4, Rng(0), epoch=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    outputs = (8000 - 2000) * 2 * 2 * 8  # labels and sigma, (n, 2) float64 each
+    assert peak(8000) - peak(2000) <= outputs + 64 * 1024
 
 
 # ---------------------------------------------------------------- thresholds
@@ -246,12 +293,62 @@ def test_correction_k8_with_ties_matches_oracles_bitwise(monkeypatch):
         assert np.array_equal(correct_labels(pls, features, k=8).labels, per_row)
 
 
-@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 23, 130, 300])
+def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
+    # Duplicated confident rows put two or more candidates at exactly the
+    # nearest distance (0 for uncertain copies), so the lowest index wins.
+    gen = np.random.default_rng(22)
+    features = np.round(gen.normal(size=(400, 8)))
+    features[200:] = features[gen.integers(0, 200, size=200)]
+    labels = gen.uniform(0, 10, size=(400, 2))
+    confident = gen.random(400) > 0.3
+    per_row = correct_labels_per_row(labels, confident, features, 1)
+    assert np.array_equal(
+        per_row, correct_labels_bruteforce(labels, None, confident, features, 1)
+    )
+    for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
+        monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
+        pls = PseudoLabelSet(labels.copy(), np.zeros((400, 2)), confident.copy())
+        assert np.array_equal(correct_labels(pls, features, k=1).labels, per_row)
+
+
+def test_correction_memory_is_bounded_by_the_block():
+    # 10,050 rows, about 30% uncertain (the large-target share). With all
+    # eight squared-difference terms of a 2^19-cell block alive, the peak
+    # was 43.8 MB; one buffer per stack slot of 2^16 cells needs about 3 MB.
+    gen = np.random.default_rng(3)
+    features = gen.normal(size=(10050, 8))
+    pls = PseudoLabelSet(
+        gen.uniform(0, 10, size=(10050, 2)), np.zeros((10050, 2)), gen.random(10050) > 0.3
+    )
+    tracemalloc.start()
+    try:
+        correct_labels(pls, features, k=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 15, 16, 23, 130, 300])
 def test_pairwise_sum_matches_numpy_row_sum(width):
+    # Every term made for one slot is written into the same buffer, as
+    # correct_labels does; a slot reused while its entry is still to be
+    # added would change the sum.
     gen = np.random.default_rng(width)
     a = gen.random((50, width)) * 10.0 ** gen.uniform(-6, 6, size=(50, width))
-    got = _pairwise_sum([np.ascontiguousarray(col) for col in a.T])
-    assert np.array_equal(got, a.sum(axis=1))
+    buffers = {}
+    order = []
+
+    def term(i, slot):
+        order.append(i)
+        buf = buffers.setdefault(slot, np.empty(50))
+        buf[...] = a[:, i]
+        return buf
+
+    assert np.array_equal(_pairwise_sum(term, width), a.sum(axis=1))
+    assert order == list(range(width))
+    if width < 16:
+        assert len(buffers) <= 4
 
 
 def test_correction_rejects_nonfinite_features():
@@ -429,6 +526,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MeanTeacherConfig(confidence=True, k=0).validate()
     MeanTeacherConfig(alpha=1.0).validate()  # boundary allowed
+
+
+def test_config_caps_the_probe_buffers():
+    # One block's noise and noisy predictions: rows x n_probe x (8 + 2).
+    largest = MAX_PROBE_FLOATS // (PREDICT_BLOCK_ROWS * 10)
+    MeanTeacherConfig(confidence=True, n_probe=largest).validate()
+    with pytest.raises(ConfigError, match=f"n_probe may be at most {largest}"):
+        MeanTeacherConfig(confidence=True, n_probe=largest + 1).validate()
+    MeanTeacherConfig(confidence=False, n_probe=10**9).validate()  # probing off
 
 
 @pytest.mark.parametrize("confidence", [False, True], ids=["mtloc", "mtloc-conf"])

@@ -75,3 +75,19 @@ def test_row_normals_match_per_row_streams(seed, tags, n, shape):
     assert rows.shape == (n, *shape)
     for i in range(n):
         assert np.array_equal(rows[i], rng.stream(*tags, i).normal(0.0, 0.7, size=shape)), i
+
+
+@pytest.mark.parametrize("offset, n", [(0, 5), (3, 7), (256, 1), (255, 300), (1000, 29)])
+def test_row_normals_offset_rows_are_a_slice_of_the_unblocked_draw(offset, n):
+    rng = Rng(11)
+    whole = rng.row_normals(("probe", 2), offset + n, 0.3, (4, 8))
+    rows = rng.row_normals(("probe", 2), n, 0.3, (4, 8), offset=offset)
+    assert np.array_equal(rows, whole[offset:])
+
+
+def test_row_normals_in_blocks_equal_one_draw():
+    rng = Rng(12)
+    whole = rng.row_normals(("probe", 0), 1029, 0.5, (10, 8))
+    blocks = [rng.row_normals(("probe", 0), min(256, 1029 - s), 0.5, (10, 8), offset=s)
+              for s in range(0, 1029, 256)]
+    assert np.array_equal(np.concatenate(blocks), whole)

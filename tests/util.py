@@ -115,6 +115,19 @@ def conv1d_backward_loops(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx, dw, db
 
 
+def probe_whole_set(predict_fn, z, noise_std, n_probe, rng, epoch):
+    """Uncertainty probing as it ran before its noisy passes were blocked:
+    all of the noise drawn at once, each pass over every row, and one
+    spread over the whole (n_probe, n, 2) array."""
+    n, dim = z.shape
+    labels = predict_fn(z)
+    noise = rng.row_normals(("probe", epoch), n, noise_std, (n_probe, dim))
+    preds = np.empty((n_probe, n, 2))
+    for p in range(n_probe):
+        preds[p] = predict_fn(z + noise[:, p])
+    return labels, preds.std(axis=0)
+
+
 def correct_labels_per_row(labels, confident, features, k, eps=1e-8):
     """The per-row loop label correction used before it was vectorized:
     one distance vector and one stable argsort per uncertain sample."""
