@@ -7,7 +7,7 @@ produces; `replay` re-executes a manifest and reproduces the artifacts
 byte for byte.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure, 5 a worker process died.
+failure, 5 a worker process died, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -36,7 +36,15 @@ from .configio import (
 )
 from .dann import DannConfig, run_dann
 from .data import load_csv, write_csv
-from .errors import ConfigError, DataError, NumericalError, RflocError, UsageError, WorkerError
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericalError,
+    ResourceError,
+    RflocError,
+    UsageError,
+    WorkerError,
+)
 from .evalmetrics import (
     METRIC_NAMES,
     aggregate_runs,
@@ -58,6 +66,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
+EXIT_MEMORY = 6
 
 # ---------------------------------------------------------------- scenario
 
@@ -311,10 +320,10 @@ def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
     if not data.labeled:
         raise DataError("evaluation requires a labeled CSV")
     model_keys = sorted(k for k in inputs if k.startswith("model"))
-    reports = []
-    for key in model_keys:
-        model = load_model(inputs[key])
-        reports.append(compute_metrics(predict(model, data), data.labels))
+    # One model alive at a time: each is dropped before the next loads.
+    reports = [
+        compute_metrics(predict(load_model(inputs[key]), data), data.labels) for key in model_keys
+    ]
     report = aggregate_runs(reports)
     with open(outputs["report"], "w") as fh:
         fh.write(f"# run: {run_id}\n")
@@ -486,10 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.command == "gen-synth":
+        config_kv = _merge_config(dataclass_to_kv(SynthScenario()), args.config, args.set)
+        scenario = kv_to_dataclass(SynthScenario, config_kv)  # validate early
+        scenario.source_config().validate()
+        scenario.target_config().validate()
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        config_kv = _merge_config(dataclass_to_kv(SynthScenario()), args.config, args.set)
-        kv_to_dataclass(SynthScenario, config_kv)  # validate early
         outputs = {
             "source_csv": str(out_dir / "source.csv"),
             "target_csv": str(out_dir / "target.csv"),
@@ -592,7 +603,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_OK
     try:
-        return _dispatch(args)
+        try:
+            return _dispatch(args)
+        except MemoryError as e:
+            # numpy's failed allocations are MemoryErrors too, and so is one
+            # re-raised from a cv worker process.
+            raise ResourceError(f"out of memory: {e}" if str(e) else "out of memory") from None
     except (ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -605,6 +621,9 @@ def main(argv=None) -> int:
     except WorkerError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_WORKER
+    except ResourceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_MEMORY
     except RflocError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,8 @@ FEATURE_COLUMNS = ("r1x", "r1y", "r2x", "r2y", "r3x", "r3y", "r4x", "r4y")
 LABEL_COLUMNS = ("x", "y")
 NUM_FEATURES = len(FEATURE_COLUMNS)
 STD_FLOOR = 1e-8
+# Rows per write_csv chunk: about 200 KiB of text for labeled rows.
+WRITE_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -179,18 +181,25 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
 
 
 def write_csv(dataset: Dataset, path, run_id: str | None = None) -> None:
-    """Write a dataset using shortest round-trip float representations."""
+    """Write a dataset using shortest round-trip float representations.
+
+    The format is what csv.writer writes for these rows: the header, then
+    one line per row of comma-joined float reprs, each ended by CR LF,
+    with no quoting (a finite float's repr holds no comma or quote). Rows
+    are converted and written WRITE_CHUNK_ROWS at a time, so no temporary
+    spans the whole dataset.
+    """
     with open(path, "w", newline="") as fh:
         if run_id:
             fh.write(f"# run: {run_id}\n")
-        writer = csv.writer(fh)
-        header = list(FEATURE_COLUMNS) + (list(LABEL_COLUMNS) if dataset.labeled else [])
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
+        header = FEATURE_COLUMNS + (LABEL_COLUMNS if dataset.labeled else ())
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(dataset), WRITE_CHUNK_ROWS):
+            stop = start + WRITE_CHUNK_ROWS
+            rows = dataset.features[start:stop].tolist()
             if dataset.labeled:
-                row += [repr(float(v)) for v in dataset.labels[i]]
-            writer.writerow(row)
+                rows = map(list.__add__, rows, dataset.labels[start:stop].tolist())
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
 # ---------------------------------------------------------------- normalization

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: usage/configuration problems
 exit 2, data problems exit 3, numerical failures exit 4, a worker process
-that died exits 5.
+that died exits 5, and running out of memory exits 6.
 """
 
 
@@ -41,3 +41,8 @@ class NumericalError(RflocError):
 class WorkerError(RflocError):
     """A worker process died before returning its result (for example,
     killed by the operating system)."""
+
+
+class ResourceError(RflocError):
+    """The machine could not meet a request for memory (a MemoryError,
+    raised in this process or in a worker process)."""

@@ -4,6 +4,7 @@ error heatmaps binned by true location, and a k-fold selection harness.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -120,25 +121,30 @@ def compute_heatmap(
         raise ConfigError("predictions and labels must both be (n, 2)")
     if len(labels) == 0:
         raise DataError("cannot build a heatmap from zero samples")
-    if origin is None:
-        origin = (
-            float(np.floor(labels[:, 0].min() / cell) * cell),
-            float(np.floor(labels[:, 1].min() / cell) * cell),
-        )
-    cols_f = (labels[:, 0] - origin[0]) / cell
-    rows_f = (labels[:, 1] - origin[1]) / cell
+    # A tiny cell overflows these to infinity (a grid of -inf rows when the
+    # origin overflows too); the size check refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if origin is None:
+            origin = (
+                float(np.floor(labels[:, 0].min() / cell) * cell),
+                float(np.floor(labels[:, 1].min() / cell) * cell),
+            )
+        cols_f = (labels[:, 0] - origin[0]) / cell
+        rows_f = (labels[:, 1] - origin[1]) / cell
     if shape is None:
-        n_rows = int(np.floor(rows_f.max())) + 1
-        n_cols = int(np.floor(cols_f.max())) + 1
+        n_rows = float(np.floor(rows_f.max())) + 1.0
+        n_cols = float(np.floor(cols_f.max())) + 1.0
     else:
         n_rows, n_cols = shape
         if n_rows < 1 or n_cols < 1:
             raise ConfigError(f"grid shape must be positive, got {shape}")
-    if n_rows * n_cols > MAX_HEATMAP_CELLS:
+    if not (math.isfinite(n_rows) and math.isfinite(n_cols)
+            and n_rows * n_cols <= MAX_HEATMAP_CELLS):
         raise ConfigError(
-            f"heatmap grid of {n_rows} x {n_cols} cells exceeds {MAX_HEATMAP_CELLS} cells;"
-            " use a larger cell size"
+            f"heatmap grid of {abs(n_rows):.3g} x {abs(n_cols):.3g} cells exceeds"
+            f" {MAX_HEATMAP_CELLS} cells; use a larger cell size"
         )
+    n_rows, n_cols = int(n_rows), int(n_cols)
     rows = np.floor(rows_f).astype(int)
     cols = np.floor(cols_f).astype(int)
     inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)

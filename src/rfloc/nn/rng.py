@@ -14,6 +14,9 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_KEY_LOW_MIX = 0xA5A5A5A5A5A5A5A5
+# Rows whose Philox keys row_normals derives at once (16 KiB of keys).
+KEY_CHUNK_ROWS = 1024
 
 
 def _splitmix64(x: int) -> int:
@@ -22,6 +25,15 @@ def _splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 of every element of a uint64 array, bit for bit: uint64
+    array arithmetic wraps modulo 2^64 as the masks above do."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def _tag_word(tag) -> int:
@@ -43,7 +55,7 @@ def _fold(k: int, tags) -> int:
 
 def _key_words(k: int) -> tuple[int, int]:
     """(low, high) 64-bit words of the Philox key for a folded tag chain."""
-    return _splitmix64(k ^ 0xA5A5A5A5A5A5A5A5), k
+    return _splitmix64(k ^ _KEY_LOW_MIX), k
 
 
 class Rng:
@@ -74,17 +86,24 @@ class Rng:
 
         One Philox is re-keyed per row, with the zero counter and empty
         buffer of a new one, instead of building a generator per row; the
-        tag prefix is folded once.
+        tag prefix is folded once, and the row keys are derived as uint64
+        arrays, KEY_CHUNK_ROWS rows at a time.
         """
         bits = np.random.Philox(key=0)
         gen = np.random.Generator(bits)
         state = bits.state
         counter = state["state"]["counter"]
-        prefix = _fold(_splitmix64(self.seed), tags)
+        prefix = np.uint64(_fold(_splitmix64(self.seed), tags))
         out = np.empty((n, *shape))
-        for i in range(n):
-            key = np.array(_key_words(_fold(prefix, (offset + i,))), dtype=np.uint64)
-            state["state"] = {"counter": counter, "key": key}
-            bits.state = state
-            out[i] = gen.normal(0.0, scale, shape)
+        for start in range(0, n, KEY_CHUNK_ROWS):
+            rows = min(KEY_CHUNK_ROWS, n - start)
+            # Row i's key is _key_words(_fold(prefix, (offset + i,))).
+            row_tags = np.arange(rows, dtype=np.uint64) + np.uint64((offset + start) & _MASK64)
+            keys = np.empty((rows, 2), dtype=np.uint64)
+            keys[:, 1] = _splitmix64_array(prefix ^ row_tags)
+            keys[:, 0] = _splitmix64_array(keys[:, 1] ^ np.uint64(_KEY_LOW_MIX))
+            for i, key in enumerate(keys, start):
+                state["state"] = {"counter": counter, "key": key}
+                bits.state = state
+                out[i] = gen.normal(0.0, scale, shape)
         return out

@@ -14,6 +14,7 @@ distributions, which is the domain-shift scenario used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,19 @@ from .errors import ConfigError, DataError
 from .nn import Rng
 
 DISTANCE_FLOOR = 0.1
+# Largest trajectory, in rows: 2^25 floats of features and labels (10 per
+# row), the budget of meanteacher.MAX_PROBE_FLOATS.
+MAX_SYNTH_ROWS = (1 << 25) // 10
+
+
+def _arange_length(start: float, stop: float, step: float) -> float:
+    """len(np.arange(start, stop, step)) for step > 0, computed in float
+    arithmetic as numpy sizes it; inf if the length overflows or step
+    underflowed to zero."""
+    if step == 0.0:
+        return math.inf
+    n = (stop - start) / step
+    return max(float(math.ceil(n)) if math.isfinite(n) else n, 0.0)
 
 
 @dataclass
@@ -46,10 +60,16 @@ class SynthConfig:
     name: str = "synthetic"
 
     def validate(self) -> None:
+        """Check every value, and the trajectory's row count against
+        MAX_SYNTH_ROWS, before anything is allocated."""
+        if len(self.room) != 2 or len(self.tx) != 2:
+            raise ConfigError("room and tx need two values each (x, y)")
         if self.room[0] <= 0 or self.room[1] <= 0:
             raise ConfigError(f"room extents must be positive, got {self.room}")
         if len(self.rx) != 4:
             raise ConfigError(f"exactly 4 receivers required, got {len(self.rx)}")
+        if any(len(r) != 2 for r in self.rx):
+            raise ConfigError("each receiver position needs two values (x, y)")
         if len(set(self.rx)) != 4:
             raise ConfigError("receiver positions must be distinct")
         if self.path_loss_exponent <= 0:
@@ -60,6 +80,21 @@ class SynthConfig:
             raise ConfigError("one gain offset per polarization required")
         if self.line_spacing <= 0 or self.speed <= 0 or self.sample_interval <= 0:
             raise ConfigError("trajectory spacing, speed and interval must be positive")
+        rows = self.trajectory_rows()
+        if not rows <= MAX_SYNTH_ROWS:  # also refuses NaN
+            raise ConfigError(
+                f"the trajectory would have {rows:.3g} rows, over the cap of {MAX_SYNTH_ROWS};"
+                " use a smaller room or a larger line_spacing, speed or sample_interval"
+            )
+
+    def trajectory_rows(self) -> float:
+        """The number of rows trajectory() builds, in float arithmetic: inf
+        or NaN when it is too large to count."""
+        width, height = self.room
+        inset = self.line_spacing / 2.0
+        step = self.speed * self.sample_interval
+        lines = _arange_length(inset, width - inset + 1e-9, self.line_spacing)
+        return lines * _arange_length(inset, height - inset + 1e-9, step)
 
 
 def trajectory(cfg: SynthConfig) -> np.ndarray:
@@ -67,13 +102,14 @@ def trajectory(cfg: SynthConfig) -> np.ndarray:
     line_spacing apart, traversed in alternating direction at constant
     speed, one reading every sample_interval seconds."""
     cfg.validate()
+    # Checked before np.arange, which refuses a length of minus infinity.
+    if cfg.trajectory_rows() == 0:
+        raise DataError("trajectory is empty; room too small for the requested spacing")
     width, height = cfg.room
     inset = cfg.line_spacing / 2.0
     step = cfg.speed * cfg.sample_interval
     xs = np.arange(inset, width - inset + 1e-9, cfg.line_spacing)
     ys = np.arange(inset, height - inset + 1e-9, step)
-    if xs.size == 0 or ys.size == 0:
-        raise DataError("trajectory is empty; room too small for the requested spacing")
     points = []
     for i, x in enumerate(xs):
         line_y = ys if i % 2 == 0 else ys[::-1]

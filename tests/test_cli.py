@@ -3,9 +3,11 @@
 import builtins
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +338,26 @@ def test_eval_prints_table(workdir, tmp_path, capsys):
     assert "mae_d" in out and "rmse_d" in out
 
 
+def test_eval_keeps_one_model_alive_at_a_time(workdir, tmp_path):
+    # Loading each model while the previous one was still bound added one
+    # model's arrays (5.7 MB, mostly the feature covariance) to the peak.
+    model = str(workdir / "source.model")
+
+    def peak(n_models):
+        args = ["eval", "--model", *[model] * n_models,
+                "--csv", str(workdir / "data" / "target.csv"),
+                "--out-report", str(tmp_path / f"r{n_models}.csv")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first use of the code paths, untraced allocations warm
+    assert peak(3) - peak(1) < 1024 * 1024
+
+
 def test_oracle_requires_labels(workdir, tmp_path, capsys):
     unlabeled = tmp_path / "unlabeled.csv"
     ds = load_csv(workdir / "data" / "target.csv")
@@ -564,6 +586,72 @@ def test_cv_dead_worker_exits_5_without_traceback(workdir, tmp_path):
     assert "error: a fold selection worker process died" in proc.stderr
     assert "children left: 0" in proc.stderr
     assert not (tmp_path / "cv.csv").exists()
+
+
+# ---------------------------------------------------------------- resource limits
+
+@pytest.mark.parametrize("setting, rows", [("room=1e15,1e15", "7.14e+30"), ("speed=1e-308", "inf")])
+def test_oversized_gen_synth_exits_2_before_writing(tmp_path, capsys, setting, rows):
+    # room=1e15,1e15 once asked numpy for 7.11 PiB; the row count is now
+    # checked before anything is allocated or written.
+    out = tmp_path / "data"
+    assert main(["gen-synth", "--out-dir", str(out), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert f"error: the trajectory would have {rows} rows, over the cap of 3355443;" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _allocate_2_eib(*args):
+    return np.empty(1 << 58)  # fails at once: no address space is that large
+
+
+def _raise_bare_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "callee, message",
+    [
+        (_allocate_2_eib, "error: out of memory: Unable to allocate 2.00 EiB"),
+        (_raise_bare_memory_error, "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_exits_6(tmp_path, capsys, monkeypatch, callee, message):
+    monkeypatch.setattr(cli, "generate_synthetic", callee)
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "data")]) == cli.EXIT_MEMORY == 6
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["gen-synth", "cv"])
+def test_memory_error_exits_6_without_traceback(workdir, tmp_path, verb):
+    # In cv the allocation fails inside the forked fold workers, and the
+    # MemoryError is re-raised in the parent.
+    callee = {"gen-synth": "generate_synthetic", "cv": "adapt"}[verb]
+    prelude = f"import numpy, rfloc.cli\nrfloc.cli.{callee} = lambda *a: numpy.empty(1 << 58)\n"
+    if verb == "cv":
+        args, _ = _cv_args(workdir, tmp_path)
+    else:
+        args = ["gen-synth", "--out-dir", str(tmp_path / "data")]
+    proc = _run_cli_counting_children(args, prelude)
+    assert proc.returncode == 6, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: out of memory: Unable to allocate 2.00 EiB" in proc.stderr
+    assert "children left: 0" in proc.stderr
+
+
+@pytest.mark.parametrize("cell", ["1e-300", "5e-324"])
+def test_tiny_heatmap_cell_exits_2_with_a_short_message(workdir, tmp_path, capsys, cell):
+    args, _ = _heatmap_args(workdir, tmp_path)
+    assert main(args + ["--cell", cell]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.endswith(" cells exceeds 1000000 cells; use a larger cell size")
+    assert len(line) < 100, line  # the cell counts in %.3g form, not 300 digits
 
 
 def test_cv_replay_of_edited_grid_fails_in_workers(workdir, tmp_path):
@@ -852,6 +940,74 @@ def test_text_reader_fuzz_raises_only_rfloc_error(workdir, tmp_path, reader, mak
             reader(bad)
         except RflocError:
             pass
+
+
+# ---------------------------------------------------------------- gen-synth config fuzz
+
+_HOSTILE_VALUES = ["0", "-1", "1e308", "1e-308", str(2**63), "", "text"]
+
+
+def _gen_synth_fuzz_settings() -> list[str]:
+    """Every gen-synth key set to each hostile value; a key that holds a
+    pair or a list of pairs also gets each number as its first entry and
+    as every entry."""
+    settings = []
+    for key, default in dataclass_to_kv(cli.SynthScenario()).items():
+        for value in _HOSTILE_VALUES:
+            settings.append(f"{key}={value}")
+            parts = re.split(r"([,;])", default)  # numbers and separators
+            if len(parts) > 1 and value not in ("", "text"):
+                settings.append(f"{key}={value}" + "".join(parts[1:]))
+                settings.append(f"{key}=" + "".join(
+                    value if i % 2 == 0 else sep for i, sep in enumerate(parts)))
+    return settings
+
+
+# Imports the CLI once, then forks one process per setting. Each child
+# limits its own address space to what it had at the fork plus the given
+# MiB, sends its output to <out>/<i>.err and exits as `rfloc` would: an
+# uncaught exception prints a traceback and exits 1.
+_FUZZ_DRIVER = """
+import os, resource, sys, traceback
+from rfloc.cli import main
+out, headroom = sys.argv[1], int(sys.argv[2]) << 20
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + headroom
+for i, setting in enumerate(sys.argv[3:]):
+    pid = os.fork()
+    if pid == 0:
+        fd = os.open(os.path.join(out, f"{i}.err"), os.O_WRONLY | os.O_CREAT)
+        os.dup2(fd, 1)
+        os.dup2(fd, 2)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        try:
+            code = main(["gen-synth", "--set", setting, "--out-dir", os.path.join(out, str(i))])
+        except Exception:
+            traceback.print_exc()
+            code = 1
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), flush=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+def test_gen_synth_config_fuzz_exits_typed_without_traceback(tmp_path):
+    settings = _gen_synth_fuzz_settings()
+    env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FUZZ_DRIVER, str(tmp_path), "512", *settings],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = [int(line) for line in proc.stdout.split()]
+    assert len(codes) == len(settings)
+    for i, (setting, code) in enumerate(zip(settings, codes)):
+        err = (tmp_path / f"{i}.err").read_text()
+        assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (setting, code, err)
+        assert "Traceback" not in err, (setting, err)
+    assert {0, 2, 3} <= set(codes)
 
 
 # ---------------------------------------------------------------- edited manifests

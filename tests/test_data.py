@@ -1,9 +1,12 @@
 """CSV round trips, schema/parse failures, normalization, folds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rfloc.data import (
+    WRITE_CHUNK_ROWS,
     Dataset,
     NormStats,
     fit_normalizer,
@@ -13,6 +16,7 @@ from rfloc.data import (
     write_csv,
 )
 from rfloc.errors import ConfigError, CsvParseError, DataError, SchemaError
+from util import write_csv_rowwise
 
 
 def make_dataset(n=10, labeled=True, seed=0):
@@ -69,6 +73,62 @@ def test_csv_unlabeled_round_trip(tmp_path):
     back = load_csv(path)
     assert not back.labeled
     assert np.array_equal(back.features, ds.features)
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+@pytest.mark.parametrize("run_id", [None, "abc123"], ids=["no-run-id", "run-id"])
+def test_write_csv_bytes_equal_the_rowwise_writer(tmp_path, labeled, run_id):
+    ds = make_dataset(WRITE_CHUNK_ROWS + 1, labeled=labeled, seed=4)
+    write_csv(ds, tmp_path / "chunked.csv", run_id=run_id)
+    write_csv_rowwise(ds, tmp_path / "rowwise.csv", run_id=run_id)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n", [1, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1, 10_050]
+)
+def test_write_csv_row_counts_across_chunks(tmp_path, n):
+    ds = make_dataset(n, seed=n)
+    write_csv(ds, tmp_path / "chunked.csv", run_id="abc123")
+    write_csv_rowwise(ds, tmp_path / "rowwise.csv", run_id="abc123")
+    written = (tmp_path / "chunked.csv").read_bytes()
+    assert written == (tmp_path / "rowwise.csv").read_bytes()
+    assert written.count(b"\r\n") == n + 1  # header and rows; the run line ends in \n
+    back = load_csv(tmp_path / "chunked.csv")
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+def test_write_csv_exact_format_of_extreme_values(tmp_path):
+    feats = np.array([[1e-05, -1.5e16, -0.0, 5e-324, 0.1, 1e16, -123.456, 2.0 ** 70]])
+    labels = np.array([[1e22, -1e-07]])
+    ds = Dataset("v", feats, labels)
+    write_csv(ds, tmp_path / "v.csv")
+    write_csv_rowwise(ds, tmp_path / "rowwise.csv")
+    written = (tmp_path / "v.csv").read_bytes()
+    assert written == (
+        b"r1x,r1y,r2x,r2y,r3x,r3y,r4x,r4y,x,y\r\n"
+        b"1e-05,-1.5e+16,-0.0,5e-324,0.1,1e+16,-123.456,1.1805916207174113e+21,1e+22,-1e-07\r\n"
+    )
+    assert written == (tmp_path / "rowwise.csv").read_bytes()
+    back = load_csv(tmp_path / "v.csv")
+    assert back.features.tobytes() == feats.tobytes()  # -0.0 keeps its sign
+    assert back.labels.tobytes() == labels.tobytes()
+
+
+def test_write_csv_memory_is_bounded_by_the_chunk(tmp_path):
+    # 20,000 labeled rows. Chunks of 1,024 rows peaked at 0.7 MiB; a
+    # whole-table np.hstack of features and labels peaked at 2.2 MiB, and a
+    # whole-table .tolist() at 8.6 MiB.
+    ds = make_dataset(20_000, seed=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(ds, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_csv_missing_feature_column(tmp_path):

@@ -1,9 +1,13 @@
 """Counter-based RNG streams: determinism and independence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rfloc.nn import Rng
+from rfloc.nn.rng import KEY_CHUNK_ROWS, _splitmix64, _splitmix64_array
+from util import row_normals_rowwise
 
 
 def test_same_tags_same_stream():
@@ -91,3 +95,48 @@ def test_row_normals_in_blocks_equal_one_draw():
     blocks = [rng.row_normals(("probe", 0), min(256, 1029 - s), 0.5, (10, 8), offset=s)
               for s in range(0, 1029, 256)]
     assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("offset", [0, 255, (1 << 32) + 5, 1 << 63, (1 << 64) - 2])
+def test_row_normals_keys_equal_per_row_streams_across_key_chunks(offset):
+    # The rows straddle two key chunks, and the last offset wraps the row
+    # tag past 2^64 as int tags do.
+    rng = Rng(21)
+    n = KEY_CHUNK_ROWS + 3
+    rows = rng.row_normals(("probe", 3), n, 0.5, (2,), offset=offset)
+    assert rows.tobytes() == row_normals_rowwise(rng, ("probe", 3), n, 0.5, (2,), offset).tobytes()
+    for i in range(n):
+        expected = rng.stream("probe", 3, offset + i).normal(0.0, 0.5, size=(2,))
+        assert np.array_equal(rows[i], expected), i
+
+
+def test_row_normals_blocks_that_cross_key_chunks_equal_one_draw():
+    rng = Rng(13)
+    n = 2 * KEY_CHUNK_ROWS + 11
+    whole = rng.row_normals(("shadow",), n, 2.0, (8,))
+    starts = [0, KEY_CHUNK_ROWS - 5, KEY_CHUNK_ROWS + 7, n]
+    blocks = [rng.row_normals(("shadow",), b - a, 2.0, (8,), offset=a)
+              for a, b in zip(starts, starts[1:])]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_splitmix64_array_equals_the_int_form():
+    words = [0, 1, 255, (1 << 32) + 5, (1 << 63), (1 << 64) - 1, 0x9E3779B97F4A7C15]
+    words += np.random.default_rng(0).integers(0, 1 << 63, 50, dtype=np.uint64).tolist()
+    mixed = _splitmix64_array(np.array(words, dtype=np.uint64))
+    assert mixed.tolist() == [_splitmix64(w) for w in words]
+
+
+def test_row_normals_memory_grows_only_by_its_output():
+    # Keys derived a chunk at a time peaked 67 KiB beyond the 20,000-row
+    # output; deriving all 20,000 keys at once peaked 625 KiB beyond it.
+    rng = Rng(2)
+    n = 20_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rng.row_normals(("shadow",), n, 1.0, (1,))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - n * 8 < 128 * 1024

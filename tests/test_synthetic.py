@@ -1,10 +1,12 @@
 """Synthetic generator: physics hand-checks, determinism, domain shift."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from rfloc import synthetic
 from rfloc.errors import ConfigError, DataError
 from rfloc.nn import Rng
 from rfloc.synthetic import SynthConfig, generate_synthetic, trajectory
@@ -120,3 +122,67 @@ def test_shadowing_draws_match_per_sample_streams():
         [rng.stream("shadow", i).normal(0.0, 2.0, size=8) for i in range(len(noisy))]
     )
     assert np.array_equal(noisy, quiet + noise)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"room": (10.0, 10.0), "line_spacing": 0.3},
+        {"room": (7.3, 2.9), "speed": 0.17, "sample_interval": 0.33},
+        {"room": (1.0, 1.0), "line_spacing": 1.0, "speed": 1.0, "sample_interval": 1.0},
+        {"room": (3.0, 50.0), "line_spacing": 0.7, "speed": 0.11, "sample_interval": 0.032},
+        {"room": (0.4, 0.4)},
+    ],
+)
+def test_trajectory_rows_equals_the_built_length(changes):
+    cfg = dataclasses.replace(SynthConfig(), **changes)
+    rows = cfg.trajectory_rows()
+    if rows == 0:
+        with pytest.raises(DataError, match="empty"):
+            trajectory(cfg)
+    else:
+        assert len(trajectory(cfg)) == rows
+
+
+@pytest.mark.parametrize(
+    "changes, rows",
+    [
+        ({"room": (1e15, 1e15)}, "7.14e+30"),
+        ({"speed": 1e-308}, "inf"),
+        ({"line_spacing": 1e-308}, "inf"),
+        ({"speed": 1e-200, "sample_interval": 1e-200}, "inf"),  # the step underflows to 0
+        ({"room": (0.4, 10.0), "speed": 1e-308}, "nan"),  # 0 lines x inf rows
+    ],
+)
+def test_validate_refuses_a_trajectory_over_the_cap(changes, rows):
+    cfg = dataclasses.replace(SynthConfig(), **changes)
+    message = f"would have {rows} rows, over the cap of 3355443"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        generate_synthetic(cfg)
+
+
+def test_trajectory_cap_boundary(monkeypatch):
+    cfg = SynthConfig()
+    rows = len(trajectory(cfg))
+    monkeypatch.setattr(synthetic, "MAX_SYNTH_ROWS", rows)
+    cfg.validate()
+    monkeypatch.setattr(synthetic, "MAX_SYNTH_ROWS", rows - 1)
+    with pytest.raises(ConfigError, match="over the cap"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"room": (5.0,)},
+        {"room": ()},
+        {"tx": (1.0, 2.0, 3.0)},
+        {"rx": ((5.0, 1.0), (0.5, 6.0), (5.0, 9.5), (9.5,))},
+    ],
+)
+def test_validate_refuses_malformed_positions(changes):
+    with pytest.raises(ConfigError, match="two values"):
+        dataclasses.replace(SynthConfig(), **changes).validate()

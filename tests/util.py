@@ -1,10 +1,11 @@
 """Finite-difference helpers and brute-force oracles used across tests."""
 
+import csv
 import math
 
 import numpy as np
 
-from rfloc.data import make_folds
+from rfloc.data import FEATURE_COLUMNS, LABEL_COLUMNS, make_folds
 from rfloc.errors import ConfigError, DataError, NumericalError
 from rfloc.evalmetrics import compute_metrics
 from rfloc.networks import (
@@ -20,6 +21,7 @@ from rfloc.networks import (
 )
 from rfloc.nn import (
     ParamSet,
+    Rng,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -32,6 +34,7 @@ from rfloc.nn import (
     sigmoid,
     sigmoid_backward,
 )
+from rfloc.nn.rng import _fold, _key_words, _splitmix64
 
 
 def central_difference(scalar_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -126,6 +129,39 @@ def probe_whole_set(predict_fn, z, noise_std, n_probe, rng, epoch):
     for p in range(n_probe):
         preds[p] = predict_fn(z + noise[:, p])
     return labels, preds.std(axis=0)
+
+
+def write_csv_rowwise(dataset, path, run_id=None):
+    """The dataset writer before it was chunked: one csv.writer row per
+    sample, each value converted from its numpy scalar."""
+    with open(path, "w", newline="") as fh:
+        if run_id:
+            fh.write(f"# run: {run_id}\n")
+        writer = csv.writer(fh)
+        header = list(FEATURE_COLUMNS) + (list(LABEL_COLUMNS) if dataset.labeled else [])
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [repr(float(v)) for v in dataset.features[i]]
+            if dataset.labeled:
+                row += [repr(float(v)) for v in dataset.labels[i]]
+            writer.writerow(row)
+
+
+def row_normals_rowwise(rng: Rng, tags, n, scale, shape, offset=0):
+    """Rng.row_normals before its keys were derived as arrays: each row's
+    Philox key folded from the tag prefix in Python ints."""
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    prefix = _fold(_splitmix64(rng.seed), tags)
+    out = np.empty((n, *shape))
+    for i in range(n):
+        key = np.array(_key_words(_fold(prefix, (offset + i,))), dtype=np.uint64)
+        state["state"] = {"counter": counter, "key": key}
+        bits.state = state
+        out[i] = gen.normal(0.0, scale, shape)
+    return out
 
 
 def correct_labels_per_row(labels, confident, features, k, eps=1e-8):
