@@ -19,7 +19,8 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -89,37 +90,19 @@ class SynthScenario:
     sample_interval: float = 0.5
     seed: int = 0
 
-    def source_config(self) -> SynthConfig:
-        return SynthConfig(
-            room=self.room,
-            tx=self.tx,
-            rx=self.source_rx,
-            path_loss_exponent=self.path_loss_exponent,
-            ref_power_dbm=self.ref_power_dbm,
-            shadowing_std_db=self.source_shadowing_std_db,
-            pol_gain_db=self.pol_gain_db,
-            line_spacing=self.line_spacing,
-            speed=self.speed,
-            sample_interval=self.sample_interval,
-            seed=self.seed,
-            name="source",
-        )
+    DATASETS = ("source", "target")
 
-    def target_config(self) -> SynthConfig:
-        return SynthConfig(
-            room=self.room,
-            tx=self.tx,
-            rx=self.target_rx,
-            path_loss_exponent=self.path_loss_exponent,
-            ref_power_dbm=self.ref_power_dbm,
-            shadowing_std_db=self.target_shadowing_std_db,
-            pol_gain_db=self.pol_gain_db,
-            line_spacing=self.line_spacing,
-            speed=self.speed,
-            sample_interval=self.sample_interval,
-            seed=self.seed + 1,
-            name="target",
-        )
+    def dataset_config(self, name: str) -> SynthConfig:
+        """The config of dataset "source" (seed) or "target" (seed + 1)."""
+        shared = {f.name: getattr(self, f.name) for f in fields(SynthConfig)
+                  if hasattr(self, f.name)}
+        return SynthConfig(**{
+            **shared,
+            "rx": getattr(self, f"{name}_rx"),
+            "shadowing_std_db": getattr(self, f"{name}_shadowing_std_db"),
+            "seed": self.seed + self.DATASETS.index(name),
+            "name": name,
+        })
 
 
 # ---------------------------------------------------------------- manifests
@@ -192,25 +175,53 @@ def read_manifest(path) -> dict:
     }
 
 
-def _run_command(command, config_kv, inputs, outputs, manifest_path) -> None:
+def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=None) -> None:
+    """Check the config snapshot, hash the inputs (a replay compares them
+    with the recorded hashes), make the output directories, run the verb,
+    then write the manifest."""
     start = time.perf_counter()
+    if command not in _EXECUTORS:
+        raise DataError(f"manifest records unknown command {command!r}")
+    parse, run = _EXECUTORS[command]
+    cfg = parse(config_kv)
     input_hashes = {name: _hash_file(p) for name, p in inputs.items()}
+    if recorded is not None:
+        for name in sorted({*input_hashes, *recorded}):
+            if input_hashes.get(name) != recorded.get(name):
+                raise DataError(
+                    f"input {name!r} ({inputs.get(name)}) changed since the recorded run"
+                    f" (sha256 {input_hashes.get(name)}, recorded {recorded.get(name)});"
+                    " refusing to replay"
+                )
     run_id = _make_run_id(
         command, config_kv, input_hashes, [Path(p).name for p in outputs.values()]
     )
-    _EXECUTORS[command](config_kv, inputs, outputs, run_id)
-    wall = time.perf_counter() - start
-    _write_manifest(
-        manifest_path, command, run_id, config_kv, inputs, input_hashes, outputs, wall
-    )
+    written = [str(p) for p in (*outputs.values(), manifest_path)]
+    for path in written:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise UsageError(f"cannot make the directory of output {path}: {e}") from None
+    try:
+        run(cfg, inputs, outputs, run_id)
+        wall = time.perf_counter() - start
+        _write_manifest(
+            manifest_path, command, run_id, config_kv, inputs, input_hashes, outputs, wall
+        )
+    except OSError as e:
+        if str(e.filename) not in written:
+            raise
+        raise UsageError(f"cannot write output {e.filename}: {e.strerror}") from None
     for p in outputs.values():
         print(f"wrote {p}")
     print(f"manifest {manifest_path} (run {run_id})")
 
 
-# ---------------------------------------------------------------- executors
-# Each executor is a pure function of (config snapshot, inputs, outputs);
-# replaying the same snapshot reproduces the artifacts byte for byte.
+# ---------------------------------------------------------------- verbs
+# Each verb is a (parse, run) pair. parse turns a config snapshot into the
+# verb's typed config or raises ConfigError; run is a pure function of
+# (typed config, inputs, outputs, run id), so replaying the same snapshot
+# reproduces the artifacts byte for byte.
 
 def _config_value(config_kv: dict, key: str, default: str, parse):
     """A manifest value outside the config dataclasses, parsed so that an
@@ -221,14 +232,26 @@ def _config_value(config_kv: dict, key: str, default: str, parse):
         raise ConfigError(f"config key {key!r}: {e}") from None
 
 
-def _exec_gen_synth(config_kv, inputs, outputs, run_id) -> None:
+def _checked(cls, config_kv: dict):
+    cfg = kv_to_dataclass(cls, config_kv)
+    cfg.validate()
+    return cfg
+
+
+def _parse_gen_synth(config_kv) -> list[SynthConfig]:
     scenario = kv_to_dataclass(SynthScenario, config_kv)
-    write_csv(generate_synthetic(scenario.source_config()), outputs["source_csv"], run_id=run_id)
-    write_csv(generate_synthetic(scenario.target_config()), outputs["target_csv"], run_id=run_id)
+    configs = [scenario.dataset_config(name) for name in SynthScenario.DATASETS]
+    for cfg in configs:
+        cfg.validate()
+    return configs
 
 
-def _exec_train(config_kv, inputs, outputs, run_id) -> None:
-    cfg = kv_to_dataclass(TrainConfig, config_kv)
+def _run_gen_synth(configs, inputs, outputs, run_id) -> None:
+    for cfg in configs:
+        write_csv(generate_synthetic(cfg), outputs[f"{cfg.name}_csv"], run_id=run_id)
+
+
+def _run_train(cfg, inputs, outputs, run_id) -> None:
     source = load_csv(inputs["source_csv"])
     if not source.labeled:
         raise DataError("training data has no x,y label columns")
@@ -240,7 +263,7 @@ def _exec_train(config_kv, inputs, outputs, run_id) -> None:
 # Adapt runners: (cfg, model, target CSV, inputs) -> (adapted model,
 # diagnostics rows). They call the trainers as this module's globals at
 # call time, so whatever rebinds rfloc.cli.adapt (or run_shot, run_dann,
-# finetune_oracle) also sees adapt runs.
+# finetune_oracle) also sees adapt and cv runs.
 
 def _run_mean_teacher(cfg, model, target, inputs):
     return adapt(model, target.without_labels(), cfg)
@@ -287,17 +310,28 @@ METHODS = {
     "shot": Method(ShotConfig(), _run_shot, ("epoch", "cons", "teach", "stat", "coral", "total")),
     "oracle": Method(TrainConfig(), _run_oracle, ("epoch",)),
 }
+# The methods k-fold selection tunes: the mean-teacher family.
+CV_METHODS = ("mtloc", "mtloc-conf")
 
 
-def _exec_adapt(config_kv, inputs, outputs, run_id) -> None:
+def _method(config_kv, names, own_keys=("method",)):
+    """The method a snapshot names, and the snapshot less the verb's own
+    keys: the method's config keys, still as text."""
     name = config_kv.get("method")
-    if name not in METHODS:
-        raise ConfigError(f"unknown adaptation method {name!r}")
-    method = METHODS[name]
-    method_kv = {k: v for k, v in config_kv.items() if k != "method"}
+    if name not in names:
+        raise ConfigError(f"method {name!r} is not one of {', '.join(names)}")
+    return METHODS[name], {k: v for k, v in config_kv.items() if k not in own_keys}
+
+
+def _parse_adapt(config_kv):
+    method, method_kv = _method(config_kv, tuple(METHODS))
+    return method, _checked(type(method.defaults), method_kv)
+
+
+def _run_adapt(parsed, inputs, outputs, run_id) -> None:
+    method, cfg = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
-    cfg = kv_to_dataclass(type(method.defaults), method_kv)
     adapted, rows = method.run(cfg, model, target, inputs)
     adapted.meta["run_id"] = run_id
     save_model(adapted, outputs["model"])
@@ -311,11 +345,14 @@ def _exec_adapt(config_kv, inputs, outputs, run_id) -> None:
                 ) + "\n")
 
 
-def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
+def _parse_eval(config_kv) -> None:
     if config_kv:
         # Manifests written while eval had a --runs option carry config.runs.
         keys = ", ".join(map(repr, sorted(config_kv)))
         raise ConfigError(f"eval takes no configuration; manifest has config key(s) {keys}")
+
+
+def _run_eval(_, inputs, outputs, run_id) -> None:
     data = load_csv(inputs["csv"])
     if not data.labeled:
         raise DataError("evaluation requires a labeled CSV")
@@ -337,9 +374,13 @@ def _exec_eval(config_kv, inputs, outputs, run_id) -> None:
         print(f"{m:<8}{report.value(m):>12.4f}{report.std[m]:>12.4f}")
 
 
-def _exec_heatmap(config_kv, inputs, outputs, run_id) -> None:
+def _parse_heatmap(config_kv):
     cell = _config_value(config_kv, "cell", "1.0", parse_float)
-    receivers = parse_pair_tuple(config_kv["receivers"]) if config_kv.get("receivers") else None
+    return cell, _config_value(config_kv, "receivers", "", parse_pair_tuple) or None
+
+
+def _run_heatmap(parsed, inputs, outputs, run_id) -> None:
+    cell, receivers = parsed
     data = load_csv(inputs["csv"])
     if not data.labeled:
         raise DataError("heatmaps require a labeled CSV")
@@ -349,45 +390,51 @@ def _exec_heatmap(config_kv, inputs, outputs, run_id) -> None:
     write_heatmap_pgm(grid, outputs["pgm"], outputs["scale"])
 
 
-def _parse_grid(text: str) -> list[dict]:
-    axes = []
+def _parse_grid(text: str, cls) -> list[dict]:
+    """The grid's entries, each {key: value text}. A key given twice, or a
+    value repeated within an axis (as cls parses it), is refused: either
+    would put identical rows in the results table."""
+    axes: dict[str, list[str]] = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, sep, values = part.partition("=")
+        key = key.strip()
         if not sep or not values.strip():
             raise ConfigError(f"grid axis {part!r} is not of the form key=v1,v2,...")
-        axes.append((key.strip(), [v.strip() for v in values.split(",")]))
+        if key in axes:
+            raise ConfigError(f"grid axis {key!r} is given more than once")
+        axes[key] = [v.strip() for v in values.split(",")]
+        parsed = [getattr(kv_to_dataclass(cls, {key: v}), key) for v in axes[key]]
+        if len(set(parsed)) < len(parsed):
+            raise ConfigError(f"grid axis {key!r} repeats a value")
     if not axes:
         raise ConfigError("empty hyperparameter grid")
-    keys = [k for k, _ in axes]
-    return [dict(zip(keys, combo)) for combo in itertools.product(*(v for _, v in axes))]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def _exec_cv(config_kv, inputs, outputs, run_id) -> None:
-    method = config_kv.get("method")
-    if method not in ("mtloc", "mtloc-conf"):
-        raise ConfigError("fold selection supports the mtloc and mtloc-conf methods")
+def _parse_cv(config_kv):
+    method, base_kv = _method(config_kv, CV_METHODS, ("method", "grid", "folds", "fold_seed"))
     n_folds = _config_value(config_kv, "folds", "5", parse_int)
     fold_seed = _config_value(config_kv, "fold_seed", "0", parse_int)
-    grid_text = config_kv.get("grid", "")
-    base_kv = {
-        k: v
-        for k, v in config_kv.items()
-        if k not in ("method", "folds", "fold_seed", "grid")
-    }
-    grid = _parse_grid(grid_text)
-    vary_keys = sorted(grid[0])
+    grid = _parse_grid(config_kv.get("grid", ""), type(method.defaults))
     configs = [{**base_kv, **entry} for entry in grid]
+    for config in configs:
+        _checked(type(method.defaults), config)
+    return method, sorted(grid[0]), configs, n_folds, fold_seed
+
+
+def _run_cv(parsed, inputs, outputs, run_id) -> None:
+    method, vary_keys, configs, n_folds, fold_seed = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
     if not target.labeled:
         raise DataError("fold selection requires a labeled target CSV")
 
     def recipe(train, val, config):
-        cfg = kv_to_dataclass(MeanTeacherConfig, config)
-        adapted, _ = adapt(model, train.without_labels(), cfg)
+        cfg = kv_to_dataclass(type(method.defaults), config)
+        adapted, _ = method.run(cfg, model, train, inputs)
         return predict(adapted, val)
 
     best_config, results = cross_validate(target, recipe, configs, n_folds=n_folds, seed=fold_seed)
@@ -405,12 +452,12 @@ def _exec_cv(config_kv, inputs, outputs, run_id) -> None:
 
 
 _EXECUTORS = {
-    "gen-synth": _exec_gen_synth,
-    "train": _exec_train,
-    "adapt": _exec_adapt,
-    "eval": _exec_eval,
-    "heatmap": _exec_heatmap,
-    "cv": _exec_cv,
+    "gen-synth": (_parse_gen_synth, _run_gen_synth),
+    "train": (partial(_checked, TrainConfig), _run_train),
+    "adapt": (_parse_adapt, _run_adapt),
+    "eval": (_parse_eval, _run_eval),
+    "heatmap": (_parse_heatmap, _run_heatmap),
+    "cv": (_parse_cv, _run_cv),
 }
 
 
@@ -477,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--out-prefix", required=True, help="writes <prefix>.csv/.pgm/.scale.txt")
 
     c = sub.add_parser("cv", help="k-fold hyperparameter selection for mean-teacher adaptation")
-    c.add_argument("--method", default="mtloc-conf", choices=("mtloc", "mtloc-conf"))
+    c.add_argument("--method", default="mtloc-conf", choices=CV_METHODS)
     c.add_argument("--model", required=True)
     c.add_argument("--target-csv", required=True, help="labeled target CSV")
     c.add_argument("--grid", required=True, help='e.g. "alpha=0.7,0.75,0.8,0.9;k=1,2,3,4"')
@@ -493,58 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _dispatch(args) -> int:
+def _request(args):
+    """A command line's config snapshot, inputs, outputs and manifest path."""
     if args.command == "gen-synth":
-        config_kv = _merge_config(dataclass_to_kv(SynthScenario()), args.config, args.set)
-        scenario = kv_to_dataclass(SynthScenario, config_kv)  # validate early
-        scenario.source_config().validate()
-        scenario.target_config().validate()
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = {
-            "source_csv": str(out_dir / "source.csv"),
-            "target_csv": str(out_dir / "target.csv"),
-        }
-        _run_command("gen-synth", config_kv, {}, outputs, out_dir / "manifest.txt")
-
-    elif args.command == "train":
+        outputs = {f"{name}_csv": str(out_dir / f"{name}.csv") for name in SynthScenario.DATASETS}
+        config_kv = _merge_config(dataclass_to_kv(SynthScenario()), args.config, args.set)
+        return config_kv, {}, outputs, out_dir / "manifest.txt"
+    if args.command == "train":
         config_kv = _merge_config(dataclass_to_kv(TrainConfig()), args.config, args.set)
-        kv_to_dataclass(TrainConfig, config_kv)
-        inputs = {"source_csv": args.source_csv}
-        outputs = {"model": args.out}
-        _run_command("train", config_kv, inputs, outputs, args.out + ".manifest")
-
-    elif args.command == "adapt":
-        defaults = METHODS[args.method].defaults
-        config_kv = _merge_config(dataclass_to_kv(defaults), args.config, args.set)
-        kv_to_dataclass(type(defaults), config_kv)
-        config_kv["method"] = args.method
-        inputs = {"model": args.model, "target_csv": args.target_csv}
-        if METHODS[args.method].needs_source:
-            if not args.source_csv:
-                raise UsageError(
-                    f"method {args.method!r} requires access to source data: pass --source-csv"
-                )
-            inputs["source_csv"] = args.source_csv
-        elif args.source_csv:
-            # Source-free methods never read source data, even if offered.
-            log.warning("method %r is source-free; ignoring --source-csv", args.method)
-        outputs = {"model": args.out}
-        if args.diagnostics:
-            outputs["diagnostics"] = args.diagnostics
-        _run_command("adapt", config_kv, inputs, outputs, args.out + ".manifest")
-
-    elif args.command == "eval":
-        config_kv = {}
-        inputs = {"csv": args.csv}
-        for i, m in enumerate(args.model):
-            inputs[f"model{i:03d}"] = m
-        outputs = {"report": args.out_report}
-        _run_command("eval", config_kv, inputs, outputs, args.out_report + ".manifest")
-
-    elif args.command == "heatmap":
-        if args.receivers:
-            parse_pair_tuple(args.receivers)  # validate early
+        inputs, outputs = {"source_csv": args.source_csv}, {"model": args.out}
+        return config_kv, inputs, outputs, args.out + ".manifest"
+    if args.command == "eval":
+        inputs = {"csv": args.csv, **{f"model{i:03d}": m for i, m in enumerate(args.model)}}
+        return {}, inputs, {"report": args.out_report}, args.out_report + ".manifest"
+    if args.command == "heatmap":
         config_kv = {"cell": repr(float(args.cell)), "receivers": args.receivers}
         inputs = {"model": args.model, "csv": args.csv}
         outputs = {
@@ -552,46 +562,54 @@ def _dispatch(args) -> int:
             "pgm": args.out_prefix + ".pgm",
             "scale": args.out_prefix + ".scale.txt",
         }
-        _run_command("heatmap", config_kv, inputs, outputs, args.out_prefix + ".manifest")
+        return config_kv, inputs, outputs, args.out_prefix + ".manifest"
+    # adapt and cv: the method's config keys, then the method.
+    method = METHODS[args.method]
+    config_kv = _merge_config(dataclass_to_kv(method.defaults), args.config, args.set)
+    config_kv["method"] = args.method
+    inputs = {"model": args.model, "target_csv": args.target_csv}
+    if args.command == "cv":
+        config_kv.update(grid=args.grid, folds=str(args.folds), fold_seed=str(args.fold_seed))
+        return config_kv, inputs, {"table": args.out}, args.out + ".manifest"
+    if method.needs_source:
+        if not args.source_csv:
+            raise UsageError(
+                f"method {args.method!r} requires access to source data: pass --source-csv"
+            )
+        inputs["source_csv"] = args.source_csv
+    elif args.source_csv:
+        # Source-free methods never read source data, even if offered.
+        log.warning("method %r is source-free; ignoring --source-csv", args.method)
+    outputs = {"model": args.out}
+    if args.diagnostics:
+        outputs["diagnostics"] = args.diagnostics
+    return config_kv, inputs, outputs, args.out + ".manifest"
 
-    elif args.command == "cv":
-        defaults = METHODS[args.method].defaults
-        config_kv = _merge_config(dataclass_to_kv(defaults), args.config, args.set)
-        base = kv_to_dataclass(MeanTeacherConfig, config_kv)
-        for entry in _parse_grid(args.grid):
-            kv_to_dataclass(MeanTeacherConfig, {**dataclass_to_kv(base), **entry})
-        config_kv.update(
-            {
-                "method": args.method,
-                "grid": args.grid,
-                "folds": str(args.folds),
-                "fold_seed": str(args.fold_seed),
-            }
-        )
-        inputs = {"model": args.model, "target_csv": args.target_csv}
-        outputs = {"table": args.out}
-        _run_command("cv", config_kv, inputs, outputs, args.out + ".manifest")
 
-    elif args.command == "replay":
-        man = read_manifest(args.manifest)
-        if man["command"] not in _EXECUTORS:
-            raise DataError(f"manifest records unknown command {man['command']!r}")
-        for name, path in man["inputs"].items():
-            recorded = man["hashes"].get(name)
-            if recorded and _hash_file(path) != recorded:
-                raise DataError(
-                    f"input {name!r} ({path}) changed since the recorded run; refusing to replay"
-                )
-        outputs = man["outputs"]
-        manifest_path = Path(args.manifest)
-        if args.out_dir:
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            outputs = {name: str(out_dir / Path(p).name) for name, p in outputs.items()}
-            manifest_path = out_dir / Path(args.manifest).name
-        _run_command(man["command"], man["config"], man["inputs"], outputs, manifest_path)
-
+def _dispatch(args) -> int:
+    if args.command != "replay":
+        _run_command(args.command, *_request(args))
+        return EXIT_OK
+    man = read_manifest(args.manifest)
+    outputs, manifest_path = man["outputs"], Path(args.manifest)
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        outputs = {name: str(out_dir / Path(p).name) for name, p in outputs.items()}
+        manifest_path = out_dir / manifest_path.name
+    _run_command(
+        man["command"], man["config"], man["inputs"], outputs, manifest_path, man["hashes"]
+    )
     return EXIT_OK
+
+
+# The exit code of each error class; any other RflocError (ConfigError,
+# UsageError) exits EXIT_USAGE.
+_EXIT_CODES = (
+    (DataError, EXIT_DATA),
+    (NumericalError, EXIT_NUMERIC),
+    (WorkerError, EXIT_WORKER),
+    (ResourceError, EXIT_MEMORY),
+)
 
 
 def main(argv=None) -> int:
@@ -609,24 +627,9 @@ def main(argv=None) -> int:
             # numpy's failed allocations are MemoryErrors too, and so is one
             # re-raised from a cv worker process.
             raise ResourceError(f"out of memory: {e}" if str(e) else "out of memory") from None
-    except (ConfigError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except WorkerError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_WORKER
-    except ResourceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MEMORY
     except RflocError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for cls, code in _EXIT_CODES if isinstance(e, cls)), EXIT_USAGE)
 
 
 def entry() -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .nn import Rng
 
 DISTANCE_FLOOR = 0.1
@@ -81,6 +81,10 @@ class SynthConfig:
         if self.line_spacing <= 0 or self.speed <= 0 or self.sample_interval <= 0:
             raise ConfigError("trajectory spacing, speed and interval must be positive")
         rows = self.trajectory_rows()
+        if rows == 0:
+            raise ConfigError(
+                "the trajectory is empty: the room is too small for the line spacing and step"
+            )
         if not rows <= MAX_SYNTH_ROWS:  # also refuses NaN
             raise ConfigError(
                 f"the trajectory would have {rows:.3g} rows, over the cap of {MAX_SYNTH_ROWS};"
@@ -101,10 +105,7 @@ def trajectory(cfg: SynthConfig) -> np.ndarray:
     """Sample points of a serpentine sweep: vertical lines spaced
     line_spacing apart, traversed in alternating direction at constant
     speed, one reading every sample_interval seconds."""
-    cfg.validate()
-    # Checked before np.arange, which refuses a length of minus infinity.
-    if cfg.trajectory_rows() == 0:
-        raise DataError("trajectory is empty; room too small for the requested spacing")
+    cfg.validate()  # refuses an empty trajectory, which np.arange would size as -inf
     width, height = cfg.room
     inset = cfg.line_spacing / 2.0
     step = cfg.speed * cfg.sample_interval
@@ -117,19 +118,35 @@ def trajectory(cfg: SynthConfig) -> np.ndarray:
     return np.concatenate(points, axis=0)
 
 
+def _finite(values: np.ndarray, term: str, cfg: SynthConfig) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"dataset {cfg.name!r}: the {term} term overflows the features to non-finite values"
+        )
+    return values
+
+
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
-    """Deterministic labeled dataset for one room/receiver configuration."""
+    """Deterministic labeled dataset for one room/receiver configuration.
+    A term that overflows (huge but finite config values) raises
+    ConfigError naming its config field, without numpy's warning."""
     points = trajectory(cfg)
     rx = np.asarray(cfg.rx, dtype=np.float64)
-    dists = np.sqrt(((points[:, None, :] - rx[None, :, :]) ** 2).sum(axis=2))
-    dists = np.maximum(dists, DISTANCE_FLOOR)
-    base = cfg.ref_power_dbm - 10.0 * cfg.path_loss_exponent * np.log10(dists)
-    gains = np.asarray(cfg.pol_gain_db, dtype=np.float64)
-    # Channel order: r1x, r1y, r2x, r2y, ... (receiver-major, polarization-minor).
-    features = np.repeat(base, 2, axis=1) + np.tile(gains, len(cfg.rx))
-    if cfg.shadowing_std_db > 0:
-        noise = Rng(cfg.seed).row_normals(
-            ("shadow",), len(points), cfg.shadowing_std_db, (features.shape[1],)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = np.sqrt(((points[:, None, :] - rx[None, :, :]) ** 2).sum(axis=2))
+        dists = np.maximum(_finite(dists, "rx", cfg), DISTANCE_FLOOR)
+        base = _finite(
+            cfg.ref_power_dbm - 10.0 * cfg.path_loss_exponent * np.log10(dists),
+            "path_loss_exponent", cfg,
         )
-        features = features + noise
+        gains = np.asarray(cfg.pol_gain_db, dtype=np.float64)
+        # Channel order: r1x, r1y, r2x, r2y, ... (receiver-major, polarization-minor).
+        features = _finite(
+            np.repeat(base, 2, axis=1) + np.tile(gains, len(cfg.rx)), "pol_gain_db", cfg
+        )
+        if cfg.shadowing_std_db > 0:
+            noise = Rng(cfg.seed).row_normals(
+                ("shadow",), len(points), cfg.shadowing_std_db, (features.shape[1],)
+            )
+            features = _finite(features + noise, "shadowing_std_db", cfg)
     return Dataset(cfg.name, features, points.copy())

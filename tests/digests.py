@@ -7,6 +7,9 @@ The set pins the bits of one full pipeline on the acceptance-2 data
 with each method (mtloc and mtloc-conf with the acceptance-2 settings)
 and its diagnostics CSV, eval of the source and the five adapted models,
 and a mtloc-conf cv over ``alpha=0.7,0.8;k=2,8`` with 5 folds of 2 epochs.
+After those come the CLI's own gen-synth pair (default scenario, in a
+``synth`` subdirectory) and a heatmap of the mtloc-conf model on the target
+(its ``.csv``, ``.pgm`` and ``.scale.txt``).
 A change that claims to leave the bits alone must leave every line of the
 output unchanged; CHANGES.md records the set of the current code.
 
@@ -86,7 +89,14 @@ def produce(work: Path) -> list[Path]:
     _run(["cv", "--method", "mtloc-conf", "--model", model, "--target-csv", target,
           "--grid", "alpha=0.7,0.8;k=2,8", "--folds", "5", *_settings(CV_SETTINGS),
           "--out", grid])
-    return files + [report, grid]
+    synth = work / "synth"
+    _run(["gen-synth", "--out-dir", synth])
+    heatmap = work / "target.heatmap"
+    _run(["heatmap", "--model", work / "target.mtloc-conf.model", "--csv", target,
+          "--receivers", ";".join(f"{x},{y}" for x, y in TARGET_RX), "--out-prefix", heatmap])
+    return files + [report, grid, synth / "source.csv", synth / "target.csv"] + [
+        work / f"target.heatmap{suffix}" for suffix in (".csv", ".pgm", ".scale.txt")
+    ]
 
 
 def main(argv=None) -> int:
@@ -97,10 +107,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for path in produce(Path(tmp)):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(path.name, digest if args.full else digest[:12])
+            name = path.relative_to(tmp).as_posix()
+            print(name, digest if args.full else digest[:12])
             if args.keep:
-                Path(args.keep).mkdir(parents=True, exist_ok=True)
-                shutil.copy(path, Path(args.keep) / path.name)
+                kept = Path(args.keep) / name
+                kept.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy(path, kept)
     return 0
 
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -654,16 +655,18 @@ def test_tiny_heatmap_cell_exits_2_with_a_short_message(workdir, tmp_path, capsy
     assert len(line) < 100, line  # the cell counts in %.3g form, not 300 digits
 
 
-def test_cv_replay_of_edited_grid_fails_in_workers(workdir, tmp_path):
-    # The CLI checks grid values before cv starts; a replayed manifest is
-    # parsed by the recipe, inside the fold workers.
+def test_cv_replay_of_edited_grid_fails_before_any_worker(workdir, tmp_path):
+    # A replayed manifest's grid is parsed by the same step as a fresh
+    # command line's, before the inputs are read: cross_validate, which
+    # forks the fold workers, must never be called.
     args, manifest = _cv_args(workdir, tmp_path)
     assert main(args) == 0
     text = manifest.read_text()
     assert "config.grid = alpha=0.8\n" in text
     manifest.write_text(text.replace("config.grid = alpha=0.8\n", "config.grid = alpha=abc\n"))
+    prelude = "import os, rfloc.cli\nrfloc.cli.cross_validate = lambda *a, **k: os._exit(97)\n"
     proc = _run_cli_counting_children(
-        ["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "replayed")]
+        ["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "replayed")], prelude
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -1007,7 +1010,9 @@ def test_gen_synth_config_fuzz_exits_typed_without_traceback(tmp_path):
         err = (tmp_path / f"{i}.err").read_text()
         assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (setting, code, err)
         assert "Traceback" not in err, (setting, err)
-    assert {0, 2, 3} <= set(codes)
+        assert "RuntimeWarning" not in err, (setting, err)
+    # gen-synth reads no input, so no case may exit 3 (a data error).
+    assert {0, 2} <= set(codes) and 3 not in codes
 
 
 # ---------------------------------------------------------------- edited manifests
@@ -1102,3 +1107,154 @@ def test_replay_of_eval_manifest_with_runs_exits_2_without_traceback(workdir, tm
     assert "Traceback" not in proc.stderr
     assert "eval takes no configuration" in proc.stderr and "'runs'" in proc.stderr
     assert not (tmp_path / "replayed" / "r.csv").exists()
+
+
+def test_replay_of_invalid_config_with_changed_input_exits_2(workdir, tmp_path, capsys):
+    # The config is checked first, so a replay that fails on both counts is
+    # a config error, whichever way the manifest arrived.
+    args, manifest = _cv_args(workdir, tmp_path)
+    csv = tmp_path / "target.csv"
+    csv.write_bytes((workdir / "data" / "target.csv").read_bytes())
+    args[args.index("--target-csv") + 1] = str(csv)
+    assert main(args) == 0
+    manifest.write_text(manifest.read_text().replace("config.folds = 2\n", "config.folds = x\n"))
+    with open(csv, "a") as fh:
+        fh.write("# changed\n")
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "r")]) == 2
+    assert "config key 'folds'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+# ---------------------------------------------------------------- cv grid entries
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("alpha=0.7;alpha=0.8", "grid axis 'alpha' is given more than once"),
+        ("alpha=0.7;k=2;alpha=0.7", "grid axis 'alpha' is given more than once"),
+        ("alpha=0.7,0.7", "grid axis 'alpha' repeats a value"),
+        ("k=2,8;alpha=0.7,0.8,0.70", "grid axis 'alpha' repeats a value"),
+        ("confidence=true,1", "grid axis 'confidence' repeats a value"),
+    ],
+    ids=["key", "key-apart", "value", "same-number", "same-bool"],
+)
+def test_cv_repeated_grid_entry_exits_2(workdir, tmp_path, capsys, monkeypatch, grid, message):
+    # Before, a repeated key ran only its last axis, and a repeated value
+    # wrote identical rows that were all marked best.
+    def never(*args, **kwargs):
+        raise AssertionError("cross_validate was called")
+
+    monkeypatch.setattr(cli, "cross_validate", never)
+    args, _ = _cv_args(workdir, tmp_path)
+    args[args.index("--grid") + 1] = grid
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------- replay input hashes
+
+def test_replay_refuses_input_without_recorded_hash(workdir, tmp_path, capsys):
+    args, manifest = _eval_args(workdir, tmp_path)
+    assert main(args) == 0
+    lines = manifest.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("input.csv.sha256 ")]
+    assert len(kept) == len(lines) - 1
+    manifest.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "error: input 'csv' (" in err and "changed since the recorded run" in err
+    assert "recorded None" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_replay_hashes_each_input_once(workdir, tmp_path, monkeypatch):
+    args, manifest = _eval_args(workdir, tmp_path)
+    assert main(args) == 0
+    hashed = []
+    real_hash = cli._hash_file
+    monkeypatch.setattr(cli, "_hash_file", lambda path: hashed.append(str(path)) or real_hash(path))
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "r")]) == 0
+    assert sorted(hashed) == sorted(read_manifest(manifest)["inputs"].values())
+
+
+# ---------------------------------------------------------------- output paths
+
+def test_train_makes_the_output_directory(workdir, tmp_path):
+    out = tmp_path / "missing" / "deeper" / "m.model"
+    args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+            "--set", "epochs=1", "--out", str(out)]
+    assert main(args) == 0
+    assert load_model(out).meta["run_id"] == read_manifest(str(out) + ".manifest")["run_id"]
+
+
+def test_train_output_under_a_file_exits_2_before_training(workdir, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("train_source was called")
+
+    monkeypatch.setattr(cli, "train_source", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    args = ["train", "--source-csv", str(workdir / "data" / "source.csv"),
+            "--out", str(blocker / "m.model")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot make the directory of output {blocker / 'm.model'}:" in err
+    assert "Traceback" not in err
+
+
+def test_eval_report_onto_a_directory_exits_2(workdir, tmp_path, capsys):
+    report = tmp_path / "report"
+    report.mkdir()
+    args, _ = _eval_args(workdir, tmp_path)
+    args[args.index("--out-report") + 1] = str(report)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write output {report}: Is a directory\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.manifest").exists()
+
+
+def test_gen_synth_out_dir_onto_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    out.write_text("a file\n")
+    assert main(["gen-synth", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot make the directory of output {out / 'source.csv'}:" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
+# ---------------------------------------------------------------- gen-synth values
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["source_rx=1e308,1.0;0.5,6.0;5.0,9.5;9.5,6.2"], "dataset 'source': the rx term"),
+        (["target_rx=1,1;1,5;5,5;5,-1e308"], "dataset 'target': the rx term"),
+        (["path_loss_exponent=1e308"], "dataset 'source': the path_loss_exponent term"),
+        (["ref_power_dbm=1e308", "pol_gain_db=1e308,1e308"],
+         "dataset 'source': the pol_gain_db term"),
+        (["source_shadowing_std_db=1e308"], "dataset 'source': the shadowing_std_db term"),
+        (["target_shadowing_std_db=1e308"], "dataset 'target': the shadowing_std_db term"),
+        (["room=1e-308,1e-308"], "the trajectory is empty"),
+        (["line_spacing=1e308"], "the trajectory is empty"),
+    ],
+    ids=["source_rx", "target_rx", "exponent", "gain", "source_std", "target_std", "room",
+         "spacing"],
+)
+def test_gen_synth_overflow_and_empty_trajectory_exit_2(tmp_path, capsys, settings, message):
+    # Both ended in exit 3, a data error, although gen-synth reads no data;
+    # the overflows also printed numpy's RuntimeWarning.
+    args = ["gen-synth", "--out-dir", str(tmp_path / "data")]
+    for setting in settings:
+        args += ["--set", setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Warning" not in err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfloc import synthetic
-from rfloc.errors import ConfigError, DataError
+from rfloc.errors import ConfigError
 from rfloc.nn import Rng
 from rfloc.synthetic import SynthConfig, generate_synthetic, trajectory
 
@@ -90,7 +90,7 @@ def test_sample_count_scales_with_interval():
 
 
 def test_empty_trajectory_rejected():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="the trajectory is empty"):
         trajectory(SynthConfig(room=(0.4, 10.0), line_spacing=1.0))
 
 
@@ -139,7 +139,7 @@ def test_trajectory_rows_equals_the_built_length(changes):
     cfg = dataclasses.replace(SynthConfig(), **changes)
     rows = cfg.trajectory_rows()
     if rows == 0:
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(ConfigError, match="empty"):
             trajectory(cfg)
     else:
         assert len(trajectory(cfg)) == rows
