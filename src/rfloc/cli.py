@@ -17,6 +17,8 @@ import hashlib
 import itertools
 import json
 import logging
+import math
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -68,6 +70,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
 EXIT_MEMORY = 6
+
+# Largest cv grid. Each entry is one adaptation per fold, so this many
+# entries already run for days; the cap refuses a grid whose product of
+# axis lengths could not even be listed in memory.
+MAX_GRID_CONFIGS = 10_000
 
 # ---------------------------------------------------------------- scenario
 
@@ -175,15 +182,30 @@ def read_manifest(path) -> dict:
     }
 
 
+def _check_names(command, kind, given, required, optional=()) -> None:
+    """Refuse inputs or outputs that lack a required name or have a name
+    the verb does not read."""
+    missing = sorted(set(required) - set(given))
+    if missing:
+        raise DataError(f"{command} manifest has no {kind} {missing[0]!r}")
+    unexpected = sorted(set(given) - set(required) - set(optional))
+    if unexpected:
+        raise DataError(f"{command} manifest has an unexpected {kind} {unexpected[0]!r}")
+
+
 def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=None) -> None:
-    """Check the config snapshot, hash the inputs (a replay compares them
-    with the recorded hashes), make the output directories, run the verb,
-    then write the manifest."""
+    """Check the config snapshot and the input and output names, hash the
+    inputs (a replay compares them with the recorded hashes), make the
+    output directories, run the verb, then write the manifest."""
     start = time.perf_counter()
     if command not in _EXECUTORS:
         raise DataError(f"manifest records unknown command {command!r}")
     parse, run = _EXECUTORS[command]
     cfg = parse(config_kv)
+    _check_names(command, "input", inputs, _input_names(command, cfg, inputs))
+    _check_names(
+        command, "output", outputs, _NAMES[command][1], _OPTIONAL_OUTPUTS.get(command, ())
+    )
     input_hashes = {name: _hash_file(p) for name, p in inputs.items()}
     if recorded is not None:
         for name in sorted({*input_hashes, *recorded}):
@@ -211,7 +233,7 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
     except OSError as e:
         if str(e.filename) not in written:
             raise
-        raise UsageError(f"cannot write output {e.filename}: {e.strerror}") from None
+        raise _output_error(e.filename, e) from None
     for p in outputs.values():
         print(f"wrote {p}")
     print(f"manifest {manifest_path} (run {run_id})")
@@ -221,7 +243,8 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
 # Each verb is a (parse, run) pair. parse turns a config snapshot into the
 # verb's typed config or raises ConfigError; run is a pure function of
 # (typed config, inputs, outputs, run id), so replaying the same snapshot
-# reproduces the artifacts byte for byte.
+# reproduces the artifacts byte for byte. _NAMES gives the input and
+# output names run reads.
 
 def _config_value(config_kv: dict, key: str, default: str, parse):
     """A manifest value outside the config dataclasses, parsed so that an
@@ -246,9 +269,27 @@ def _parse_gen_synth(config_kv) -> list[SynthConfig]:
     return configs
 
 
+def _output_error(path, e: OSError) -> UsageError:
+    return UsageError(f"cannot write output {path}: {e.strerror}")
+
+
 def _run_gen_synth(configs, inputs, outputs, run_id) -> None:
-    for cfg in configs:
-        write_csv(generate_synthetic(cfg), outputs[f"{cfg.name}_csv"], run_id=run_id)
+    # Each CSV is written under a temporary name beside its output, one
+    # dataset in memory at a time, and both are renamed only once both are
+    # complete, so a failure leaves neither.
+    staged = []
+    try:
+        for cfg in configs:
+            path = Path(outputs[f"{cfg.name}_csv"])
+            staged.append((path.with_name(f".{path.name}.partial"), path))
+            write_csv(generate_synthetic(cfg), staged[-1][0], run_id=run_id)
+        for partial, path in staged:
+            partial.replace(path)
+    except OSError as e:
+        raise _output_error(path, e) from None
+    finally:
+        for partial, _ in staged:
+            partial.unlink(missing_ok=True)
 
 
 def _run_train(cfg, inputs, outputs, run_id) -> None:
@@ -352,11 +393,16 @@ def _parse_eval(config_kv) -> None:
         raise ConfigError(f"eval takes no configuration; manifest has config key(s) {keys}")
 
 
+def _eval_models(inputs) -> list[str]:
+    """The model inputs of an eval: model000, model001, ..."""
+    return sorted(k for k in inputs if re.fullmatch(r"model\d{3,}", k))
+
+
 def _run_eval(_, inputs, outputs, run_id) -> None:
     data = load_csv(inputs["csv"])
     if not data.labeled:
         raise DataError("evaluation requires a labeled CSV")
-    model_keys = sorted(k for k in inputs if k.startswith("model"))
+    model_keys = _eval_models(inputs)
     # One model alive at a time: each is dropped before the next loads.
     reports = [
         compute_metrics(predict(load_model(inputs[key]), data), data.labels) for key in model_keys
@@ -376,7 +422,13 @@ def _run_eval(_, inputs, outputs, run_id) -> None:
 
 def _parse_heatmap(config_kv):
     cell = _config_value(config_kv, "cell", "1.0", parse_float)
-    return cell, _config_value(config_kv, "receivers", "", parse_pair_tuple) or None
+    receivers = _config_value(config_kv, "receivers", "", parse_pair_tuple)
+    if any(len(rx) != 2 for rx in receivers):
+        raise ConfigError(
+            f"config key 'receivers': each receiver needs two values (x, y),"
+            f" got {config_kv['receivers']!r}"
+        )
+    return cell, receivers or None
 
 
 def _run_heatmap(parsed, inputs, outputs, run_id) -> None:
@@ -393,7 +445,8 @@ def _run_heatmap(parsed, inputs, outputs, run_id) -> None:
 def _parse_grid(text: str, cls) -> list[dict]:
     """The grid's entries, each {key: value text}. A key given twice, or a
     value repeated within an axis (as cls parses it), is refused: either
-    would put identical rows in the results table."""
+    would put identical rows in the results table. So is a grid of more
+    than MAX_GRID_CONFIGS entries, counted before any is built."""
     axes: dict[str, list[str]] = {}
     for part in text.split(";"):
         part = part.strip()
@@ -411,6 +464,12 @@ def _parse_grid(text: str, cls) -> list[dict]:
             raise ConfigError(f"grid axis {key!r} repeats a value")
     if not axes:
         raise ConfigError("empty hyperparameter grid")
+    size = math.prod(len(values) for values in axes.values())
+    if size > MAX_GRID_CONFIGS:
+        raise ConfigError(
+            f"hyperparameter grid of {size} configs exceeds {MAX_GRID_CONFIGS};"
+            " use fewer values per axis"
+        )
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
@@ -459,6 +518,31 @@ _EXECUTORS = {
     "heatmap": (_parse_heatmap, _run_heatmap),
     "cv": (_parse_cv, _run_cv),
 }
+
+# The (input, output) names each verb's run reads. A manifest must hold
+# each of them and no other name, but for adapt's optional diagnostics
+# output and the inputs that _input_names adds.
+_NAMES = {
+    "gen-synth": ((), ("source_csv", "target_csv")),
+    "train": (("source_csv",), ("model",)),
+    "adapt": (("model", "target_csv"), ("model",)),
+    "eval": (("csv",), ("report",)),
+    "heatmap": (("model", "csv"), ("grid_csv", "pgm", "scale")),
+    "cv": (("model", "target_csv"), ("table",)),
+}
+_OPTIONAL_OUTPUTS = {"adapt": ("diagnostics",)}
+
+
+def _input_names(command, cfg, inputs) -> tuple:
+    """The input names a verb reads: those in _NAMES, plus source_csv for
+    an adapt method that needs source data and eval's model000, model001,
+    ... (at least one)."""
+    names = _NAMES[command][0]
+    if command == "adapt" and cfg[0].needs_source:
+        names += ("source_csv",)
+    if command == "eval":
+        names += tuple(_eval_models(inputs)) or ("model000",)
+    return names
 
 
 # ---------------------------------------------------------------- arg parsing

@@ -31,7 +31,6 @@ from .nn import (
     dropout_backward,
     dropout_forward,
     glorot_uniform,
-    relu,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -132,8 +131,12 @@ class Conv1D(Layer):
 
 
 class ReLU(Layer):
+    """In place: every ReLU's input is a fresh conv or dense output that
+    nothing else holds, and relu_backward's mask x > 0 is the same on
+    max(x, 0)."""
+
     def forward(self, values, x, drop_gen):
-        return relu(x), x
+        return np.maximum(x, 0.0, out=x), x
 
     def backward(self, values, dy, x):
         return relu_backward(dy, x), ()

@@ -25,7 +25,9 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ConfigError(f"dense: input {x.shape} incompatible with weights {w.shape}")
     if b.shape != (w.shape[1],):
         raise ConfigError(f"dense: bias {b.shape} incompatible with weights {w.shape}")
-    return x @ w + b
+    y = x @ w
+    y += b  # in place: no second (batch, n_out) array, the same bits
+    return y
 
 
 def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):

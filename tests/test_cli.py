@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -576,6 +577,38 @@ def test_cv_grid_errors_exit_typed_without_traceback(workdir, tmp_path, grid, co
     assert not (tmp_path / "cv.csv").exists()
 
 
+def test_cv_oversized_grid_exits_2_before_building_it(workdir, tmp_path, capsys, monkeypatch):
+    # Six 99-value axes make 99**6 = 9.4e11 configs, which the grid's list
+    # could never hold: it is sized from the axis lengths first.
+    def never(*args, **kwargs):
+        raise AssertionError("cross_validate was called")
+
+    monkeypatch.setattr(cli, "cross_validate", never)
+    axes = ("epochs", "batch_size", "k", "n_probe", "seed", "c_x")
+    grid = ";".join(f"{key}=" + ",".join(str(v) for v in range(2, 101)) for key in axes)
+    start = time.perf_counter()
+    assert main(_cv_grid_args(workdir, grid, tmp_path / "cv.csv")) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert f"error: hyperparameter grid of {99**6} configs exceeds {cli.MAX_GRID_CONFIGS}" in err
+    assert not (tmp_path / "cv.csv").exists()
+
+
+def test_cv_grid_at_the_cap_is_accepted(workdir, tmp_path, monkeypatch):
+    # 100 x 100 = MAX_GRID_CONFIGS entries pass the size check and are built.
+    class Stop(Exception):
+        pass
+
+    def capture(target, recipe, configs, **kwargs):
+        raise Stop(len(configs))
+
+    monkeypatch.setattr(cli, "cross_validate", capture)
+    grid = ";".join(f"{key}=" + ",".join(str(v) for v in range(1, 101)) for key in ("seed", "k"))
+    with pytest.raises(Stop) as stop:
+        main(_cv_grid_args(workdir, grid, tmp_path / "cv.csv"))
+    assert stop.value.args == (cli.MAX_GRID_CONFIGS,) == (100 * 100,)
+
+
 def test_cv_dead_worker_exits_5_without_traceback(workdir, tmp_path):
     # Every fold's adaptation ends its worker process at once, as the
     # out-of-memory killer would.
@@ -950,12 +983,12 @@ def test_text_reader_fuzz_raises_only_rfloc_error(workdir, tmp_path, reader, mak
 _HOSTILE_VALUES = ["0", "-1", "1e308", "1e-308", str(2**63), "", "text"]
 
 
-def _gen_synth_fuzz_settings() -> list[str]:
-    """Every gen-synth key set to each hostile value; a key that holds a
+def _fuzz_settings(defaults: dict) -> list[str]:
+    """Every key of defaults set to each hostile value; a key that holds a
     pair or a list of pairs also gets each number as its first entry and
     as every entry."""
     settings = []
-    for key, default in dataclass_to_kv(cli.SynthScenario()).items():
+    for key, default in defaults.items():
         for value in _HOSTILE_VALUES:
             settings.append(f"{key}={value}")
             parts = re.split(r"([,;])", default)  # numbers and separators
@@ -966,25 +999,27 @@ def _gen_synth_fuzz_settings() -> list[str]:
     return settings
 
 
-# Imports the CLI once, then forks one process per setting. Each child
-# limits its own address space to what it had at the fork plus the given
-# MiB, sends its output to <out>/<i>.err and exits as `rfloc` would: an
-# uncaught exception prints a traceback and exits 1.
+# Imports the CLI once, then forks one process per case, a JSON list of
+# arguments in which "{out}" stands for the case's own directory <out>/<i>.
+# Each child limits its own address space to what it had at the fork plus
+# the given MiB, sends its output to <out>/<i>.err and exits as `rfloc`
+# would: an uncaught exception prints a traceback and exits 1.
 _FUZZ_DRIVER = """
-import os, resource, sys, traceback
+import json, os, resource, sys, traceback
 from rfloc.cli import main
 out, headroom = sys.argv[1], int(sys.argv[2]) << 20
 with open("/proc/self/statm") as fh:
     limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + headroom
-for i, setting in enumerate(sys.argv[3:]):
+for i, case in enumerate(sys.argv[3:]):
     pid = os.fork()
     if pid == 0:
         fd = os.open(os.path.join(out, f"{i}.err"), os.O_WRONLY | os.O_CREAT)
         os.dup2(fd, 1)
         os.dup2(fd, 2)
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        argv = [arg.replace("{out}", os.path.join(out, str(i))) for arg in json.loads(case)]
         try:
-            code = main(["gen-synth", "--set", setting, "--out-dir", os.path.join(out, str(i))])
+            code = main(argv)
         except Exception:
             traceback.print_exc()
             code = 1
@@ -995,24 +1030,51 @@ for i, setting in enumerate(sys.argv[3:]):
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
-def test_gen_synth_config_fuzz_exits_typed_without_traceback(tmp_path):
-    settings = _gen_synth_fuzz_settings()
+def _fuzz(out: Path, cases: list[list[str]]) -> list[int]:
+    """Run each case through the fuzz driver; every one must exit 0, 2, 3,
+    4 or 6 without a traceback or a RuntimeWarning. Returns the codes."""
     env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", _FUZZ_DRIVER, str(tmp_path), "512", *settings],
+        [sys.executable, "-c", _FUZZ_DRIVER, str(out), "512", *map(json.dumps, cases)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     codes = [int(line) for line in proc.stdout.split()]
-    assert len(codes) == len(settings)
-    for i, (setting, code) in enumerate(zip(settings, codes)):
-        err = (tmp_path / f"{i}.err").read_text()
-        assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (setting, code, err)
-        assert "Traceback" not in err, (setting, err)
-        assert "RuntimeWarning" not in err, (setting, err)
+    assert len(codes) == len(cases)
+    for i, (case, code) in enumerate(zip(cases, codes)):
+        err = (out / f"{i}.err").read_text()
+        assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (case, code, err)
+        assert "Traceback" not in err, (case, err)
+        assert "RuntimeWarning" not in err, (case, err)
+    return codes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+def test_gen_synth_config_fuzz_exits_typed_without_traceback(tmp_path):
+    settings = _fuzz_settings(dataclass_to_kv(cli.SynthScenario()))
+    codes = _fuzz(tmp_path, [["gen-synth", "--set", s, "--out-dir", "{out}"] for s in settings])
     # gen-synth reads no input, so no case may exit 3 (a data error).
     assert {0, 2} <= set(codes) and 3 not in codes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, tmp_path):
+    # A 20-row slice of the target keeps each case short; every case that
+    # passes its checks runs predict.
+    lines = (workdir / "data" / "target.csv").read_text().splitlines(keepends=True)
+    csv = tmp_path / "t20.csv"
+    csv.write_text("".join(lines[:22]))  # the run line, the header and 20 rows
+    assert len(load_csv(csv)) == 20
+    settings = _fuzz_settings({"cell": "1.0", "receivers": "1,1;1,5;5,5;5,1"})
+    cases = [
+        ["heatmap", "--model", str(workdir / "source.model"), "--csv", str(csv),
+         f"--{s}", "--out-prefix", "{out}/grid"]
+        for s in settings
+    ]
+    codes = _fuzz(tmp_path, cases)
+    assert {0, 2} <= set(codes)
+    # A one-value receiver ended in a ValueError traceback.
+    assert codes[settings.index("receivers=0")] == 2
 
 
 # ---------------------------------------------------------------- edited manifests
@@ -1181,6 +1243,68 @@ def test_replay_hashes_each_input_once(workdir, tmp_path, monkeypatch):
     assert sorted(hashed) == sorted(read_manifest(manifest)["inputs"].values())
 
 
+# ---------------------------------------------------------------- replay names
+
+def _gen_synth_manifest(workdir, out):
+    manifest = out / "manifest.txt"
+    manifest.write_text((workdir / "data" / "manifest.txt").read_text())
+    return manifest
+
+
+def _eval_manifest(workdir, out):
+    args, manifest = _eval_args(workdir, out)
+    assert main(args) == 0
+    return manifest
+
+
+def _adapt_manifest(workdir, out):
+    model = out / "a.model"
+    args = ["adapt", "--method", "mtloc", "--model", str(workdir / "source.model"),
+            "--target-csv", str(workdir / "data" / "target.csv"),
+            "--set", "epochs=1", "--out", str(model)]
+    assert main(args) == 0
+    return Path(str(model) + ".manifest")
+
+
+@pytest.mark.parametrize(
+    "make_manifest, edit, message",
+    [
+        (_gen_synth_manifest, "-output.target_csv ",
+         "gen-synth manifest has no output 'target_csv'"),
+        (_eval_manifest, "-input.csv.", "eval manifest has no input 'csv'"),
+        (_eval_manifest, "+output.extra = x.csv", "eval manifest has an unexpected output 'extra'"),
+        (_eval_manifest, "+input.model7.path = m", "eval manifest has an unexpected input 'model7'"),
+        # A source-free method reads no source data.
+        (_adapt_manifest, "+input.source_csv.path = s.csv",
+         "adapt manifest has an unexpected input 'source_csv'"),
+    ],
+    ids=["gen-synth-output", "eval-csv", "eval-extra-output", "eval-extra-input", "adapt-source"],
+)
+def test_replay_refuses_other_names_before_hashing_or_writing(
+    workdir, tmp_path, capsys, monkeypatch, make_manifest, edit, message
+):
+    # Each verb declares the names it reads. A missing one used to end in a
+    # KeyError traceback after gen-synth had already written source.csv.
+    manifest = make_manifest(workdir, tmp_path)
+    lines = manifest.read_text().splitlines()
+    if edit[0] == "-":
+        edited = [line for line in lines if not line.startswith(edit[1:])]
+    else:
+        edited = lines + [edit[1:]]
+    assert edited != lines
+    manifest.write_text("\n".join(edited) + "\n")
+
+    def never(path):
+        raise AssertionError(f"{path} was hashed")
+
+    monkeypatch.setattr(cli, "_hash_file", never)
+    capsys.readouterr()
+    out = tmp_path / "replayed"
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(out)]) == 3
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- output paths
 
 def test_train_makes_the_output_directory(workdir, tmp_path):
@@ -1229,6 +1353,24 @@ def test_gen_synth_out_dir_onto_a_file_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- gen-synth values
+
+def test_gen_synth_failure_leaves_no_partial_output(tmp_path, capsys):
+    # The target fails after the source is generated; neither CSV, nor a
+    # staged file, nor a manifest is left.
+    out = tmp_path / "data"
+    assert main(["gen-synth", "--out-dir", str(out), "--set", "target_shadowing_std_db=1e308"]) == 2
+    assert "dataset 'target'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_gen_synth_onto_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    (out / "target.csv").mkdir(parents=True)
+    assert main(["gen-synth", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write output {out / 'target.csv'}: Is a directory\n" in err
+    assert not list(out.glob(".*.partial")) and not (out / "manifest.txt").exists()
+
 
 @pytest.mark.parametrize(
     "settings, message",

@@ -128,6 +128,43 @@ def test_predict_memory_does_not_grow_with_rows():
     assert peak < 32 * 2**20, peak
 
 
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 10_050])
+def test_predict_is_the_unrolled_forward_block_by_block(n):
+    # The blocked inference pass (bias and ReLU in place) gives the
+    # reference forward's bits, block for block.
+    net = Localizer.init(Rng(15).stream("init"))
+    x = np.random.default_rng(10).normal(size=(n, 8))
+    p = net.params
+    ref = np.vstack([
+        regressor_forward_unrolled(p, extractor_forward_unrolled(p, x[a : a + B])[0])[0]
+        for a in range(0, n, B)
+    ])
+    assert same_bits(net.predict(x), ref)
+
+
+def test_forward_only_passes_leave_their_input_unchanged():
+    net = Localizer.init(Rng(16).stream("init"))
+    for n in (B - 1, 3 * B + 7):
+        x = np.random.default_rng(n).normal(size=(n, 8))
+        before = x.tobytes()
+        net.predict(x)
+        assert x.tobytes() == before
+        compute_source_stats(net, x)
+        assert x.tobytes() == before
+
+
+def test_networks_predicting_in_alternation_match_each_alone():
+    # Short and long inputs, so block sizes change between calls too.
+    nets = [Localizer.init(Rng(seed).stream("init")) for seed in (17, 18)]
+    x = np.random.default_rng(11).normal(size=(3 * B + 7, 8))
+    inputs = (x, x[: B - 1], x[:1])
+    alone = [[net.predict(rows) for rows in inputs] for net in nets]
+    for _ in range(2):
+        for rows, *refs in zip(inputs, *alone):
+            for net, ref in zip(nets, refs):
+                assert same_bits(net.predict(rows), ref)
+
+
 def test_source_stats_memory_is_features_plus_one_regressor_pass():
     # At 20,000 rows the (n, 768) features take 117 MiB and one regressor
     # pass about 60 MiB; an unblocked extractor pass peaked near 430 MiB.
