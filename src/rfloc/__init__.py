@@ -50,7 +50,6 @@ from .artifact import load_model, save_model  # noqa: E402
 from .meanteacher import (  # noqa: E402
     MeanTeacherConfig,
     PseudoLabelSet,
-    Thresholds,
     adapt,
     compute_thresholds,
     correct_labels,

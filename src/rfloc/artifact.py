@@ -1,14 +1,20 @@
-"""Self-describing binary model artifact.
+"""Self-describing binary model artifact, format version 2.
 
 Layout: 4-byte magic, little-endian uint32 format version, uint64 header
 length, UTF-8 JSON header (metadata plus array names/shapes in payload
-order), then the arrays as raw little-endian float64. Round-trips are
-bit-exact; truncation, corruption and version mismatches fail with
+order), the arrays as raw little-endian float64, then a 32-byte sha256 of
+everything before it. The feature covariance is stored as its row-major
+upper triangle ("stats.feat_cov_triu") and mirrored back at load, so a
+loaded covariance is symmetric by construction. Round-trips are bit-exact;
+a changed byte, truncation, corruption and other format versions
+(version 1 stored the full covariance and no checksum) fail with
 explicit errors.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 import struct
@@ -18,27 +24,43 @@ import numpy as np
 from .data import NormStats
 from .errors import ArtifactError, ConfigError
 from .localizer import LocalizerModel, SourceStats
-from .networks import FeatureExtractor, Localizer, Regressor
+from .networks import FEATURE_DIM, FeatureExtractor, Localizer, Regressor
 from .nn import ParamSet
 
 MAGIC = b"RFLM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_BYTES = 32  # the sha256 trailer
+_TRIU_SIZE = FEATURE_DIM * (FEATURE_DIM + 1) // 2
 
-_STATS_ARRAYS = ("stats.pred_mean", "stats.pred_var", "stats.feat_cov")
+
+def _upper() -> np.ndarray:
+    # A boolean mask, not np.triu_indices: index arrays of the triangle's
+    # size would take 4.7 MB.
+    return np.triu(np.ones((FEATURE_DIM, FEATURE_DIM), dtype=bool))
+
+
+def _mirrored(triu: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose row-major upper triangle is triu."""
+    if triu.shape != (_TRIU_SIZE,):
+        raise ConfigError(
+            f"feature covariance triangle must hold {_TRIU_SIZE} values, got {triu.size}"
+        )
+    upper = _upper()
+    cov = np.empty((FEATURE_DIM, FEATURE_DIM))
+    cov[upper] = triu
+    cov.T[upper] = triu
+    return cov
 
 
 def save_model(model: LocalizerModel, path) -> None:
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("norm.mean", model.norm.mean),
-        ("norm.std", model.norm.std),
-    ]
+    arrays = [("norm.mean", model.norm.mean), ("norm.std", model.norm.std)]
     arrays += [(f"param.{name}", p.value) for name, p in model.net.params.items()]
     if model.source_stats is not None:
         s = model.source_stats
         arrays += [
             ("stats.pred_mean", s.pred_mean),
             ("stats.pred_var", s.pred_var),
-            ("stats.feat_cov", s.feat_cov),
+            ("stats.feat_cov_triu", s.feat_cov[_upper()]),
         ]
     header = {
         "format_version": FORMAT_VERSION,
@@ -51,13 +73,14 @@ def save_model(model: LocalizerModel, path) -> None:
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     except TypeError as e:
         raise ConfigError(f"model metadata is not JSON-serializable: {e}") from e
+    prefix = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes))
+    payload = (np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for part in itertools.chain((prefix, header_bytes), payload):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def _array_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
@@ -117,30 +140,36 @@ def load_model(path) -> LocalizerModel:
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
         raise ArtifactError(
-            f"{path}: unsupported artifact version {version}, expected {FORMAT_VERSION}"
+            f"{path}: artifact format version {version} is not supported; this rfloc"
+            f" reads version {FORMAT_VERSION} only"
         )
+    # Every byte before the trailer is checked before any is parsed.
+    payload_end = max(16, len(blob) - DIGEST_BYTES)
+    if hashlib.sha256(memoryview(blob)[:payload_end]).digest() != blob[payload_end:]:
+        raise ArtifactError(f"{path}: artifact checksum mismatch (truncated or corrupted file)")
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header_end = 16 + header_len
-    if len(blob) < header_end:
+    if payload_end < header_end:
         raise ArtifactError(f"{path}: truncated artifact header")
     try:
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArtifactError(f"{path}: corrupted artifact header: {e}") from e
     specs = _array_specs(header, path)
-    if len(blob) - header_end != header["payload_bytes"]:
+    if payload_end - header_end != header["payload_bytes"]:
         raise ArtifactError(
             f"{path}: truncated artifact payload "
-            f"({len(blob) - header_end} bytes, expected {header['payload_bytes']})"
+            f"({payload_end - header_end} bytes, expected {header['payload_bytes']})"
         )
     arrays = _read_arrays(blob, header_end, specs, path)
     # The arrays are copies; drop the file's bytes before validating them.
     del blob
 
     def take(name: str) -> np.ndarray:
+        # Popped, so the triangle is freed once its full matrix is built.
         if name not in arrays:
             raise ArtifactError(f"{path}: artifact is missing array {name!r}")
-        return arrays[name]
+        return arrays.pop(name)
 
     try:
         norm = NormStats(take("norm.mean"), take("norm.std"))
@@ -152,7 +181,8 @@ def load_model(path) -> LocalizerModel:
         net = Localizer(FeatureExtractor(ext_params), Regressor(reg_params))
         stats = None
         if header.get("has_source_stats"):
-            stats = SourceStats(*(take(n) for n in _STATS_ARRAYS))
+            stats = SourceStats(take("stats.pred_mean"), take("stats.pred_var"),
+                                _mirrored(take("stats.feat_cov_triu")))
     except ConfigError as e:
         raise ArtifactError(f"{path}: invalid artifact contents: {e}") from e
     return LocalizerModel(net, norm, stats, header.get("meta", {}))

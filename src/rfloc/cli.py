@@ -84,7 +84,6 @@ class SynthScenario:
     (and optionally in shadowing), which is what creates the domain shift."""
 
     room: tuple[float, float] = (10.0, 10.0)
-    tx: tuple[float, float] = (5.0, 5.0)
     source_rx: tuple = ((5.0, 1.0), (0.5, 6.0), (5.0, 9.5), (9.5, 6.2))
     target_rx: tuple = ((1.5, 1.5), (1.5, 8.5), (8.5, 8.5), (8.5, 1.5))
     path_loss_exponent: float = 2.0
@@ -224,6 +223,9 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise UsageError(f"cannot make the directory of output {path}: {e}") from None
+        if Path(path).is_dir():
+            # Refused before any output is written or renamed into place.
+            raise UsageError(f"cannot write output {path}: Is a directory")
     try:
         run(cfg, inputs, outputs, run_id)
         wall = time.perf_counter() - start

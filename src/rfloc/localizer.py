@@ -21,16 +21,13 @@ import numpy as np
 from .data import Dataset, NormStats, fit_normalizer, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
 from .networks import FEATURE_DIM, Localizer, in_blocks
-from .nn import Adam, Rng, l1_loss, l2_loss
+from .nn import Adam, Rng, l1_loss
 
 log = logging.getLogger(__name__)
-
-LOSSES = {"l1": l1_loss, "l2": l2_loss}
 
 
 @dataclass
 class TrainConfig:
-    loss: str = "l1"  # "l1" (default) or "l2"
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 100
@@ -39,8 +36,6 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {sorted(LOSSES)}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.batch_size < 1:
@@ -59,7 +54,7 @@ class SourceStats:
 
     pred_mean: np.ndarray  # (2,)
     pred_var: np.ndarray  # (2,), population variance
-    feat_cov: np.ndarray  # (768, 768), unbiased covariance
+    feat_cov: np.ndarray  # (768, 768), unbiased covariance, symmetric
 
     def __post_init__(self):
         self.pred_mean = np.ascontiguousarray(self.pred_mean, dtype=np.float64)
@@ -74,13 +69,12 @@ class SourceStats:
                 f"feature covariance must be ({FEATURE_DIM}, {FEATURE_DIM}), "
                 f"got {self.feat_cov.shape}"
             )
+        # Symmetry is not checked: compute_source_stats forms feats.T @
+        # feats, which is exactly symmetric, and an artifact stores the
+        # upper triangle, the one eigvalsh reads here. So a matrix accepted
+        # here is accepted again when its artifact is loaded.
         scale = max(1.0, float(np.abs(self.feat_cov).max()))
-        asymmetry = self.feat_cov - self.feat_cov.T
-        np.abs(asymmetry, out=asymmetry)
-        if asymmetry.max() > 1e-8 * scale:
-            raise ConfigError("feature covariance is not symmetric")
-        del asymmetry  # freed before eigvalsh makes its own copy of the matrix
-        min_eig = float(np.linalg.eigvalsh(self.feat_cov).min())
+        min_eig = float(np.linalg.eigvalsh(self.feat_cov, UPLO="U").min())
         if min_eig < -1e-8 * scale:
             raise ConfigError(f"feature covariance is not positive semidefinite ({min_eig})")
 
@@ -157,7 +151,6 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
     Mutates net in place; returns training metadata. The losses are null
     when no epoch ran or no finite validation loss was seen.
     """
-    loss_fn = LOSSES[cfg.loss]
     n = len(z)
     n_val = int(cfg.val_fraction * n)
     perm = rng.stream("valsplit").permutation(n)
@@ -169,13 +162,13 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
 
     def step(epoch, bi, idx):
         preds, cache = net.forward(z[idx], rng.stream("dropout", epoch, bi))
-        loss, dpred = loss_fn(preds, y[idx])
+        loss, dpred = l1_loss(preds, y[idx])
         net.backward(dpred, cache)
         return {"loss": loss}
 
     def stop(epoch):
         nonlocal best_val, best_params, patience_left
-        val_loss = loss_fn(net.predict(z[val_idx]), y[val_idx])[0]
+        val_loss = l1_loss(net.predict(z[val_idx]), y[val_idx])[0]
         if val_loss < best_val:
             best_val, best_params, patience_left = val_loss, net.params.clone(), cfg.patience
             return False

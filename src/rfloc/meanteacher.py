@@ -11,8 +11,7 @@ The EMA deliberately places alpha on the STUDENT:
     teacher <- alpha * student + (1 - alpha) * teacher
 
 which is the reverse of the common convention; with alpha near 1 the
-teacher tracks the student almost immediately. Set conventional_ema=True
-to put alpha on the teacher instead.
+teacher tracks the student almost immediately.
 
 With confidence gating enabled, each sample is probed n_probe times under
 input noise; samples whose per-coordinate prediction spread exceeds
@@ -56,7 +55,6 @@ class MeanTeacherConfig:
     c_x: float = 8.0  # threshold coefficients: T = mean + c * std of spreads
     c_y: float = 4.0
     k: int = 2  # neighbors for pseudo-label correction
-    conventional_ema: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -95,12 +93,6 @@ class PseudoLabelSet:
     confident: np.ndarray | None = None  # (n,) bool, set by compute_thresholds
 
 
-@dataclass
-class Thresholds:
-    t_x: float
-    t_y: float
-
-
 def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, epoch: int):
     """Clean predictions plus per-coordinate spread under input noise.
 
@@ -124,9 +116,10 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     return labels, sigma
 
 
-def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Thresholds:
-    """Set confidence flags in place; a sample is uncertain when either
-    coordinate's spread exceeds mean + c * std of the spreads."""
+def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> tuple[float, float]:
+    """Set confidence flags in place and return the thresholds (t_x, t_y);
+    a sample is uncertain when either coordinate's spread exceeds its
+    threshold, mean + c * std of the spreads."""
     if pls.sigma is None or len(pls.sigma) == 0:
         raise UsageError("cannot compute thresholds from an empty pseudo-label set")
     if c_x < 0.0 or c_y < 0.0:
@@ -136,7 +129,7 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> Threshold
     t = mu + np.array([c_x, c_y]) * sd
     uncertain = (pls.sigma[:, 0] > t[0]) | (pls.sigma[:, 1] > t[1])
     pls.confident = ~uncertain
-    return Thresholds(float(t[0]), float(t[1]))
+    return float(t[0]), float(t[1])
 
 
 # Cells per (uncertain rows x confident samples) distance block; bounds the
@@ -296,7 +289,6 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     z = normalize_features(target.features, model.norm)
     adam = Adam(student.params, lr=cfg.lr)
     noise_std = float(np.sqrt(cfg.noise_variance))
-    ema_alpha = (1.0 - cfg.alpha) if cfg.conventional_ema else cfg.alpha
     pseudo = None
 
     def start(epoch):
@@ -306,10 +298,10 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
             return {"n_uncertain": None, "t_x": None, "t_y": None}
         labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
         pls = PseudoLabelSet(labels, sigma)
-        thresholds = compute_thresholds(pls, cfg.c_x, cfg.c_y)
+        t_x, t_y = compute_thresholds(pls, cfg.c_x, cfg.c_y)
         n_uncertain = int((~pls.confident).sum())
         pseudo = correct_labels(pls, z, cfg.k).labels
-        return {"n_uncertain": n_uncertain, "t_x": thresholds.t_x, "t_y": thresholds.t_y}
+        return {"n_uncertain": n_uncertain, "t_x": t_x, "t_y": t_y}
 
     def step(epoch, bi, idx):
         noise = rng.stream("aug", epoch, bi).normal(0.0, noise_std, size=(idx.size, z.shape[1]))
@@ -320,7 +312,7 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
 
     def update():
         adam.step()
-        ema_update(teacher.params, student.params, ema_alpha)
+        ema_update(teacher.params, student.params, cfg.alpha)
 
     diagnostics = run_epochs(
         cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update,

@@ -18,7 +18,6 @@ from .layers import (
     dropout_forward,
     glorot_uniform,
     l1_loss,
-    l2_loss,
     relu,
     relu_backward,
     sigmoid,
@@ -39,7 +38,6 @@ __all__ = [
     "ema_blend",
     "glorot_uniform",
     "l1_loss",
-    "l2_loss",
     "relu",
     "relu_backward",
     "sigmoid",

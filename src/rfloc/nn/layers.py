@@ -151,13 +151,3 @@ def l1_loss(pred: np.ndarray, target: np.ndarray):
     loss = float(np.abs(diff).sum(axis=1).mean())
     grad = np.sign(diff) / pred.shape[0]
     return loss, grad
-
-
-def l2_loss(pred: np.ndarray, target: np.ndarray):
-    """Mean over the batch of summed squared coordinate errors."""
-    if pred.shape != target.shape:
-        raise ConfigError(f"loss: prediction {pred.shape} vs target {target.shape}")
-    diff = pred - target
-    loss = float((diff * diff).sum(axis=1).mean())
-    grad = 2.0 * diff / pred.shape[0]
-    return loss, grad

@@ -42,7 +42,6 @@ def _arange_length(start: float, stop: float, step: float) -> float:
 @dataclass
 class SynthConfig:
     room: tuple[float, float] = (10.0, 10.0)  # width, height in meters
-    tx: tuple[float, float] = (5.0, 5.0)
     rx: tuple[tuple[float, float], ...] = (
         (5.0, 1.0),
         (0.5, 6.0),
@@ -62,8 +61,8 @@ class SynthConfig:
     def validate(self) -> None:
         """Check every value, and the trajectory's row count against
         MAX_SYNTH_ROWS, before anything is allocated."""
-        if len(self.room) != 2 or len(self.tx) != 2:
-            raise ConfigError("room and tx need two values each (x, y)")
+        if len(self.room) != 2:
+            raise ConfigError("room needs two values (x, y)")
         if self.room[0] <= 0 or self.room[1] <= 0:
             raise ConfigError(f"room extents must be positive, got {self.room}")
         if len(self.rx) != 4:

@@ -19,7 +19,6 @@ def small_source_config(seed: int = 0) -> SynthConfig:
     # 6 x 6 room keeps the trajectory short (fast tests).
     return SynthConfig(
         room=(6.0, 6.0),
-        tx=(3.0, 3.0),
         rx=((3.0, 0.5), (0.5, 3.0), (3.0, 5.5), (5.5, 3.0)),
         seed=seed,
         name="source",
@@ -29,7 +28,6 @@ def small_source_config(seed: int = 0) -> SynthConfig:
 def small_target_config(seed: int = 1) -> SynthConfig:
     return SynthConfig(
         room=(6.0, 6.0),
-        tx=(3.0, 3.0),
         rx=((1.0, 1.0), (1.0, 5.0), (5.0, 5.0), (5.0, 1.0)),
         shadowing_std_db=4.0,
         ref_power_dbm=-36.0,

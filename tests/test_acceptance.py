@@ -396,7 +396,6 @@ def test_manifest_replay_determinism(capsys, tmp_path):
     data = tmp_path / "data"
     scenario = [
         "--set", "room=6,6",
-        "--set", "tx=3,3",
         "--set", "source_rx=3,0.5;0.5,3;3,5.5;5.5,3",
         "--set", "target_rx=1,1;1,5;5,5;5,1",
     ]

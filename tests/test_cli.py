@@ -17,17 +17,16 @@ import pytest
 
 import rfloc
 from rfloc import cli
-from rfloc.artifact import FORMAT_VERSION, MAGIC, load_model, save_model
+from rfloc.artifact import DIGEST_BYTES, FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.cli import main, read_manifest
 from rfloc.configio import dataclass_to_kv, kv_to_dataclass, read_kv, write_kv
 from rfloc.data import load_csv, write_csv
 from rfloc.errors import RflocError
 from rfloc.localizer import TrainConfig
-from util import cross_validate_serial
+from util import cross_validate_serial, resealed
 
 SMALL_SCENARIO = [
     "--set", "room=6,6",
-    "--set", "tx=3,3",
     "--set", "source_rx=3,0.5;0.5,3;3,5.5;5.5,3",
     "--set", "target_rx=1,1;1,5;5,5;5,1",
     "--set", "target_shadowing_std_db=2.0",
@@ -741,14 +740,15 @@ def test_gen_synth_seed_changes_data(tmp_path):
 
 # ---------------------------------------------------------------- malformed artifacts
 
-def _rewrite_header(src, dst, edit):
-    raw = src.read_bytes()
+def _rewrite_header(src, dst, edit, trim=0):
+    """src with its header edited and the last trim payload bytes cut,
+    under a fresh checksum, so the header checks behind it are reached."""
+    raw = src.read_bytes()[:-DIGEST_BYTES]
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     header = edit(json.loads(raw[16 : 16 + header_len]))
     body = json.dumps(header).encode("utf-8")
-    dst.write_bytes(
-        MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(body)) + body + raw[16 + header_len :]
-    )
+    payload = raw[16 + header_len : len(raw) - trim]
+    dst.write_bytes(resealed(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(body)) + body + payload))
 
 
 def _nan_bias(src, dst):
@@ -814,10 +814,6 @@ def _edit_feat_cov(edit):
     return corrupt
 
 
-def _break_symmetry(cov):
-    cov[0, 1] += max(1.0, np.abs(cov).max())
-
-
 def _make_indefinite(cov):
     # e0' C e0 = -scale, so the smallest eigenvalue is at most -scale.
     cov[0, 0] = -max(1.0, np.abs(cov).max())
@@ -826,11 +822,8 @@ def _make_indefinite(cov):
 @pytest.mark.parametrize("verb", ["eval", "adapt-shot"])
 @pytest.mark.parametrize(
     "corrupt, message",
-    [
-        (_edit_feat_cov(_break_symmetry), "feature covariance is not symmetric"),
-        (_edit_feat_cov(_make_indefinite), "feature covariance is not positive semidefinite"),
-    ],
-    ids=["asymmetric", "indefinite"],
+    [(_edit_feat_cov(_make_indefinite), "feature covariance is not positive semidefinite")],
+    ids=["indefinite"],
 )
 def test_bad_feature_covariance_exits_3_without_traceback(
     workdir, tmp_path, corrupt, message, verb
@@ -849,6 +842,61 @@ def test_bad_feature_covariance_exits_3_without_traceback(
     assert "Traceback" not in proc.stderr
     assert "bad.model" in proc.stderr and message in proc.stderr
     assert not out.exists()
+
+
+def _version_1(src, dst):
+    """src in the version-1 layout: the full covariance, no checksum."""
+    model = load_model(src)
+    stats = model.source_stats
+    arrays = [("norm.mean", model.norm.mean), ("norm.std", model.norm.std)]
+    arrays += [(f"param.{name}", p.value) for name, p in model.net.params.items()]
+    arrays += [("stats.pred_mean", stats.pred_mean), ("stats.pred_var", stats.pred_var),
+               ("stats.feat_cov", stats.feat_cov)]
+    header = json.dumps({
+        "format_version": 1, "meta": model.meta, "has_source_stats": True,
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "payload_bytes": 8 * sum(a.size for _, a in arrays),
+    }, sort_keys=True).encode("utf-8")
+    payload = b"".join(a.astype("<f8").tobytes() for _, a in arrays)
+    dst.write_bytes(MAGIC + struct.pack("<IQ", 1, len(header)) + header + payload)
+
+
+def _short_triangle(header):
+    # One value fewer in the covariance triangle, the last array.
+    assert header["arrays"][-1]["name"] == "stats.feat_cov_triu"
+    header["arrays"][-1]["shape"][0] -= 1
+    header["payload_bytes"] -= 8
+    return header
+
+
+@pytest.mark.parametrize("verb", ["eval", "adapt", "heatmap", "cv"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_version_1, "artifact format version 1 is not supported; this rfloc reads version 2"),
+        (lambda src, dst: _rewrite_header(src, dst, _short_triangle, trim=8),
+         "feature covariance triangle must hold 295296 values, got 295295"),
+    ],
+    ids=["version-1", "short-triangle"],
+)
+def test_old_or_bad_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt, message, verb):
+    bad = tmp_path / "bad.model"
+    corrupt(workdir / "source.model", bad)
+    target = str(workdir / "data" / "target.csv")
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--model", str(bad), "--csv", target, "--out-report", str(out)],
+        "adapt": ["adapt", "--method", "shot", "--model", str(bad), "--target-csv", target,
+                  "--set", "epochs=1", "--out", str(out)],
+        "heatmap": ["heatmap", "--model", str(bad), "--csv", target, "--out-prefix", str(out)],
+        "cv": ["cv", "--model", str(bad), "--target-csv", target, "--grid", "k=1,2",
+               "--set", "epochs=1", "--out", str(out)],
+    }[verb]
+    proc = _run_cli_counting_children(args)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad.model" in proc.stderr and message in proc.stderr
+    assert not list(tmp_path.glob("out*"))
 
 
 # ---------------------------------------------------------------- non-UTF-8 inputs
@@ -1078,6 +1126,30 @@ def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, tmp_path):
 
 
 # ---------------------------------------------------------------- edited manifests
+
+@pytest.mark.parametrize(
+    "verb, key, value",
+    [("gen-synth", "tx", "5.0,5.0"), ("train", "loss", "l1"),
+     ("adapt", "conventional_ema", "false")],
+)
+def test_replay_of_manifest_with_a_retired_key_exits_2(workdir, tmp_path, capsys, verb, key, value):
+    # Manifests written before these keys were removed still record them.
+    manifest = {
+        "gen-synth": workdir / "data" / "manifest.txt",
+        "train": workdir / "source.model.manifest",
+        "adapt": tmp_path / "a.model.manifest",
+    }[verb]
+    if verb == "adapt":
+        assert main(_adapt_args(workdir, "mtloc", tmp_path / "a.model", "epochs=0")) == 0
+    kv = read_kv(manifest)
+    kv[f"config.{key}"] = value
+    old = tmp_path / "old.manifest"
+    write_kv(old, kv)
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(old), "--out-dir", str(tmp_path / "replay")]) == 2
+    assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+
 
 def _heatmap_args(workdir, out):
     return [
@@ -1364,11 +1436,15 @@ def test_gen_synth_failure_leaves_no_partial_output(tmp_path, capsys):
 
 
 def test_gen_synth_onto_a_directory_exits_2(tmp_path, capsys):
+    # Every output path is checked before anything is written: an existing
+    # source.csv keeps its bytes.
     out = tmp_path / "data"
     (out / "target.csv").mkdir(parents=True)
+    (out / "source.csv").write_bytes(b"an earlier source.csv\n")
     assert main(["gen-synth", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: cannot write output {out / 'target.csv'}: Is a directory\n" in err
+    assert (out / "source.csv").read_bytes() == b"an earlier source.csv\n"
     assert not list(out.glob(".*.partial")) and not (out / "manifest.txt").exists()
 
 

@@ -259,23 +259,6 @@ def test_l1_loss_value_and_gradient(gen):
     assert max_rel_error(dpred, central_difference(loss_fn, pred)) < 1e-5
 
 
-def test_l2_loss_value_and_gradient(gen):
-    pred = np.array([[1.0, 2.0]])
-    target = np.array([[0.0, 0.0]])
-    loss, dpred = layers.l2_loss(pred, target)
-    assert loss == pytest.approx(5.0)
-    assert np.allclose(dpred, np.array([[2.0, 4.0]]))
-
-    pred = gen.normal(size=(5, 2))
-    target = gen.normal(size=(5, 2))
-
-    def loss_fn():
-        return layers.l2_loss(pred, target)[0]
-
-    _, dpred = layers.l2_loss(pred, target)
-    assert max_rel_error(dpred, central_difference(loss_fn, pred)) < TOL
-
-
 def test_glorot_uniform_bounds(gen):
     w = layers.glorot_uniform(gen, (100, 80), fan_in=100, fan_out=80)
     limit = np.sqrt(6.0 / 180.0)

@@ -150,10 +150,10 @@ def test_thresholds_hand_case():
     # With c = 1 the threshold is 2.366; only the 3 is flagged.
     sigma = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
     pls = PseudoLabelSet(np.zeros((4, 2)), sigma)
-    th = compute_thresholds(pls, 1.0, 1.0)
+    t_x, t_y = compute_thresholds(pls, 1.0, 1.0)
     expected = 1.5 + np.sqrt(0.75)
-    assert th.t_x == pytest.approx(expected)
-    assert th.t_y == pytest.approx(expected)
+    assert t_x == pytest.approx(expected)
+    assert t_y == pytest.approx(expected)
     assert pls.confident.tolist() == [True, True, True, False]
 
 
@@ -168,8 +168,8 @@ def test_thresholds_flag_either_coordinate():
 def test_thresholds_c_zero_flags_above_mean():
     sigma = np.array([[1.0, 1.0], [2.0, 2.0]])
     pls = PseudoLabelSet(np.zeros((2, 2)), sigma)
-    th = compute_thresholds(pls, 0.0, 0.0)
-    assert th.t_x == pytest.approx(1.5)
+    t_x, _ = compute_thresholds(pls, 0.0, 0.0)
+    assert t_x == pytest.approx(1.5)
     assert pls.confident.tolist() == [True, False]
 
 
@@ -457,17 +457,6 @@ def test_adapt_ignores_confidence_knobs_when_off(source_model, small_target):
     tweaked = MeanTeacherConfig(alpha=0.7, epochs=1, seed=0, confidence=False, c_x=0.1, c_y=0.1, k=9)
     m1, _ = adapt(source_model, small_target.without_labels(), base)
     m2, _ = adapt(source_model, small_target.without_labels(), tweaked)
-    for name in m1.net.params.names():
-        assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
-
-
-def test_adapt_conventional_flag_mirrors_alpha(source_model, small_target):
-    # conventional alpha keeps (1 - alpha) on the student, so the pair
-    # (conventional, 0.3) must reproduce (reversed, 0.7) exactly.
-    rev = MeanTeacherConfig(alpha=0.7, epochs=2, seed=1, conventional_ema=False)
-    conv = MeanTeacherConfig(alpha=0.3, epochs=2, seed=1, conventional_ema=True)
-    m1, _ = adapt(source_model, small_target.without_labels(), rev)
-    m2, _ = adapt(source_model, small_target.without_labels(), conv)
     for name in m1.net.params.names():
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
 

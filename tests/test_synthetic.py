@@ -16,7 +16,6 @@ def test_path_loss_hand_value():
     # P0 -30, exponent 2: at 10 m the reading is -30 - 20*log10(10) = -50.
     cfg = SynthConfig(
         room=(21.0, 1.0),
-        tx=(0.5, 0.5),
         rx=((10.5, 0.5), (0.5, 0.0), (21.0, 0.5), (10.5, 1.0)),
         shadowing_std_db=0.0,
         pol_gain_db=(0.0, 0.0),
@@ -179,7 +178,7 @@ def test_trajectory_cap_boundary(monkeypatch):
     [
         {"room": (5.0,)},
         {"room": ()},
-        {"tx": (1.0, 2.0, 3.0)},
+        {"room": (5.0, 5.0, 5.0)},
         {"rx": ((5.0, 1.0), (0.5, 6.0), (5.0, 9.5), (9.5,))},
     ],
 )

@@ -1,6 +1,7 @@
 """Finite-difference helpers and brute-force oracles used across tests."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,12 @@ def max_rel_error(analytic, numeric, floor: float = 1e-8) -> float:
     numeric = np.asarray(numeric, dtype=float)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / scale).max())
+
+
+def resealed(body: bytes) -> bytes:
+    """An artifact's bytes before its sha256 trailer, with a fresh trailer,
+    so that an edited file reaches the checks behind the checksum."""
+    return body + hashlib.sha256(body).digest()
 
 
 def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
