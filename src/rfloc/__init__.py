@@ -55,16 +55,15 @@ from .meanteacher import (  # noqa: E402
     correct_labels,
     ema_update,
 )
-from .dann import DannConfig, disc_loss, reg_loss, run_dann  # noqa: E402
+from .dann import DannConfig, disc_loss, run_dann  # noqa: E402
 from .shot import (  # noqa: E402
     ShotConfig,
     augment_strong,
     augment_weak,
-    consistency_loss,
     coral_loss,
     pred_stat_loss,
     run_shot,
-    teacher_loss,
+    sq_loss,
 )
 from .evalmetrics import (  # noqa: E402
     HeatmapGrid,

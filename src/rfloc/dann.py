@@ -11,8 +11,10 @@ gradient arithmetic (no gradient-reversal construct):
 
 The discriminator loss is the usual cross-entropy
   -(1/B) sum [ log D(F_source) + log(1 - D(F_target)) ]
-with log arguments clamped at 1e-12. When the two domains have different
-sizes, the smaller one is cycled within each epoch.
+with log arguments clamped at 1e-12. disc_loss gives it and its gradients,
+for both the extractor's and the discriminator's pass; the regression loss
+is nn.l1_loss. When the two domains have different sizes, the smaller one
+is cycled within each epoch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, ResourceError, UsageError
 from .localizer import LocalizerModel, run_epochs
 from .networks import Discriminator
 from .nn import Adam, Rng, l1_loss
@@ -46,26 +48,9 @@ class DannConfig:
             raise ConfigError("learning rate must be positive")
 
 
-def reg_loss(preds: np.ndarray, labels: np.ndarray | None) -> float:
-    """Batch mean of summed absolute coordinate errors."""
-    if labels is None:
-        raise UsageError("regression loss requires labels")
-    return l1_loss(preds, labels)[0]
-
-
-def disc_loss(feat_source: np.ndarray, feat_target: np.ndarray, disc: Discriminator) -> float:
-    """Cross-entropy of the discriminator on equal-size feature batches."""
-    if len(feat_source) != len(feat_target):
-        raise ConfigError(
-            f"feature batches must have equal size, got {len(feat_source)} and {len(feat_target)}"
-        )
-    p_s = disc.forward(feat_source)[0]
-    p_t = disc.forward(feat_target)[0]
-    return _disc_loss_grads(p_s, p_t)[0]
-
-
-def _disc_loss_grads(p_s: np.ndarray, p_t: np.ndarray):
-    """Loss plus gradients w.r.t. both probability vectors."""
+def disc_loss(p_s: np.ndarray, p_t: np.ndarray):
+    """The discriminator's cross-entropy on equal-size batches of its
+    source and target probabilities, plus its gradients w.r.t. both."""
     b = len(p_s)
     ps_c = np.maximum(p_s, LOG_CLAMP)
     qt_c = np.maximum(1.0 - p_t, LOG_CLAMP)
@@ -81,6 +66,10 @@ def cycled(n_s: int, n_t: int, batch_size: int, rng: Rng):
     (idx_s, idx_t) pair of batch_size rows taken in the epoch's shuffled
     order of each domain; the smaller domain is cycled."""
     n_batches = max(max(n_s, n_t) // batch_size, 1)
+    # Sized before np.arange builds it: near 2**63 bytes numpy raises
+    # ValueError rather than MemoryError, and no machine has 2**62 bytes.
+    if n_batches * batch_size * np.dtype(np.intp).itemsize > 2**62:
+        raise ResourceError(f"a batch layout of {n_batches} x {batch_size} rows is too large")
     take = np.arange(n_batches * batch_size).reshape(n_batches, batch_size)
 
     def batches(epoch: int):
@@ -139,7 +128,7 @@ def run_dann(
         f_t, c_t = net.extractor.forward(xt, rng.stream("drop_ft", epoch, bi))
         p_s, cd_s = disc.forward(f_s)
         p_t, cd_t = disc.forward(f_t)
-        _, dp_s, dp_t = _disc_loss_grads(p_s, p_t)
+        _, dp_s, dp_t = disc_loss(p_s, p_t)
         df_s = disc.backward(dp_s, cd_s, accumulate=False)
         df_t = disc.backward(dp_t, cd_t, accumulate=False)
         net.extractor.backward(-df_s, c_ext)
@@ -151,7 +140,7 @@ def run_dann(
         f_t2, _ = net.extractor.forward(xt, rng.stream("drop_dt", epoch, bi))
         p_s2, cd_s2 = disc.forward(f_s2)
         p_t2, cd_t2 = disc.forward(f_t2)
-        loss_d2, dp_s2, dp_t2 = _disc_loss_grads(p_s2, p_t2)
+        loss_d2, dp_s2, dp_t2 = disc_loss(p_s2, p_t2)
         disc.backward(dp_s2, cd_s2)
         disc.backward(dp_t2, cd_t2)
         return {"reg_loss": loss_r, "disc_loss": loss_d2}

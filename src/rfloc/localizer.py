@@ -69,14 +69,17 @@ class SourceStats:
                 f"feature covariance must be ({FEATURE_DIM}, {FEATURE_DIM}), "
                 f"got {self.feat_cov.shape}"
             )
-        # Symmetry is not checked: compute_source_stats forms feats.T @
-        # feats, which is exactly symmetric, and an artifact stores the
-        # upper triangle, the one eigvalsh reads here. So a matrix accepted
-        # here is accepted again when its artifact is loaded.
+        if not all(np.isfinite(a).all() for a in (self.pred_mean, self.pred_var, self.feat_cov)):
+            raise NumericalError("source statistics hold non-finite values")
         scale = max(1.0, float(np.abs(self.feat_cov).max()))
         min_eig = float(np.linalg.eigvalsh(self.feat_cov, UPLO="U").min())
         if min_eig < -1e-8 * scale:
             raise ConfigError(f"feature covariance is not positive semidefinite ({min_eig})")
+        # An artifact stores the upper triangle, so only an exactly
+        # symmetric matrix is the same in memory and once saved.
+        # compute_source_stats (feats.T @ feats) and load_model build one.
+        if not np.array_equal(self.feat_cov, self.feat_cov.T):
+            raise ConfigError("feature covariance is not exactly symmetric")
 
 
 @dataclass
@@ -86,10 +89,24 @@ class LocalizerModel:
     source_stats: SourceStats | None
     meta: dict
 
+    def __post_init__(self):
+        # Every trainer returns its model through here, so this one check
+        # also covers the last update, which no loss term has seen.
+        for name, p in self.net.params.items():
+            if not np.isfinite(p.value).all():
+                raise NumericalError(f"model parameter {name!r} holds non-finite values")
+
     def clone(self) -> "LocalizerModel":
         return LocalizerModel(self.net.clone(), self.norm, self.source_stats, dict(self.meta))
 
 
+# Under _CHECKED, numpy's overflow and invalid-value warnings are off: each
+# function it wraps checks its non-finite results itself and raises
+# NumericalError (compute_source_stats through SourceStats).
+_CHECKED = np.errstate(over="ignore", invalid="ignore")
+
+
+@_CHECKED
 def compute_source_stats(net: Localizer, normalized_features: np.ndarray) -> SourceStats:
     # The extractor runs in predict's row blocks, so of its outputs only
     # the (n, 768) features grow with n, and they are centered in place.
@@ -118,6 +135,7 @@ def shuffled(rows: np.ndarray, batch_size: int, rng: Rng):
     return batches
 
 
+@_CHECKED
 def run_epochs(epochs, batches, step, update, what, start=None, stop=None) -> list[dict]:
     """The epoch/batch loop every trainer runs; returns one row per epoch.
 
@@ -127,6 +145,10 @@ def run_epochs(epochs, batches, step, update, what, start=None, stop=None) -> li
     start(epoch), if given, runs before the batches and returns extra
     columns; stop(epoch), if given, runs after them and ends training when
     true. A row is {"epoch", <batch mean of each term>, <start's columns>}.
+
+    Runs under _CHECKED: each non-finite value reaches a loss term, a
+    gradient (Adam checks each) or the final weights (LocalizerModel
+    checks them), and raises NumericalError there.
     """
     rows = []
     for epoch in range(epochs):
@@ -204,6 +226,7 @@ def train_source(source: Dataset, cfg: TrainConfig | None = None) -> LocalizerMo
     return LocalizerModel(net, norm, stats, meta)
 
 
+@_CHECKED
 def predict(model: LocalizerModel, data) -> np.ndarray:
     """Predict positions (meters) for a Dataset or a raw (n, 8) array."""
     features = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
@@ -211,7 +234,10 @@ def predict(model: LocalizerModel, data) -> np.ndarray:
         raise ConfigError(
             f"expected (n, {len(model.norm.mean)}) features, got {features.shape}"
         )
-    return model.net.predict(normalize_features(features, model.norm))
+    preds = model.net.predict(normalize_features(features, model.norm))
+    if not np.isfinite(preds).all():
+        raise NumericalError("the model's predictions are non-finite")
+    return preds
 
 
 def finetune_oracle(

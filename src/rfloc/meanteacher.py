@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import NUM_FEATURES, Dataset, normalize_features
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericalError, UsageError
 from .localizer import LocalizerModel, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS
 from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
@@ -127,6 +127,8 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> tuple[flo
     mu = pls.sigma.mean(axis=0)
     sd = pls.sigma.std(axis=0)
     t = mu + np.array([c_x, c_y]) * sd
+    if not np.isfinite(t).all():
+        raise NumericalError(f"uncertainty thresholds are non-finite ({t[0]}, {t[1]})")
     uncertain = (pls.sigma[:, 0] > t[0]) | (pls.sigma[:, 1] > t[1])
     pls.confident = ~uncertain
     return float(t[0]), float(t[1])

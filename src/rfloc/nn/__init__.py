@@ -18,7 +18,6 @@ from .layers import (
     dropout_forward,
     glorot_uniform,
     l1_loss,
-    relu,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -38,7 +37,6 @@ __all__ = [
     "ema_blend",
     "glorot_uniform",
     "l1_loss",
-    "relu",
     "relu_backward",
     "sigmoid",
     "sigmoid_backward",

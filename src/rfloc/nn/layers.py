@@ -84,10 +84,6 @@ def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 # ---------------------------------------------------------------- activations
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
 

@@ -30,7 +30,10 @@ product P = fc C per batch,
 
 which is ||Cov(F) - C||_F^2 in exact arithmetic (it differs from the direct
 form in the last bits). ||C||_F^2 is computed once per run_shot call.
-coral_loss keeps the direct definition.
+
+Each term is one function, sq_loss (consistency and teacher),
+pred_stat_loss and coral_loss, returning its value and its lambda times
+its gradient; _shot_step calls them and backpropagates the sums.
 """
 
 from __future__ import annotations
@@ -98,28 +101,39 @@ def augment_strong(
     return z * keep + gen.normal(0.0, noise_std, size=z.shape)
 
 
-def consistency_loss(pred_weak: np.ndarray, pred_strong: np.ndarray) -> float:
-    d = pred_weak - pred_strong
-    return float((d * d).sum(axis=1).mean())
+def sq_loss(y: np.ndarray, target: np.ndarray, weight: float):
+    """Batch mean of ||y - target||^2 and weight times its gradient with
+    respect to y; the gradient with respect to target is its negation."""
+    d = y - target
+    return float((d * d).sum(axis=1).mean()), weight * (2.0 / len(y)) * d
 
 
-def teacher_loss(pred_strong: np.ndarray, pred_teacher: np.ndarray) -> float:
-    d = pred_strong - pred_teacher
-    return float((d * d).sum(axis=1).mean())
+def pred_stat_loss(y: np.ndarray, stats: SourceStats, weight: float):
+    """||mu - mu_src||^2 + ||var - var_src||^2 over the batch's per-coordinate
+    mean and population variance, and weight times its gradient."""
+    b = len(y)
+    mu = y.mean(axis=0)
+    dmu = mu - stats.pred_mean
+    dvar = y.var(axis=0) - stats.pred_var
+    loss = float((dmu * dmu).sum() + (dvar * dvar).sum())
+    return loss, weight * ((2.0 / b) * dmu + (4.0 / b) * dvar * (y - mu))
 
 
-def pred_stat_loss(preds: np.ndarray, stats: SourceStats) -> float:
-    dmu = preds.mean(axis=0) - stats.pred_mean
-    dvar = preds.var(axis=0) - stats.pred_var
-    return float((dmu * dmu).sum() + (dvar * dvar).sum())
-
-
-def coral_loss(feats: np.ndarray, stats: SourceStats) -> float:
-    if len(feats) < 2:
-        raise ConfigError("covariance alignment needs at least 2 samples")
+def coral_loss(feats: np.ndarray, feat_cov: np.ndarray, cov_sq: float, weight: float):
+    """||Cov(feats) - feat_cov||_F^2 in its batch-Gram form (see the module
+    docstring), cov_sq = ||feat_cov||_F^2, and weight times its gradient.
+    A single row has no covariance: the term is skipped and both are 0."""
+    b = len(feats)
+    if b < 2:
+        log.warning("batch of size 1: covariance alignment term skipped")
+        return 0.0, 0.0
+    s = 1.0 / (b - 1)
     fc = feats - feats.mean(axis=0)
-    delta = fc.T @ fc / (len(feats) - 1) - stats.feat_cov
-    return float((delta * delta).sum())
+    gram = fc @ fc.T
+    proj = fc @ feat_cov
+    loss = float(s * s * np.vdot(gram, gram) - 2.0 * s * np.vdot(fc, proj) + cov_sq)
+    g = (4.0 * s) * (s * (gram @ fc) - proj)
+    return loss, weight * (g - g.mean(axis=0))
 
 
 def _shot_step(
@@ -129,60 +143,33 @@ def _shot_step(
     z_weak: np.ndarray,
     z_strong: np.ndarray,
     stats: SourceStats,
+    cov_sq: float,
     cfg: ShotConfig,
     drop_gen: np.random.Generator | None = None,
-    _cov_sq: float | None = None,
 ) -> dict:
     """One batch: compute the four terms and accumulate weighted gradients
     into the student extractor. The regressor is evaluated in inference
     mode and its gradients are never touched. Views are taken as given, so
     the mapping from extractor parameters to the total loss is
-    deterministic when drop_gen is None. _cov_sq is ||stats.feat_cov||_F^2,
-    computed here when not given."""
-    b = len(z_weak)
+    deterministic when drop_gen is None. cov_sq is ||stats.feat_cov||_F^2."""
     f_w, c_w = student_ext.forward(z_weak, drop_gen)
     f_s, c_s = student_ext.forward(z_strong, drop_gen)
     y_w, cr_w = regressor.forward(f_w)
     y_s, cr_s = regressor.forward(f_s)
 
-    d = y_w - y_s
-    cons = float((d * d).sum(axis=1).mean())
-    dy_w = cfg.lambda_cons * (2.0 / b) * d
-    dy_s = -cfg.lambda_cons * (2.0 / b) * d
-
+    cons, dy_w = sq_loss(y_w, y_s, cfg.lambda_cons)
+    dy_s = -dy_w
     if teacher_ext is not None:
-        f_t, _ = teacher_ext.forward(z_weak)
-        y_t, _ = regressor.forward(f_t)
-        dt = y_s - y_t
-        teach = float((dt * dt).sum(axis=1).mean())
-        dy_s = dy_s + cfg.lambda_teach * (2.0 / b) * dt
+        y_t, _ = regressor.forward(teacher_ext.forward(z_weak)[0])
+        teach, dy_t = sq_loss(y_s, y_t, cfg.lambda_teach)
+        dy_s += dy_t
     else:
         teach = 0.0
+    stat, dy_stat = pred_stat_loss(y_w, stats, cfg.lambda_stat)
+    dy_w += dy_stat
+    coral, df_coral = coral_loss(f_w, stats.feat_cov, cov_sq, cfg.lambda_coral)
 
-    mu = y_w.mean(axis=0)
-    var = y_w.var(axis=0)
-    dmu = mu - stats.pred_mean
-    dvar = var - stats.pred_var
-    stat = float((dmu * dmu).sum() + (dvar * dvar).sum())
-    dy_w = dy_w + cfg.lambda_stat * ((2.0 / b) * dmu + (4.0 / b) * dvar * (y_w - mu))
-
-    if b >= 2:
-        # Batch-Gram form of ||Cov(F) - C||_F^2 (see the module docstring).
-        if _cov_sq is None:
-            _cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
-        s = 1.0 / (b - 1)
-        fc = f_w - f_w.mean(axis=0)
-        gram = fc @ fc.T
-        proj = fc @ stats.feat_cov
-        coral = float(s * s * np.vdot(gram, gram) - 2.0 * s * np.vdot(fc, proj) + _cov_sq)
-        g = (4.0 * s) * (s * (gram @ fc) - proj)
-        df_w_extra = cfg.lambda_coral * (g - g.mean(axis=0))
-    else:
-        log.warning("batch of size 1: covariance alignment term skipped")
-        coral = 0.0
-        df_w_extra = 0.0
-
-    df_w = regressor.backward(dy_w, cr_w, accumulate=False) + df_w_extra
+    df_w = regressor.backward(dy_w, cr_w, accumulate=False) + df_coral
     df_s = regressor.backward(dy_s, cr_s, accumulate=False)
     student_ext.backward(df_w, c_w)
     student_ext.backward(df_s, c_s)
@@ -227,7 +214,7 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = No
         )
         drop_gen = rng.stream("dropout", epoch, bi)
         return _shot_step(
-            student_ext, regressor, teacher_ext, z_w, z_s, stats, cfg, drop_gen, cov_sq
+            student_ext, regressor, teacher_ext, z_w, z_s, stats, cov_sq, cfg, drop_gen
         )
 
     def update():

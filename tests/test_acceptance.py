@@ -13,25 +13,23 @@ import pytest
 import rfloc.meanteacher as meanteacher
 from rfloc.artifact import load_model
 from rfloc.cli import main, read_manifest
-from rfloc.dann import _disc_loss_grads, disc_loss
+from rfloc.dann import disc_loss
 from rfloc.data import load_csv
 from rfloc.evalmetrics import compute_heatmap, compute_metrics
 from rfloc.localizer import SourceStats, TrainConfig, predict, train_source
 from rfloc.meanteacher import MeanTeacherConfig, PseudoLabelSet, adapt, correct_labels
 from rfloc.networks import FEATURE_DIM, Discriminator, Localizer
 from rfloc.nn import l1_loss
-from rfloc.shot import (
-    ShotConfig,
-    _shot_step,
-    consistency_loss,
-    coral_loss,
-    pred_stat_loss,
-    run_shot,
-    teacher_loss,
-)
+from rfloc.shot import ShotConfig, _shot_step, pred_stat_loss, run_shot, sq_loss
 from rfloc.synthetic import SynthConfig, generate_synthetic
 
-from util import correct_labels_bruteforce, max_rel_error, sampled_central_difference, sampled_coords
+from util import (
+    correct_labels_bruteforce,
+    max_rel_error,
+    sampled_central_difference,
+    sampled_coords,
+    shot_coral_direct,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -83,7 +81,9 @@ def _fd_disc_path(trial: int) -> float:
     def loss() -> float:
         f_s = ext.forward(xs)[0]
         f_t = ext.forward(xt)[0]
-        return l1_loss(reg.forward(f_s)[0], ys)[0] - disc_loss(f_s, f_t, disc)
+        return l1_loss(reg.forward(f_s)[0], ys)[0] - disc_loss(
+            disc.forward(f_s)[0], disc.forward(f_t)[0]
+        )[0]
 
     ext.params.zero_grads()
     f_s, c_s = ext.forward(xs)
@@ -93,7 +93,7 @@ def _fd_disc_path(trial: int) -> float:
     f_t, c_t = ext.forward(xt)
     p_s, cd_s = disc.forward(f_s)
     p_t, cd_t = disc.forward(f_t)
-    _, dp_s, dp_t = _disc_loss_grads(p_s, p_t)
+    _, dp_s, dp_t = disc_loss(p_s, p_t)
     ext.backward(-disc.backward(dp_s, cd_s, accumulate=False), c_s)
     ext.backward(-disc.backward(dp_t, cd_t, accumulate=False), c_t)
     worst = 0.0
@@ -127,15 +127,17 @@ def _fd_shot_total(trial: int) -> float:
         y_w = reg.forward(f_w)[0]
         y_s = reg.forward(f_s)[0]
         y_t = reg.forward(teacher.forward(z_w)[0])[0]
+        # CORAL in its direct form, the oracle of the step's batch-Gram form.
         return (
-            cfg.lambda_cons * consistency_loss(y_w, y_s)
-            + cfg.lambda_teach * teacher_loss(y_s, y_t)
-            + cfg.lambda_stat * pred_stat_loss(y_w, stats)
-            + cfg.lambda_coral * coral_loss(f_w, stats)
+            cfg.lambda_cons * sq_loss(y_w, y_s, 1.0)[0]
+            + cfg.lambda_teach * sq_loss(y_s, y_t, 1.0)[0]
+            + cfg.lambda_stat * pred_stat_loss(y_w, stats, 1.0)[0]
+            + cfg.lambda_coral * shot_coral_direct(f_w, stats.feat_cov)[0]
         )
 
     ext.params.zero_grads()
-    _shot_step(ext, reg, teacher, z_w, z_s, stats, cfg, drop_gen=None)
+    cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
+    _shot_step(ext, reg, teacher, z_w, z_s, stats, cov_sq, cfg, drop_gen=None)
     worst = 0.0
     for name, p in ext.params.items():
         coords = _coords(p.value, 3, trial, name)
@@ -333,10 +335,9 @@ def test_frozen_hypothesis_contracts(capsys, source_model, small_target):
     fc = feats - feats.mean(axis=0)
     stats = SourceStats(preds.mean(axis=0), preds.var(axis=0), fc.T @ fc / 15)
     zeros = (
-        consistency_loss(preds, preds) == 0.0
-        and teacher_loss(preds, preds) == 0.0
-        and pred_stat_loss(preds, stats) == 0.0
-        and coral_loss(feats, stats) == 0.0
+        sq_loss(preds, preds, 1.0)[0] == 0.0
+        and pred_stat_loss(preds, stats, 1.0)[0] == 0.0
+        and shot_coral_direct(feats, stats.feat_cov)[0] == 0.0
     )
 
     idle, _ = run_shot(

@@ -22,7 +22,10 @@ from rfloc.cli import main, read_manifest
 from rfloc.configio import dataclass_to_kv, kv_to_dataclass, read_kv, write_kv
 from rfloc.data import load_csv, write_csv
 from rfloc.errors import RflocError
+from rfloc.dann import DannConfig
 from rfloc.localizer import TrainConfig
+from rfloc.meanteacher import MeanTeacherConfig
+from rfloc.shot import ShotConfig
 from util import cross_validate_serial, resealed
 
 SMALL_SCENARIO = [
@@ -1047,25 +1050,26 @@ def _fuzz_settings(defaults: dict) -> list[str]:
     return settings
 
 
-# Imports the CLI once, then forks one process per case, a JSON list of
-# arguments in which "{out}" stands for the case's own directory <out>/<i>.
-# Each child limits its own address space to what it had at the fork plus
-# the given MiB, sends its output to <out>/<i>.err and exits as `rfloc`
-# would: an uncaught exception prints a traceback and exits 1.
+# Imports the CLI once, then forks one process per case, a JSON pair of the
+# case's number i and its list of arguments, in which "{out}" stands for
+# the case's own directory <out>/<i>. Each child limits its own address
+# space to what it had at the fork plus the given MiB, sends its output to
+# <out>/<i>.err and exits as `rfloc` would: an uncaught exception prints a
+# traceback and exits 1. The driver prints "<i> <exit code>" per case.
 _FUZZ_DRIVER = """
 import json, os, resource, sys, traceback
 from rfloc.cli import main
 out, headroom = sys.argv[1], int(sys.argv[2]) << 20
 with open("/proc/self/statm") as fh:
     limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + headroom
-for i, case in enumerate(sys.argv[3:]):
+for i, case in map(json.loads, sys.argv[3:]):
     pid = os.fork()
     if pid == 0:
         fd = os.open(os.path.join(out, f"{i}.err"), os.O_WRONLY | os.O_CREAT)
         os.dup2(fd, 1)
         os.dup2(fd, 2)
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        argv = [arg.replace("{out}", os.path.join(out, str(i))) for arg in json.loads(case)]
+        argv = [arg.replace("{out}", os.path.join(out, str(i))) for arg in case]
         try:
             code = main(argv)
         except Exception:
@@ -1074,27 +1078,48 @@ for i, case in enumerate(sys.argv[3:]):
         sys.stdout.flush()
         sys.stderr.flush()
         os._exit(code)
-    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), flush=True)
+    print(i, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), flush=True)
 """
 
 
-def _fuzz(out: Path, cases: list[list[str]]) -> list[int]:
-    """Run each case through the fuzz driver; every one must exit 0, 2, 3,
-    4 or 6 without a traceback or a RuntimeWarning. Returns the codes."""
+def _fuzz(out: Path, cases: list[list[str]], jobs: int = 2) -> list[int]:
+    """Run each case through the fuzz driver, case i on driver i % jobs, the
+    drivers side by side; every one must exit 0, 2, 3, 4 or 6 without a
+    traceback or a RuntimeWarning. Returns the codes."""
     env = {**os.environ, "PYTHONPATH": str(Path(rfloc.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _FUZZ_DRIVER, str(out), "512", *map(json.dumps, cases)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes = [int(line) for line in proc.stdout.split()]
-    assert len(codes) == len(cases)
+    numbered = [json.dumps(pair) for pair in enumerate(cases)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _FUZZ_DRIVER, str(out), "512", *numbered[job::jobs]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for job in range(jobs)
+    ]
+    codes = {}
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        codes.update(map(int, line.split()) for line in stdout.splitlines())
+    codes = [codes[i] for i in range(len(cases))]
     for i, (case, code) in enumerate(zip(cases, codes)):
         err = (out / f"{i}.err").read_text()
         assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (case, code, err)
         assert "Traceback" not in err, (case, err)
         assert "RuntimeWarning" not in err, (case, err)
     return codes
+
+
+@pytest.fixture(scope="module")
+def slices(workdir, tmp_path_factory):
+    """20-row slices of the source and target CSVs, so each fuzz case is short."""
+    root = tmp_path_factory.mktemp("slices")
+    paths = []
+    for name in ("source", "target"):
+        lines = (workdir / "data" / f"{name}.csv").read_text().splitlines(keepends=True)
+        paths.append(root / f"{name}20.csv")
+        paths[-1].write_text("".join(lines[:22]))  # the run line, the header and 20 rows
+        assert len(load_csv(paths[-1])) == 20
+    return paths
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
@@ -1106,13 +1131,9 @@ def test_gen_synth_config_fuzz_exits_typed_without_traceback(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
-def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, tmp_path):
-    # A 20-row slice of the target keeps each case short; every case that
-    # passes its checks runs predict.
-    lines = (workdir / "data" / "target.csv").read_text().splitlines(keepends=True)
-    csv = tmp_path / "t20.csv"
-    csv.write_text("".join(lines[:22]))  # the run line, the header and 20 rows
-    assert len(load_csv(csv)) == 20
+def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, slices, tmp_path):
+    # Every case that passes its checks runs predict.
+    csv = slices[1]
     settings = _fuzz_settings({"cell": "1.0", "receivers": "1,1;1,5;5,5;5,1"})
     cases = [
         ["heatmap", "--model", str(workdir / "source.model"), "--csv", str(csv),
@@ -1123,6 +1144,105 @@ def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, tmp_path):
     assert {0, 2} <= set(codes)
     # A one-value receiver ended in a ValueError traceback.
     assert codes[settings.index("receivers=0")] == 2
+
+
+# ---------------------------------------------------------------- train, adapt and cv config fuzz
+
+# RFLOC_FULL_FUZZ=1 sweeps every method that reads each config class (CI
+# does); tier-1 runs each class once, through the verb and method that
+# check the most of its keys.
+_FULL_FUZZ = os.environ.get("RFLOC_FULL_FUZZ") == "1"
+_FUZZ_CONFIGS = {
+    "train": (TrainConfig(), ("train", "oracle")),
+    "meanteacher": (MeanTeacherConfig(), ("mtloc-conf", "mtloc", "cv mtloc-conf", "cv mtloc")),
+    "shot": (ShotConfig(), ("shot",)),
+    "dann": (DannConfig(), ("dann",)),
+}
+
+
+def _fuzz_case(workdir, slices, verb, *options):
+    """One train, adapt or cv command on the 20-row slices, one epoch;
+    options come last, so a hostile value overrides the defaults."""
+    source, target = map(str, slices)
+    if verb == "train":
+        head = ["train", "--source-csv", source, "--out", "{out}/m.model"]
+    elif verb.startswith("cv "):
+        head = ["cv", "--method", verb[3:], "--model", str(workdir / "source.model"),
+                "--target-csv", target, "--grid", "alpha=0.7,0.8", "--folds", "2",
+                "--out", "{out}/cv.csv"]
+    else:
+        head = ["adapt", "--method", verb, "--model", str(workdir / "source.model"),
+                "--target-csv", target, "--out", "{out}/m.model",
+                "--diagnostics", "{out}/diag.csv"]
+        if verb == "dann":
+            head += ["--source-csv", source]
+    return head + ["--set", "epochs=1", *options]
+
+
+def _assert_finite_tables(out: Path, cases, codes) -> None:
+    """A case that exits 0 writes no non-finite number into a table."""
+    for i, (case, code) in enumerate(zip(cases, codes)):
+        for table in (out / str(i)).glob("*.csv") if code == 0 else ():
+            body = table.read_text().lower()
+            assert "nan" not in body and "inf" not in body, (case, table.name, body)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+@pytest.mark.parametrize("config", list(_FUZZ_CONFIGS))
+def test_config_fuzz_exits_typed_without_traceback(workdir, slices, tmp_path, config):
+    defaults, verbs = _FUZZ_CONFIGS[config]
+    # epochs=2**63 is a valid request for a very long run, not a hostile
+    # value: epochs are uncapped, so that case would run until killed.
+    settings = [s for s in _fuzz_settings(dataclass_to_kv(defaults)) if s != f"epochs={2**63}"]
+    cases = [
+        _fuzz_case(workdir, slices, verb, "--set", s)
+        for verb in (verbs if _FULL_FUZZ else verbs[:1])
+        for s in settings
+    ]
+    codes = _fuzz(tmp_path, cases)
+    _assert_finite_tables(tmp_path, cases, codes)
+    assert {0, 2} <= set(codes)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+def test_cv_option_fuzz_exits_typed_without_traceback(workdir, slices, tmp_path):
+    settings = _fuzz_settings({"folds": "2", "fold-seed": "0"}) + [
+        f"grid={g}" for g in _HOSTILE_VALUES + _fuzz_settings({"alpha": "0.7,0.8"})
+    ]
+    cases = [
+        _fuzz_case(workdir, slices, verb, f"--{s}")
+        for verb in (("cv mtloc-conf", "cv mtloc") if _FULL_FUZZ else ("cv mtloc-conf",))
+        for s in settings
+    ]
+    codes = _fuzz(tmp_path, cases)
+    _assert_finite_tables(tmp_path, cases, codes)
+    assert {0, 2} <= set(codes)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks one process per case")
+def test_non_finite_results_never_exit_0(workdir, slices, tmp_path):
+    # One epoch at lr=1e308 on one batch, so no loss term sees the update.
+    # Each adapt here leaves finite weights near 1e308 that predict only
+    # NaN: adapt exits 0, and eval, heatmap and cv's folds refuse the
+    # predictions (exit 4). train's source statistics are non-finite.
+    target = str(slices[1])
+    cases = []
+    for method in ("mtloc", "shot", "oracle"):
+        model = str(tmp_path / str(len(cases)) / "m.model")
+        cases += [
+            _fuzz_case(workdir, slices, method, "--set", "lr=1e308"),
+            ["eval", "--model", model, "--csv", target, "--out-report", "{out}/report.csv"],
+            ["heatmap", "--model", model, "--csv", target, "--out-prefix", "{out}/grid"],
+        ]
+    cases += [
+        _fuzz_case(workdir, slices, "cv mtloc", "--set", "lr=1e308"),
+        _fuzz_case(workdir, slices, "train", "--set", "lr=1e308"),
+        _fuzz_case(workdir, slices, "dann", "--set", f"batch_size={2**63}"),
+    ]
+    codes = _fuzz(tmp_path, cases, jobs=1)  # eval and heatmap read the model before them
+    assert codes == [0, 4, 4] * 3 + [4, 4, cli.EXIT_MEMORY]
+    for i, code in enumerate(codes):
+        assert code == 0 or not any((tmp_path / str(i)).glob("*")), cases[i]  # no output left
 
 
 # ---------------------------------------------------------------- edited manifests

@@ -3,30 +3,17 @@
 import numpy as np
 import pytest
 
-from rfloc.dann import DannConfig, _disc_loss_grads, cycled, disc_loss, reg_loss, run_dann
-from rfloc.errors import ConfigError, UsageError
-from rfloc.networks import Discriminator
+from rfloc.dann import DannConfig, cycled, disc_loss, run_dann
+from rfloc.errors import ConfigError, ResourceError, UsageError
 from rfloc.nn import Rng
 
 from util import max_rel_error
 
 
-def test_reg_loss_hand_value():
-    preds = np.array([[3.0, 4.0], [0.0, 0.0]])
-    labels = np.array([[0.0, 0.0], [1.0, 1.0]])
-    # ((3 + 4) + (1 + 1)) / 2
-    assert reg_loss(preds, labels) == pytest.approx(4.5)
-
-
-def test_reg_loss_requires_labels():
-    with pytest.raises(UsageError):
-        reg_loss(np.zeros((2, 2)), None)
-
-
 def test_disc_loss_at_half_is_two_log_two():
     # A discriminator emitting exactly 0.5 everywhere scores
     # -(log 0.5 + log 0.5) = 2 log 2 regardless of batch size.
-    loss, dp_s, dp_t = _disc_loss_grads(np.full((7, 1), 0.5), np.full((7, 1), 0.5))
+    loss, dp_s, dp_t = disc_loss(np.full((7, 1), 0.5), np.full((7, 1), 0.5))
     assert loss == pytest.approx(2.0 * np.log(2.0), abs=1e-15)
     assert np.allclose(dp_s, -2.0 / 7.0)
     assert np.allclose(dp_t, 2.0 / 7.0)
@@ -36,7 +23,7 @@ def test_disc_loss_hand_value():
     p_s = np.array([[0.9], [0.5]])
     p_t = np.array([[0.2], [0.5]])
     expected = -(np.log(0.9) + np.log(0.5) + np.log(0.8) + np.log(0.5)) / 2.0
-    loss, _, _ = _disc_loss_grads(p_s, p_t)
+    loss, _, _ = disc_loss(p_s, p_t)
     assert loss == pytest.approx(expected, abs=1e-15)
 
 
@@ -44,7 +31,7 @@ def test_disc_loss_gradient_matches_finite_difference():
     gen = np.random.default_rng(0)
     p_s = gen.uniform(0.05, 0.95, size=(6, 1))
     p_t = gen.uniform(0.05, 0.95, size=(6, 1))
-    _, dp_s, dp_t = _disc_loss_grads(p_s, p_t)
+    _, dp_s, dp_t = disc_loss(p_s, p_t)
     eps = 1e-7
     for arr, grad in ((p_s, dp_s), (p_t, dp_t)):
         fd = np.zeros_like(arr)
@@ -53,22 +40,16 @@ def test_disc_loss_gradient_matches_finite_difference():
             hi[i] += eps
             lo[i] -= eps
             fd[i] = (
-                _disc_loss_grads(hi if arr is p_s else p_s, hi if arr is p_t else p_t)[0]
-                - _disc_loss_grads(lo if arr is p_s else p_s, lo if arr is p_t else p_t)[0]
+                disc_loss(hi if arr is p_s else p_s, hi if arr is p_t else p_t)[0]
+                - disc_loss(lo if arr is p_s else p_s, lo if arr is p_t else p_t)[0]
             ) / (2 * eps)
         assert max_rel_error(grad, fd) < 1e-6
 
 
 def test_disc_loss_clamps_extreme_probabilities():
-    loss, dp_s, dp_t = _disc_loss_grads(np.array([[0.0]]), np.array([[1.0]]))
+    loss, dp_s, dp_t = disc_loss(np.array([[0.0]]), np.array([[1.0]]))
     assert np.isfinite(loss)
     assert dp_s[0, 0] == 0.0 and dp_t[0, 0] == 0.0
-
-
-def test_disc_loss_rejects_unequal_batches():
-    d = Discriminator(init_gen=Rng(0).stream("d"))
-    with pytest.raises(ConfigError):
-        disc_loss(np.zeros((3, 768)), np.zeros((2, 768)), d)
 
 
 def test_run_requires_labeled_source(source_model, small_source, small_target):
@@ -113,6 +94,12 @@ def test_cycled_layout_wraps_the_smaller_domain(n_s, n_t):
         assert seen.size == n_batches * b
         assert np.array_equal(seen[n_small:], seen[: seen.size - n_small])
         assert set(seen) == set(range(n_small))
+
+
+@pytest.mark.parametrize("batch_size", [2**60, 2**63])
+def test_cycled_refuses_a_layout_numpy_cannot_index(batch_size):
+    with pytest.raises(ResourceError, match="too large"):
+        cycled(70, 25, batch_size, Rng(2))
 
 
 def test_unequal_sizes_cycled(source_model, small_source, small_target):

@@ -114,8 +114,6 @@ def test_conv1d_shape_errors(gen):
 
 def test_relu_backward(gen):
     x = gen.normal(size=(5, 7))
-    y = layers.relu(x)
-    assert (y >= 0).all()
     dy = gen.normal(size=(5, 7))
     dx = layers.relu_backward(dy, x)
     assert np.array_equal(dx, dy * (x > 0))

@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,43 @@ def test_source_stats_validation():
     notpsd[0, 0] = -1.0
     with pytest.raises(ConfigError):
         SourceStats(np.zeros(2), np.ones(2), notpsd)
+
+
+@pytest.mark.parametrize("where", ["pred_mean", "pred_var", "feat_cov"])
+def test_source_stats_refuse_non_finite_values(where):
+    # Checked before the PSD check: eigvalsh on a NaN matrix raised
+    # LinAlgError ("Eigenvalues did not converge").
+    arrays = {"pred_mean": np.zeros(2), "pred_var": np.ones(2), "feat_cov": np.eye(FEATURE_DIM)}
+    arrays[where].flat[-1] = np.nan
+    with pytest.raises(NumericalError, match="source statistics hold non-finite values"):
+        SourceStats(**arrays)
+
+
+def test_source_stats_refuse_an_asymmetric_covariance():
+    # PSD by its upper triangle, which an artifact keeps, but not symmetric:
+    # the matrix in memory would differ from the one saved.
+    asym = np.eye(FEATURE_DIM)
+    asym[1, 0] = 0.5
+    with pytest.raises(ConfigError, match="not exactly symmetric"):
+        SourceStats(np.zeros(2), np.ones(2), asym)
+
+
+def test_model_refuses_non_finite_weights(source_model):
+    net = source_model.net.clone()
+    net.params["conv1_w"].value[0, 0, 0] = np.inf
+    with pytest.raises(NumericalError, match="model parameter 'conv1_w' holds non-finite values"):
+        LocalizerModel(net, source_model.norm, source_model.source_stats, {})
+
+
+def test_predict_refuses_non_finite_output(source_model, small_target):
+    net = source_model.net.clone()
+    for _, p in net.params.items():
+        p.value *= 1e300  # finite weights whose forward pass overflows
+    model = LocalizerModel(net, source_model.norm, source_model.source_stats, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        with pytest.raises(NumericalError, match="predictions are non-finite"):
+            predict(model, small_target)
 
 
 def test_early_stopping_restores_best(small_source):

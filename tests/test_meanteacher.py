@@ -7,7 +7,7 @@ import pytest
 
 from rfloc import meanteacher
 from rfloc.data import normalize_features
-from rfloc.errors import ConfigError, UsageError
+from rfloc.errors import ConfigError, NumericalError, UsageError
 from rfloc.meanteacher import (
     MAX_PROBE_FLOATS,
     MeanTeacherConfig,
@@ -171,6 +171,16 @@ def test_thresholds_c_zero_flags_above_mean():
     t_x, _ = compute_thresholds(pls, 0.0, 0.0)
     assert t_x == pytest.approx(1.5)
     assert pls.confident.tolist() == [True, False]
+
+
+def test_thresholds_refuse_non_finite_spreads():
+    # Overflowed probes give infinite spreads, whose std is NaN; every
+    # comparison with a NaN threshold is false, so no row was flagged.
+    sigma = np.array([[np.inf, 1.0], [1.0, 1.0]])
+    pls = PseudoLabelSet(np.zeros((2, 2)), sigma)
+    with pytest.raises(NumericalError, match="uncertainty thresholds are non-finite"):
+        with np.errstate(invalid="ignore"):
+            compute_thresholds(pls, 1.0, 1.0)
 
 
 def test_thresholds_validation():

@@ -15,11 +15,10 @@ from rfloc.shot import (
     _shot_step,
     augment_strong,
     augment_weak,
-    consistency_loss,
     coral_loss,
     pred_stat_loss,
     run_shot,
-    teacher_loss,
+    sq_loss,
 )
 
 from util import (
@@ -34,6 +33,11 @@ from util import (
 
 def zero_stats() -> SourceStats:
     return SourceStats(np.zeros(2), np.zeros(2), np.zeros((FEATURE_DIM, FEATURE_DIM)))
+
+
+def cov_norm(stats: SourceStats) -> float:
+    """||C||_F^2 of the source covariance, as run_shot passes it to the step."""
+    return float(np.vdot(stats.feat_cov, stats.feat_cov))
 
 
 # ------------------------------------------------------------ augmentations
@@ -70,18 +74,25 @@ def test_strong_augmentation_masked_entries_carry_noise_only():
 # ------------------------------------------------------------ loss terms
 
 def test_consistency_loss_hand_value():
-    assert consistency_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])) == 5.0
+    loss, grad = sq_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]), 1.0)
+    assert loss == 5.0
+    assert np.array_equal(grad, [[2.0, 4.0]])
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert consistency_loss(a, np.zeros((2, 2))) == pytest.approx((1.0 + 4.0) / 2.0)
+    loss, grad = sq_loss(a, np.zeros((2, 2)), 0.5)
+    assert loss == pytest.approx((1.0 + 4.0) / 2.0)
+    assert np.array_equal(grad, 0.5 * a)  # weight * (2 / b) * (y - target)
 
 
 def test_teacher_loss_hand_value():
-    assert teacher_loss(np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])) == 25.0
+    assert sq_loss(np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]]), 0.5)[0] == 25.0
 
 
 def test_pred_stat_loss_hand_value():
     preds = np.array([[0.0, 0.0], [2.0, 2.0]])  # mean (1,1), population var (1,1)
-    assert pred_stat_loss(preds, zero_stats()) == pytest.approx(4.0)
+    loss, grad = pred_stat_loss(preds, zero_stats(), 1.0)
+    assert loss == pytest.approx(4.0)
+    # (2/b) dmu + (4/b) dvar (y - mu) = 1 -/+ 2 per row
+    assert np.allclose(grad, [[-1.0, -1.0], [3.0, 3.0]])
 
 
 def test_coral_loss_hand_value():
@@ -89,12 +100,15 @@ def test_coral_loss_hand_value():
     feats[0, 0] = 1.0
     feats[1, 0] = -1.0
     # Unbiased covariance has a single entry 2.0 at (0, 0).
-    assert coral_loss(feats, zero_stats()) == pytest.approx(4.0)
+    zeros = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    assert coral_loss(feats, zeros, 0.0, 1.0)[0] == pytest.approx(4.0)
 
 
-def test_coral_needs_two_samples():
-    with pytest.raises(ConfigError):
-        coral_loss(np.zeros((1, FEATURE_DIM)), zero_stats())
+def test_coral_needs_two_samples(caplog):
+    # One row has no covariance: the term and its gradient are skipped.
+    zeros = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    assert coral_loss(np.zeros((1, FEATURE_DIM)), zeros, 0.0, 1.0) == (0.0, 0.0)
+    assert "covariance alignment term skipped" in caplog.text
 
 
 def test_all_terms_zero_on_matched_statistics(source_model):
@@ -105,10 +119,9 @@ def test_all_terms_zero_on_matched_statistics(source_model):
     stats = SourceStats(
         preds.mean(axis=0), preds.var(axis=0), fc.T @ fc / (len(feats) - 1)
     )
-    assert consistency_loss(preds, preds) == 0.0
-    assert teacher_loss(preds, preds) == 0.0
-    assert pred_stat_loss(preds, stats) == 0.0
-    assert coral_loss(feats, stats) == 0.0
+    for loss, grad in (sq_loss(preds, preds, 1.0), pred_stat_loss(preds, stats, 1.0)):
+        assert loss == 0.0 and not grad.any()
+    assert shot_coral_direct(feats, stats.feat_cov)[0] == 0.0
 
 
 # ------------------------------------------------------------ step gradients
@@ -133,14 +146,14 @@ def test_step_gradient_matches_finite_difference(source_model):
         y_s = reg.forward(f_s)[0]
         y_t = reg.forward(teacher.forward(z_w)[0])[0]
         return (
-            cfg.lambda_cons * consistency_loss(y_w, y_s)
-            + cfg.lambda_teach * teacher_loss(y_s, y_t)
-            + cfg.lambda_stat * pred_stat_loss(y_w, stats)
-            + cfg.lambda_coral * coral_loss(f_w, stats)
+            cfg.lambda_cons * sq_loss(y_w, y_s, 1.0)[0]
+            + cfg.lambda_teach * sq_loss(y_s, y_t, 1.0)[0]
+            + cfg.lambda_stat * pred_stat_loss(y_w, stats, 1.0)[0]
+            + cfg.lambda_coral * shot_coral_direct(f_w, stats.feat_cov)[0]
         )
 
     ext.params.zero_grads()
-    terms = _shot_step(ext, reg, teacher, z_w, z_s, stats, cfg, drop_gen=None)
+    terms = _shot_step(ext, reg, teacher, z_w, z_s, stats, cov_norm(stats), cfg, drop_gen=None)
     assert terms["total"] == pytest.approx(total(), rel=1e-12)
     for name, p in ext.params.items():
         coords = sampled_coords(p.value.shape, 6, seed=zlib.crc32(name.encode()))
@@ -155,7 +168,8 @@ def test_step_total_is_weighted_sum(source_model):
     reg = source_model.net.regressor.clone()
     gen = np.random.default_rng(5)
     z = gen.normal(size=(8, 8))
-    terms = _shot_step(ext, reg, ext.clone(), z, z + 0.1, source_model.source_stats, cfg, None)
+    stats = source_model.source_stats
+    terms = _shot_step(ext, reg, ext.clone(), z, z + 0.1, stats, cov_norm(stats), cfg, None)
     expected = (
         cfg.lambda_cons * terms["cons"]
         + cfg.lambda_teach * terms["teach"]
@@ -189,7 +203,7 @@ def _coral_only_step(source_model, z_w, stats):
     cfg = ShotConfig(lambda_cons=0.0, lambda_teach=0.0, lambda_stat=0.0, lambda_coral=1.0)
     ext = _RecordingExtractor(source_model.net.extractor.clone())
     reg = source_model.net.regressor.clone()
-    terms = _shot_step(ext, reg, None, z_w, z_w + 0.1, stats, cfg, drop_gen=None)
+    terms = _shot_step(ext, reg, None, z_w, z_w + 0.1, stats, cov_norm(stats), cfg, drop_gen=None)
     return terms["coral"], ext.feats[0], ext.grads[0]
 
 
@@ -222,24 +236,10 @@ def test_step_uses_given_covariance_norm(source_model):
     z = np.random.default_rng(17).normal(size=(8, 8))
     ext = source_model.net.extractor.clone()
     reg = source_model.net.regressor.clone()
-    cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
-    computed = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None)
-    given = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None, cov_sq)
-    shifted = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cfg, None, cov_sq + 1.0)
-    assert given == computed
-    assert shifted["coral"] == pytest.approx(computed["coral"] + 1.0, rel=1e-12)
-
-
-def test_run_shot_passes_the_covariance_norm(monkeypatch, source_model, small_target):
-    # The norm run_shot computes once gives the same diagnostics, bit for
-    # bit, as the step computing it on every batch.
-    cfg = ShotConfig(epochs=1, seed=3)
-    target = small_target.without_labels()
-    _, once = run_shot(source_model, target, cfg)
-    step = shot._shot_step
-    monkeypatch.setattr(shot, "_shot_step", lambda *args: step(*args[:8]))
-    _, per_batch = run_shot(source_model, target, cfg)
-    assert once == per_batch
+    cov_sq = cov_norm(stats)
+    given = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cov_sq, cfg, None)
+    shifted = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cov_sq + 1.0, cfg, None)
+    assert shifted["coral"] == pytest.approx(given["coral"] + 1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------ run contracts

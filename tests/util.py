@@ -30,7 +30,6 @@ from rfloc.nn import (
     dropout_backward,
     dropout_forward,
     glorot_uniform,
-    relu,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -329,6 +328,11 @@ def shot_coral_direct(f_w, feat_cov):
     delta = fc.T @ fc / (b - 1) - feat_cov
     g = (4.0 / (b - 1)) * (fc @ delta)
     return float((delta * delta).sum()), g - g.mean(axis=0)
+
+
+def relu(x):
+    """ReLU as the unrolled networks below apply it: a new array."""
+    return np.maximum(x, 0.0)
 
 
 # The networks as they were written before they became layer lists: init,
