@@ -197,14 +197,13 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
     inputs (a replay compares them with the recorded hashes), make the
     output directories, run the verb, then write the manifest."""
     start = time.perf_counter()
-    if command not in _EXECUTORS:
+    if command not in _VERBS:
         raise DataError(f"manifest records unknown command {command!r}")
-    parse, run = _EXECUTORS[command]
+    parse, run, input_names, output_names, optional_outputs = _VERBS[command]
     cfg = parse(config_kv)
-    _check_names(command, "input", inputs, _input_names(command, cfg, inputs))
-    _check_names(
-        command, "output", outputs, _NAMES[command][1], _OPTIONAL_OUTPUTS.get(command, ())
-    )
+    input_names += _more_inputs(command, cfg, inputs)
+    _check_names(command, "input", inputs, input_names)
+    _check_names(command, "output", outputs, output_names, optional_outputs)
     input_hashes = {name: _hash_file(p) for name, p in inputs.items()}
     if recorded is not None:
         for name in sorted({*input_hashes, *recorded}):
@@ -242,11 +241,13 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
 
 
 # ---------------------------------------------------------------- verbs
-# Each verb is a (parse, run) pair. parse turns a config snapshot into the
-# verb's typed config or raises ConfigError; run is a pure function of
-# (typed config, inputs, outputs, run id), so replaying the same snapshot
-# reproduces the artifacts byte for byte. _NAMES gives the input and
-# output names run reads.
+# Each verb is a _VERBS entry (parse, run, input names, output names,
+# optional output names). parse turns a config snapshot into the verb's
+# typed config or raises ConfigError; run is a pure function of (typed
+# config, inputs, outputs, run id), so replaying the same snapshot
+# reproduces the artifacts byte for byte. A manifest must hold each input
+# and output name run reads and no other name, but for the optional
+# outputs and the inputs that _more_inputs adds.
 
 def _config_value(config_kv: dict, key: str, default: str, parse):
     """A manifest value outside the config dataclasses, parsed so that an
@@ -512,39 +513,25 @@ def _run_cv(parsed, inputs, outputs, run_id) -> None:
     print(f"best config: {best_desc}")
 
 
-_EXECUTORS = {
-    "gen-synth": (_parse_gen_synth, _run_gen_synth),
-    "train": (partial(_checked, TrainConfig), _run_train),
-    "adapt": (_parse_adapt, _run_adapt),
-    "eval": (_parse_eval, _run_eval),
-    "heatmap": (_parse_heatmap, _run_heatmap),
-    "cv": (_parse_cv, _run_cv),
+_VERBS = {
+    "gen-synth": (_parse_gen_synth, _run_gen_synth, (), ("source_csv", "target_csv"), ()),
+    "train": (partial(_checked, TrainConfig), _run_train, ("source_csv",), ("model",), ()),
+    "adapt": (_parse_adapt, _run_adapt, ("model", "target_csv"), ("model",), ("diagnostics",)),
+    "eval": (_parse_eval, _run_eval, ("csv",), ("report",), ()),
+    "heatmap": (_parse_heatmap, _run_heatmap, ("model", "csv"), ("grid_csv", "pgm", "scale"), ()),
+    "cv": (_parse_cv, _run_cv, ("model", "target_csv"), ("table",), ()),
 }
 
-# The (input, output) names each verb's run reads. A manifest must hold
-# each of them and no other name, but for adapt's optional diagnostics
-# output and the inputs that _input_names adds.
-_NAMES = {
-    "gen-synth": ((), ("source_csv", "target_csv")),
-    "train": (("source_csv",), ("model",)),
-    "adapt": (("model", "target_csv"), ("model",)),
-    "eval": (("csv",), ("report",)),
-    "heatmap": (("model", "csv"), ("grid_csv", "pgm", "scale")),
-    "cv": (("model", "target_csv"), ("table",)),
-}
-_OPTIONAL_OUTPUTS = {"adapt": ("diagnostics",)}
 
-
-def _input_names(command, cfg, inputs) -> tuple:
-    """The input names a verb reads: those in _NAMES, plus source_csv for
-    an adapt method that needs source data and eval's model000, model001,
+def _more_inputs(command, cfg, inputs) -> tuple:
+    """The input names a verb reads beyond those in _VERBS: source_csv for
+    an adapt method that needs source data, and eval's model000, model001,
     ... (at least one)."""
-    names = _NAMES[command][0]
     if command == "adapt" and cfg[0].needs_source:
-        names += ("source_csv",)
+        return ("source_csv",)
     if command == "eval":
-        names += tuple(_eval_models(inputs)) or ("model000",)
-    return names
+        return tuple(_eval_models(inputs)) or ("model000",)
+    return ()
 
 
 # ---------------------------------------------------------------- arg parsing

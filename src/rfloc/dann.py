@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ConfigError, ResourceError, UsageError
-from .localizer import LocalizerModel, run_epochs
+from .errors import ResourceError, UsageError
+from .localizer import LocalizerModel, check_schedule, run_epochs
 from .networks import Discriminator
 from .nn import Adam, Rng, l1_loss
 
@@ -40,12 +40,7 @@ class DannConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        check_schedule(self)
 
 
 def disc_loss(p_s: np.ndarray, p_t: np.ndarray):
@@ -91,6 +86,14 @@ def run_dann(
     Returns (adapted model, per-epoch diagnostics); the diagnostics are
     run_epochs rows {"epoch", "reg_loss", "disc_loss", "feat_loss"}, with
     feat_loss = reg_loss - disc_loss.
+
+    The regressor and extractor Adam steps (1 and 2) run inside the batch
+    step, before run_epochs checks its loss terms. A NaN regression loss
+    therefore comes with NaN gradients, which Adam refuses with a
+    NumericalError naming the parameter (exit 4) before run_epochs sees
+    the loss. An infinite one can have finite gradients (l1_loss's are
+    signs); then both steps apply, and run_epochs raises its NumericalError
+    naming the epoch and batch before step 3's update.
     """
     cfg = cfg or DannConfig()
     cfg.validate()

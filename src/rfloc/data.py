@@ -63,13 +63,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(
-            name if name is not None else self.name,
-            self.features[idx],
-            self.labels[idx] if self.labeled else None,
-        )
+        return Dataset(self.name, self.features[idx], self.labels[idx] if self.labeled else None)
 
     def without_labels(self) -> "Dataset":
         return Dataset(self.name, self.features, None)

@@ -91,13 +91,6 @@ class HeatmapGrid:
     values: np.ndarray  # (rows, cols) mean distance error, NaN where empty
     counts: np.ndarray  # (rows, cols) samples per cell
 
-    def overall_mae_d(self) -> float:
-        """Count-weighted mean of cell values; equals mae_d of the samples."""
-        filled = self.counts > 0
-        return float(
-            (self.values[filled] * self.counts[filled]).sum() / self.counts[filled].sum()
-        )
-
 
 def compute_heatmap(
     preds: np.ndarray,

@@ -26,6 +26,16 @@ from .nn import Adam, Rng, l1_loss
 log = logging.getLogger(__name__)
 
 
+def check_schedule(cfg) -> None:
+    """Check the epochs, batch_size and lr every trainer's config holds."""
+    if cfg.epochs < 0:
+        raise ConfigError("epochs must be non-negative")
+    if cfg.batch_size < 1:
+        raise ConfigError("batch size must be at least 1")
+    if cfg.lr <= 0.0:
+        raise ConfigError("learning rate must be positive")
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
@@ -36,12 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
+        check_schedule(self)
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("validation fraction must lie in [0, 1)")
         if self.patience < 1:
@@ -50,7 +55,15 @@ class TrainConfig:
 
 @dataclass
 class SourceStats:
-    """Source-domain summaries consumed by source-free adapters."""
+    """Source-domain summaries consumed by source-free adapters.
+
+    The covariance must be finite, positive semidefinite within 1e-8 times
+    its largest magnitude, and exactly symmetric, checked in that order.
+    The PSD check shifts the diagonal of the array it holds in place and
+    restores it bit for bit before construction ends, so a caller's
+    writeable float64 array is held as given and must not be read by
+    another thread meanwhile; a read-only array is copied first.
+    """
 
     pred_mean: np.ndarray  # (2,)
     pred_var: np.ndarray  # (2,), population variance
@@ -71,10 +84,22 @@ class SourceStats:
             )
         if not all(np.isfinite(a).all() for a in (self.pred_mean, self.pred_var, self.feat_cov)):
             raise NumericalError("source statistics hold non-finite values")
-        scale = max(1.0, float(np.abs(self.feat_cov).max()))
-        min_eig = float(np.linalg.eigvalsh(self.feat_cov, UPLO="U").min())
-        if min_eig < -1e-8 * scale:
-            raise ConfigError(f"feature covariance is not positive semidefinite ({min_eig})")
+        if not self.feat_cov.flags.writeable:
+            self.feat_cov = self.feat_cov.copy()
+        cov = self.feat_cov
+        # No eigenvalue below -1e-8 * scale iff the matrix shifted up by
+        # that much has a Cholesky factor, which costs half an eigvalsh.
+        # The factor of cov.T reads cov's upper triangle, the one an
+        # artifact stores.
+        scale = max(1.0, float(np.abs(cov).max()))
+        diagonal = cov.diagonal().copy()
+        np.fill_diagonal(cov, diagonal + 1e-8 * scale)
+        try:
+            np.linalg.cholesky(cov.T)
+        except np.linalg.LinAlgError:
+            raise ConfigError("feature covariance is not positive semidefinite") from None
+        finally:
+            np.fill_diagonal(cov, diagonal)
         # An artifact stores the upper triangle, so only an exactly
         # symmetric matrix is the same in memory and once saved.
         # compute_source_stats (feats.T @ feats) and load_model build one.
@@ -95,9 +120,6 @@ class LocalizerModel:
         for name, p in self.net.params.items():
             if not np.isfinite(p.value).all():
                 raise NumericalError(f"model parameter {name!r} holds non-finite values")
-
-    def clone(self) -> "LocalizerModel":
-        return LocalizerModel(self.net.clone(), self.norm, self.source_stats, dict(self.meta))
 
 
 # Under _CHECKED, numpy's overflow and invalid-value warnings are off: each

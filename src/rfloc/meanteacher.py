@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel, run_epochs, shuffled
+from .localizer import LocalizerModel, check_schedule, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS
 from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
 
@@ -62,12 +62,7 @@ class MeanTeacherConfig:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.noise_variance < 0.0:
             raise ConfigError("noise variance must be non-negative")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        check_schedule(self)
         if self.confidence:
             if self.n_probe < 2:
                 raise ConfigError("uncertainty probing needs at least 2 probes")
@@ -144,48 +139,18 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> tuple[flo
 _BLOCK_CELLS = 1 << 16
 
 
-def _pairwise_sum(term, n: int, lo: int = 0, slot: int = 0) -> np.ndarray:
-    """Elementwise sum of the n equal-shape terms lo, ..., lo + n - 1,
-    added in the order numpy's pairwise summation adds the elements of one
-    row: eight running sums combined as ((0+1)+(2+3))+((4+5)+(6+7)),
-    blocks over 128 split in halves. So the result is bit-equal to
+def _tree(term, lo: int, width: int, slot: int = 0) -> np.ndarray:
+    """Elementwise sum of the equal-shape terms lo, ..., lo + width - 1 as
+    a balanced binary tree; width is a power of two. For width 8 this is
+    the order numpy's pairwise summation adds the 8 elements of a row,
+    ((0+1)+(2+3))+((4+5)+(6+7)), so the result is bit-equal to
     np.stack(terms, -1).sum(-1).
 
     term(i, s) makes term i, in index order, as entry s of a stack of
     partial sums; the result is entry slot. An entry is added into the one
     below it before another term is made for its slot, so term may write
-    every term made for one slot into the same buffer. For n < 16 sums are
-    formed as soon as both operands exist, which keeps the stack at most
-    four deep."""
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        acc = _pairwise_sum(term, half, lo, slot)
-        acc += _pairwise_sum(term, n - half, lo + half, slot + 1)
-        return acc
-    if n < 8:
-        acc = term(lo, slot)
-        for i in range(lo + 1, lo + n):
-            acc += term(i, slot + 1)
-        return acc
-    tail = n - n % 8
-    if tail == 8:
-        acc = _tree(term, lo, 8, slot)
-    else:
-        r = [term(lo + j, slot + j) for j in range(8)]
-        for i in range(lo + 8, lo + tail, 8):
-            for j in range(8):
-                r[j] += term(i + j, slot + 8)
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[a] += r[b]
-        acc = r[0]
-    for i in range(lo + tail, lo + n):
-        acc += term(i, slot + 1)
-    return acc
-
-
-def _tree(term, lo: int, width: int, slot: int) -> np.ndarray:
-    # Terms lo, ..., lo + width - 1 summed as a balanced binary tree;
-    # width is a power of two.
+    every term made for one slot into the same buffer; width 8 uses at
+    most four slots."""
     if width == 1:
         return term(lo, slot)
     acc = _tree(term, lo, width // 2, slot)
@@ -228,8 +193,11 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
         raise ConfigError(f"k must be at least 1, got {k}")
     if pls.confident is None:
         raise UsageError("confidence flags not set; run compute_thresholds first")
-    if len(features) != len(pls.labels):
-        raise ConfigError("features and pseudo labels disagree in length")
+    if features.shape != (len(pls.labels), NUM_FEATURES):
+        raise ConfigError(
+            f"label correction needs ({len(pls.labels)}, {NUM_FEATURES}) features, one row"
+            f" per pseudo label, got {features.shape}"
+        )
     if not np.isfinite(features).all():
         raise ConfigError("label correction needs finite features")
     conf_idx = np.flatnonzero(pls.confident)
@@ -242,7 +210,7 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     conf_labels = pls.labels[conf_idx]
     labels = pls.labels.copy()
     block = max(1, min(_BLOCK_CELLS // conf_idx.size, unc_idx.size))
-    # One block buffer per slot of _pairwise_sum's stack, reused by every
+    # One block buffer per slot of _tree's stack, reused by every
     # block: fresh arrays of this size cost page faults on each block.
     buffers = []
 
@@ -256,7 +224,7 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     for start in range(0, unc_idx.size, block):
         rows = unc_idx[start : start + block]
         x = features[rows]
-        dist = _pairwise_sum(squared_difference, len(conf_cols))
+        dist = _tree(squared_difference, 0, NUM_FEATURES)
         np.sqrt(dist, out=dist)
         nearest = _nearest(dist, k_eff)
         w = 1.0 / np.maximum(np.take_along_axis(dist, nearest, axis=1), DISTANCE_EPS)

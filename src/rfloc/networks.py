@@ -271,7 +271,8 @@ class Regressor(Sequential):
 
 
 class Discriminator(Sequential):
-    """Dense(128) + ReLU, Dense(64) + ReLU, Dense(1) + clipped sigmoid."""
+    """Dense(128) + ReLU, Dense(64) + ReLU, Dense(1) + clipped sigmoid:
+    (batch, 768) features -> (batch, 1) source probabilities."""
 
     LAYERS = (
         Dense("disc1", FEATURE_DIM, HIDDEN1), ReLU(),
@@ -279,11 +280,8 @@ class Discriminator(Sequential):
         Dense("disc3", HIDDEN2, 1), ClippedSigmoid(),
     )
     IN_DIM = FEATURE_DIM
+    forward = Sequential.forward
     backward = Sequential.backward
-
-    def forward(self, feats: np.ndarray):
-        """Returns (probabilities (batch, 1), cache)."""
-        return Sequential.forward(self, feats)
 
 
 class Localizer:

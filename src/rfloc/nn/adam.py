@@ -1,5 +1,6 @@
 """Adam optimizer over a ParamSet, with bias correction folded into two
-per-step scalars."""
+per-step scalars. beta1, beta2 and eps are fixed at Kingma & Ba's defaults
+(arXiv 1412.6980); only the learning rate is a parameter."""
 
 from __future__ import annotations
 
@@ -11,24 +12,17 @@ from ..errors import ConfigError, NumericalError
 from .params import ParamSet, row_blocks, scratch_for, scratch_like
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        params: ParamSet,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ParamSet, lr: float = 1e-3):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(p.value) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.value) for name, p in params.items()}
@@ -55,10 +49,10 @@ class Adam:
             if not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         s = math.sqrt((1.0 - b2) / (1.0 - b2**self.t))
         lr_t = self.lr * (1.0 - b1) / (1.0 - b1**self.t) / s
-        eps_t = self.eps / s
+        eps_t = EPS / s
         buf_a, buf_b = self._scratch
         for name, p in self.params.items():
             m, v, value, grad = self._m[name], self._v[name], p.value, p.grad

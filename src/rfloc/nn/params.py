@@ -48,24 +48,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
-
-    def total_size(self) -> int:
-        return sum(p.value.size for p in self._params.values())
 
     def clone(self) -> "ParamSet":
         """Deep copy of values; fresh zero gradients."""

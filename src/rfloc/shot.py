@@ -45,7 +45,7 @@ import numpy as np
 
 from .data import Dataset, normalize_features
 from .errors import ArtifactError, ConfigError, UsageError
-from .localizer import LocalizerModel, SourceStats, run_epochs, shuffled
+from .localizer import LocalizerModel, SourceStats, check_schedule, run_epochs, shuffled
 from .networks import FeatureExtractor, Localizer, Regressor
 from .nn import Adam, Rng, ema_blend
 
@@ -78,12 +78,7 @@ class ShotConfig:
             raise ConfigError("mask probability must lie in [0, 1)")
         if not 0.0 <= self.teacher_ema <= 1.0:
             raise ConfigError("teacher EMA coefficient must lie in [0, 1]")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        check_schedule(self)
 
 
 def augment_weak(z: np.ndarray, gen: np.random.Generator, noise_std: float = 0.01) -> np.ndarray:

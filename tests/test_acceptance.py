@@ -26,9 +26,11 @@ from rfloc.synthetic import SynthConfig, generate_synthetic
 from util import (
     correct_labels_bruteforce,
     max_rel_error,
+    overall_mae_d,
     sampled_central_difference,
     sampled_coords,
     shot_coral_direct,
+    zero_grads,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -54,7 +56,7 @@ def _fd_localizer(trial: int) -> float:
     def loss() -> float:
         return l1_loss(net.forward(x)[0], y)[0]
 
-    net.params.zero_grads()
+    zero_grads(net.params)
     preds, cache = net.forward(x)
     _, dpred = l1_loss(preds, y)
     net.backward(dpred, cache)
@@ -85,7 +87,7 @@ def _fd_disc_path(trial: int) -> float:
             disc.forward(f_s)[0], disc.forward(f_t)[0]
         )[0]
 
-    ext.params.zero_grads()
+    zero_grads(ext.params)
     f_s, c_s = ext.forward(xs)
     preds, c_r = reg.forward(f_s)
     _, dpred = l1_loss(preds, ys)
@@ -135,7 +137,7 @@ def _fd_shot_total(trial: int) -> float:
             + cfg.lambda_coral * shot_coral_direct(f_w, stats.feat_cov)[0]
         )
 
-    ext.params.zero_grads()
+    zero_grads(ext.params)
     cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
     _shot_step(ext, reg, teacher, z_w, z_s, stats, cov_sq, cfg, drop_gen=None)
     worst = 0.0
@@ -304,7 +306,7 @@ def test_metric_hand_checks(capsys):
     labels = gen.uniform(0.0, 10.0, size=(400, 2))
     preds = labels + gen.normal(0.0, 1.5, size=(400, 2))
     grid = compute_heatmap(preds, labels, cell=1.0)
-    gap = abs(grid.overall_mae_d() - compute_metrics(preds, labels).mae_d)
+    gap = abs(overall_mae_d(grid) - compute_metrics(preds, labels).mae_d)
     ok = exact and gap <= 1e-9
     verdict(
         capsys,

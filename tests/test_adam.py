@@ -7,6 +7,7 @@ import pytest
 
 from rfloc.errors import NumericalError
 from rfloc.nn import Adam, ParamSet
+from rfloc.nn.adam import BETA1, BETA2
 from rfloc.nn.params import BLOCK_ELEMENTS
 
 from util import AdamAllocating, AdamTextbook
@@ -21,7 +22,7 @@ def make_params(values):
 
 def test_matches_hand_recurrence():
     ps = make_params([np.array([1.0, -2.0])])
-    opt = Adam(ps, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(ps, lr=0.01)  # beta1 0.9, beta2 0.999, eps 1e-8
     theta = np.array([1.0, -2.0])
     m = np.zeros(2)
     v = np.zeros(2)
@@ -177,8 +178,8 @@ def test_folded_step_tracks_textbook_adam(lr):
     # (measured: within 2.5e-15 of the largest entry).
     for name in ps.names():
         for kept, want, beta in (
-            (opt._m[name], textbook._m[name], opt.beta1),
-            (opt._v[name], textbook._v[name], opt.beta2),
+            (opt._m[name], textbook._m[name], BETA1),
+            (opt._v[name], textbook._v[name], BETA2),
         ):
             err = np.abs((1.0 - beta) * kept - want).max()
             assert err <= _TEXTBOOK_TOL * np.abs(want).max(), name

@@ -23,7 +23,7 @@ from rfloc.evalmetrics import (
 )
 from rfloc.localizer import predict
 from rfloc.meanteacher import MeanTeacherConfig, adapt
-from util import cross_validate_serial
+from util import cross_validate_serial, overall_mae_d
 
 
 FIXTURE_PREDS = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -103,7 +103,7 @@ def test_heatmap_weighted_mean_identity():
     preds = labels + gen.normal(0, 1.0, size=(300, 2))
     grid = compute_heatmap(preds, labels, cell=1.0)
     mae_d = compute_metrics(preds, labels).mae_d
-    assert abs(grid.overall_mae_d() - mae_d) <= 1e-9
+    assert abs(overall_mae_d(grid) - mae_d) <= 1e-9
     assert grid.counts.sum() == 300
 
 

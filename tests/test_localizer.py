@@ -186,8 +186,8 @@ def test_source_stats_validation():
 
 @pytest.mark.parametrize("where", ["pred_mean", "pred_var", "feat_cov"])
 def test_source_stats_refuse_non_finite_values(where):
-    # Checked before the PSD check: eigvalsh on a NaN matrix raised
-    # LinAlgError ("Eigenvalues did not converge").
+    # Checked before the PSD check, which would report a NaN matrix as
+    # not positive semidefinite (eigvalsh raised LinAlgError on one).
     arrays = {"pred_mean": np.zeros(2), "pred_var": np.ones(2), "feat_cov": np.eye(FEATURE_DIM)}
     arrays[where].flat[-1] = np.nan
     with pytest.raises(NumericalError, match="source statistics hold non-finite values"):
@@ -201,6 +201,57 @@ def test_source_stats_refuse_an_asymmetric_covariance():
     asym[1, 0] = 0.5
     with pytest.raises(ConfigError, match="not exactly symmetric"):
         SourceStats(np.zeros(2), np.ones(2), asym)
+
+
+@pytest.fixture(scope="module")
+def eigenbasis():
+    q, _ = np.linalg.qr(np.random.default_rng(17).normal(size=(FEATURE_DIM, FEATURE_DIM)))
+    return q
+
+
+def _covariance_with_smallest_eigenvalue(q, f):
+    """An exactly symmetric covariance whose smallest eigenvalue is
+    f * 1e-8 * scale, scale being its largest magnitude, as SourceStats
+    measures it; the other eigenvalues lie in [1, 3]."""
+    eig = np.linspace(1.0, 3.0, FEATURE_DIM)
+    scale = max(1.0, float(np.abs((q * eig) @ q.T).max()))
+    eig[0] = f * 1e-8 * scale
+    cov = (q * eig) @ q.T
+    cov = (cov + cov.T) / 2.0
+    got = np.linalg.eigvalsh(cov)[0] / (1e-8 * max(1.0, float(np.abs(cov).max())))
+    assert abs(got - f) < 1e-3  # the construction, not the check under test
+    return cov
+
+
+@pytest.mark.parametrize("f", [0.0, -0.5, -0.99])
+def test_source_stats_accept_eigenvalues_just_inside_the_tolerance(eigenbasis, f):
+    cov = _covariance_with_smallest_eigenvalue(eigenbasis, f)
+    SourceStats(np.zeros(2), np.ones(2), cov)
+
+
+@pytest.mark.parametrize("f", [-1.01, -2.0, -10.0])
+def test_source_stats_refuse_eigenvalues_just_outside_the_tolerance(eigenbasis, f):
+    cov = _covariance_with_smallest_eigenvalue(eigenbasis, f)
+    given = cov.copy()
+    with pytest.raises(ConfigError, match="feature covariance is not positive semidefinite"):
+        SourceStats(np.zeros(2), np.ones(2), cov)
+    # The diagonal shift of the check is undone on refusal too.
+    assert np.array_equal(cov, given) and cov.tobytes() == given.tobytes()
+
+
+def test_source_stats_keep_a_callers_covariance_bit_for_bit(eigenbasis):
+    cov = _covariance_with_smallest_eigenvalue(eigenbasis, -0.5)
+    given = cov.copy()
+    stats = SourceStats(np.zeros(2), np.ones(2), cov)
+    assert stats.feat_cov is cov
+    assert cov.tobytes() == given.tobytes()
+
+
+def test_source_stats_accept_a_read_only_covariance(eigenbasis):
+    cov = _covariance_with_smallest_eigenvalue(eigenbasis, 0.0)
+    cov.flags.writeable = False
+    stats = SourceStats(np.zeros(2), np.ones(2), cov)
+    assert stats.feat_cov.tobytes() == cov.tobytes()
 
 
 def test_model_refuses_non_finite_weights(source_model):

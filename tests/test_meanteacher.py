@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from rfloc import meanteacher
-from rfloc.data import normalize_features
+from rfloc.data import NUM_FEATURES, normalize_features
 from rfloc.errors import ConfigError, NumericalError, UsageError
 from rfloc.meanteacher import (
     MAX_PROBE_FLOATS,
     MeanTeacherConfig,
     PseudoLabelSet,
-    _pairwise_sum,
     _probe,
+    _tree,
     adapt,
     compute_thresholds,
     correct_labels,
@@ -339,13 +339,12 @@ def test_correction_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 15, 16, 23, 130, 300])
-def test_pairwise_sum_matches_numpy_row_sum(width):
+def test_tree_sum_matches_numpy_row_sum():
     # Every term made for one slot is written into the same buffer, as
     # correct_labels does; a slot reused while its entry is still to be
     # added would change the sum.
-    gen = np.random.default_rng(width)
-    a = gen.random((50, width)) * 10.0 ** gen.uniform(-6, 6, size=(50, width))
+    gen = np.random.default_rng(8)
+    a = gen.random((50, NUM_FEATURES)) * 10.0 ** gen.uniform(-6, 6, size=(50, NUM_FEATURES))
     buffers = {}
     order = []
 
@@ -355,10 +354,16 @@ def test_pairwise_sum_matches_numpy_row_sum(width):
         buf[...] = a[:, i]
         return buf
 
-    assert np.array_equal(_pairwise_sum(term, width), a.sum(axis=1))
-    assert order == list(range(width))
-    if width < 16:
-        assert len(buffers) <= 4
+    assert np.array_equal(_tree(term, 0, NUM_FEATURES), a.sum(axis=1))
+    assert order == list(range(NUM_FEATURES))
+    assert len(buffers) <= 4
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 7), (3, 9), (2, 8), (3, 8, 1)])
+def test_correction_rejects_features_of_another_shape(shape):
+    pls = PseudoLabelSet(np.zeros((3, 2)), np.zeros((3, 2)), np.array([True, True, False]))
+    with pytest.raises(ConfigError, match="features"):
+        correct_labels(pls, np.zeros(shape), k=1)
 
 
 def test_correction_rejects_nonfinite_features():

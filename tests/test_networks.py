@@ -30,12 +30,14 @@ from util import (
     regressor_forward_unrolled,
     sampled_central_difference,
     sampled_coords,
+    total_size,
+    zero_grads,
 )
 
 
 def test_total_parameter_count():
     net = Localizer.init(Rng(0).stream("init"))
-    assert net.params.total_size() == 123522
+    assert total_size(net.params) == 123522
 
 
 def test_component_parameter_counts():
@@ -43,11 +45,11 @@ def test_component_parameter_counts():
     reg = Regressor(init_gen=Rng(0).stream("b"))
     disc = Discriminator(init_gen=Rng(0).stream("c"))
     # conv1: 64*1*2+64; conv2: 128*64*2+128
-    assert ext.params.total_size() == 192 + 16512
+    assert total_size(ext.params) == 192 + 16512
     # dense 768->128->64->2 with biases
-    assert reg.params.total_size() == 98432 + 8256 + 130
+    assert total_size(reg.params) == 98432 + 8256 + 130
     # dense 768->128->64->1 with biases
-    assert disc.params.total_size() == 98432 + 8256 + 65
+    assert total_size(disc.params) == 98432 + 8256 + 65
 
 
 def test_feature_and_output_shapes():
@@ -192,7 +194,7 @@ def test_localizer_gradient_matches_fd():
 
     preds, cache = net.forward(x, drop_gen=None)
     dpred = 2.0 * (preds - target)
-    net.params.zero_grads()
+    zero_grads(net.params)
     net.backward(dpred, cache)
     for name, p in net.params.items():
         coords = sampled_coords(p.value.shape, 6, seed=zlib.crc32(name.encode()))

@@ -28,6 +28,7 @@ from util import (
     sampled_coords,
     shot_coral_direct,
     shot_ema_allocating,
+    zero_grads,
 )
 
 
@@ -152,7 +153,7 @@ def test_step_gradient_matches_finite_difference(source_model):
             + cfg.lambda_coral * shot_coral_direct(f_w, stats.feat_cov)[0]
         )
 
-    ext.params.zero_grads()
+    zero_grads(ext.params)
     terms = _shot_step(ext, reg, teacher, z_w, z_s, stats, cov_norm(stats), cfg, drop_gen=None)
     assert terms["total"] == pytest.approx(total(), rel=1e-12)
     for name, p in ext.params.items():

@@ -83,6 +83,22 @@ def max_rel_error(analytic, numeric, floor: float = 1e-8) -> float:
     return float((np.abs(analytic - numeric) / scale).max())
 
 
+def zero_grads(params: ParamSet) -> None:
+    for _, p in params.items():
+        p.grad[...] = 0.0
+
+
+def total_size(params: ParamSet) -> int:
+    return sum(p.value.size for _, p in params.items())
+
+
+def overall_mae_d(grid) -> float:
+    """A heatmap's count-weighted mean of cell values; equals mae_d of the
+    samples binned into it."""
+    filled = grid.counts > 0
+    return float((grid.values[filled] * grid.counts[filled]).sum() / grid.counts[filled].sum())
+
+
 def resealed(body: bytes) -> bytes:
     """An artifact's bytes before its sha256 trailer, with a fresh trailer,
     so that an edited file reaches the checks behind the checksum."""
