@@ -296,10 +296,7 @@ def _run_gen_synth(configs, inputs, outputs, run_id) -> None:
 
 
 def _run_train(cfg, inputs, outputs, run_id) -> None:
-    source = load_csv(inputs["source_csv"])
-    if not source.labeled:
-        raise DataError("training data has no x,y label columns")
-    model = train_source(source, cfg)
+    model = train_source(load_csv(inputs["source_csv"]), cfg)
     model.meta["run_id"] = run_id
     save_model(model, outputs["model"])
 
@@ -318,15 +315,10 @@ def _run_shot(cfg, model, target, inputs):
 
 
 def _run_dann(cfg, model, target, inputs):
-    source = load_csv(inputs["source_csv"])
-    if not source.labeled:
-        raise DataError("adversarial adaptation needs labeled source data")
-    return run_dann(model, source, target.without_labels(), cfg)
+    return run_dann(model, load_csv(inputs["source_csv"]), target.without_labels(), cfg)
 
 
 def _run_oracle(cfg, model, target, inputs):
-    if not target.labeled:
-        raise DataError("oracle fine-tuning requires x,y labels in the target CSV")
     return finetune_oracle(model, target, cfg), []
 
 
@@ -491,8 +483,6 @@ def _run_cv(parsed, inputs, outputs, run_id) -> None:
     method, vary_keys, configs, n_folds, fold_seed = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
-    if not target.labeled:
-        raise DataError("fold selection requires a labeled target CSV")
 
     def recipe(train, val, config):
         cfg = kv_to_dataclass(type(method.defaults), config)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ResourceError, UsageError
+from .errors import DataError, ResourceError
 from .localizer import LocalizerModel, check_schedule, run_epochs
 from .networks import Discriminator
 from .nn import Adam, Rng, l1_loss
@@ -98,7 +98,7 @@ def run_dann(
     cfg = cfg or DannConfig()
     cfg.validate()
     if not source.labeled:
-        raise UsageError("adversarial training requires labeled source data")
+        raise DataError("adversarial adaptation needs labeled source data")
     rng = Rng(cfg.seed)
     net = source_model.net.clone()
     disc = Discriminator(init_gen=rng.stream("disc_init"))

@@ -73,29 +73,16 @@ class Dataset:
 
 # ---------------------------------------------------------------- CSV I/O
 
-def _resolve_columns(header: list[str], mapping: dict | None):
-    """Map canonical column names to indices in the file header.
-
-    mapping overrides canonical -> actual column name; an explicit None
-    drops a label column (features cannot be dropped).
-    """
-    mapping = mapping or {}
+def _resolve_columns(header: list[str]):
+    """Indices of the feature columns in the file header, and of the label
+    columns, or None unless both are present."""
     positions = {h: i for i, h in enumerate(header)}
-    feat_idx = []
-    for col in FEATURE_COLUMNS:
-        actual = mapping.get(col, col)
-        if actual is None:
-            raise SchemaError(f"feature column {col!r} cannot be dropped")
-        if actual not in positions:
-            raise SchemaError(f"missing required column {actual!r} (for {col!r})")
-        feat_idx.append(positions[actual])
-    label_idx = []
-    for col in LABEL_COLUMNS:
-        actual = mapping.get(col, col)
-        if actual is not None and actual in positions:
-            label_idx.append(positions[actual])
+    missing = [col for col in FEATURE_COLUMNS if col not in positions]
+    if missing:
+        raise SchemaError(f"missing required column {missing[0]!r}")
+    label_idx = [positions[col] for col in LABEL_COLUMNS if col in positions]
     labeled = len(label_idx) == len(LABEL_COLUMNS)
-    return feat_idx, label_idx if labeled else None
+    return [positions[col] for col in FEATURE_COLUMNS], label_idx if labeled else None
 
 
 def _csv_rows(lines, path):
@@ -110,9 +97,9 @@ def _csv_rows(lines, path):
         raise CsvParseError(f"{path}: line {reader.line_num}: {e}") from None
 
 
-def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a fingerprint CSV (UTF-8 text; a leading byte-order mark, as
-    spreadsheet exports write it, is skipped).
+    spreadsheet exports write it, is skipped) as a Dataset named by path.
 
     Rows with any non-finite value are dropped with a logged count;
     non-numeric cells raise CsvParseError with their line number, and so
@@ -121,7 +108,6 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
     SchemaError; a file that cannot be read or is not UTF-8 raises
     DataError.
     """
-    name = name or str(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -141,7 +127,7 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
             if repeated:
                 names = ", ".join(map(repr, repeated))
                 raise SchemaError(f"{path}: header repeats column(s) {names}")
-            feat_idx, label_idx = _resolve_columns(header, mapping)
+            feat_idx, label_idx = _resolve_columns(header)
             continue
         if len(row) != len(header):
             raise CsvParseError(
@@ -170,7 +156,7 @@ def load_csv(path, mapping: dict | None = None, name: str | None = None) -> Data
     if not feats:
         raise DataError(f"{path}: no usable data rows")
     return Dataset(
-        name,
+        str(path),
         np.array(feats, dtype=np.float64),
         np.array(labels, dtype=np.float64) if label_idx else None,
     )
@@ -246,16 +232,10 @@ class FoldAssignment:
     n_folds: int
 
     def val_indices(self, fold: int) -> np.ndarray:
-        self._check(fold)
         return np.flatnonzero(self.fold_of_sample == fold)
 
     def train_indices(self, fold: int) -> np.ndarray:
-        self._check(fold)
         return np.flatnonzero(self.fold_of_sample != fold)
-
-    def _check(self, fold: int) -> None:
-        if not 0 <= fold < self.n_folds:
-            raise ConfigError(f"fold {fold} out of range [0, {self.n_folds})")
 
 
 def make_folds(dataset: Dataset, n_folds: int = 5, seed: int = 0) -> FoldAssignment:

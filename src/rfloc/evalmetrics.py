@@ -40,23 +40,17 @@ class MetricsReport:
             self.std = {m: 0.0 for m in METRIC_NAMES}
 
     def value(self, metric: str) -> float:
-        if metric not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {metric!r}")
+        """The mean value of one of METRIC_NAMES."""
         return getattr(self, metric)
 
 
 def compute_metrics(preds: np.ndarray, labels: np.ndarray) -> MetricsReport:
-    """Single-run metrics.
+    """Single-run metrics of (n, 2) predictions against a Dataset's (n, 2)
+    labels.
 
     mae_d is the mean Euclidean distance error; rmse_d is the root of the
     mean squared distance error, so rmse_d >= mae_d always.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.shape != labels.shape or preds.ndim != 2 or preds.shape[1] != 2:
-        raise ConfigError(f"predictions {preds.shape} and labels {labels.shape} must both be (n, 2)")
-    if len(preds) == 0:
-        raise DataError("cannot compute metrics over zero samples")
     diff = preds - labels
     sq = diff * diff
     dist_sq = sq.sum(axis=1)
@@ -71,9 +65,8 @@ def compute_metrics(preds: np.ndarray, labels: np.ndarray) -> MetricsReport:
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> MetricsReport:
-    """Combine single-run reports: per-metric mean and population std."""
-    if not reports:
-        raise ConfigError("cannot aggregate zero runs")
+    """Combine one or more single-run reports: per-metric mean and
+    population std."""
     per_run = {m: [r.value(m) for r in reports] for m in METRIC_NAMES}
     means = {m: float(np.mean(v)) for m, v in per_run.items()}
     stds = {m: float(np.std(v)) for m, v in per_run.items()}
@@ -92,62 +85,43 @@ class HeatmapGrid:
     counts: np.ndarray  # (rows, cols) samples per cell
 
 
-def compute_heatmap(
-    preds: np.ndarray,
-    labels: np.ndarray,
-    cell: float = 1.0,
-    origin: tuple[float, float] | None = None,
-    shape: tuple[int, int] | None = None,
-) -> HeatmapGrid:
-    """Bin samples by true location into cell x cell squares.
+def compute_heatmap(preds: np.ndarray, labels: np.ndarray, cell: float = 1.0) -> HeatmapGrid:
+    """Bin samples by true location into cell x cell squares of a grid
+    that covers the labels' bounding box; preds and labels are (n, 2).
 
-    With origin/shape omitted the grid covers the label bounding box.
-    When given explicitly, samples outside the grid are dropped; if all
-    fall outside, that is an error. A grid of more than MAX_HEATMAP_CELLS
-    cells is refused.
+    The origin is each coordinate's minimum floored to a multiple of cell.
+    A grid of more than MAX_HEATMAP_CELLS cells is refused.
     """
     if not (np.isfinite(cell) and cell > 0):
         raise ConfigError(f"cell size must be positive and finite, got {cell}")
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.shape != labels.shape or preds.ndim != 2 or preds.shape[1] != 2:
-        raise ConfigError("predictions and labels must both be (n, 2)")
-    if len(labels) == 0:
-        raise DataError("cannot build a heatmap from zero samples")
     # A tiny cell overflows these to infinity (a grid of -inf rows when the
     # origin overflows too); the size check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if origin is None:
-            origin = (
-                float(np.floor(labels[:, 0].min() / cell) * cell),
-                float(np.floor(labels[:, 1].min() / cell) * cell),
-            )
+        origin = (
+            float(np.floor(labels[:, 0].min() / cell) * cell),
+            float(np.floor(labels[:, 1].min() / cell) * cell),
+        )
         cols_f = (labels[:, 0] - origin[0]) / cell
         rows_f = (labels[:, 1] - origin[1]) / cell
-    if shape is None:
-        n_rows = float(np.floor(rows_f.max())) + 1.0
-        n_cols = float(np.floor(cols_f.max())) + 1.0
-    else:
-        n_rows, n_cols = shape
-        if n_rows < 1 or n_cols < 1:
-            raise ConfigError(f"grid shape must be positive, got {shape}")
+    n_rows = float(np.floor(rows_f.max())) + 1.0
+    n_cols = float(np.floor(cols_f.max())) + 1.0
     if not (math.isfinite(n_rows) and math.isfinite(n_cols)
-            and n_rows * n_cols <= MAX_HEATMAP_CELLS):
+            and max(n_rows, 1.0) * max(n_cols, 1.0) <= MAX_HEATMAP_CELLS):
         raise ConfigError(
             f"heatmap grid of {abs(n_rows):.3g} x {abs(n_cols):.3g} cells exceeds"
             f" {MAX_HEATMAP_CELLS} cells; use a larger cell size"
         )
-    n_rows, n_cols = int(n_rows), int(n_cols)
-    rows = np.floor(rows_f).astype(int)
-    cols = np.floor(cols_f).astype(int)
-    inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
-    if not inside.any():
-        raise DataError("all samples fall outside the heatmap grid")
+    # The origin, floor(min / cell) * cell, can round one ulp above the
+    # minimum, which floors that sample's index to -1. Indices are clamped
+    # at 0, so every sample lands in a grid of at least one row and column.
+    n_rows, n_cols = max(int(n_rows), 1), max(int(n_cols), 1)
+    rows = np.maximum(np.floor(rows_f).astype(int), 0)
+    cols = np.maximum(np.floor(cols_f).astype(int), 0)
     err = np.sqrt(((preds - labels) ** 2).sum(axis=1))
     counts = np.zeros((n_rows, n_cols), dtype=np.int64)
     sums = np.zeros((n_rows, n_cols), dtype=np.float64)
-    np.add.at(counts, (rows[inside], cols[inside]), 1)
-    np.add.at(sums, (rows[inside], cols[inside]), err[inside])
+    np.add.at(counts, (rows, cols), 1)
+    np.add.at(sums, (rows, cols), err)
     values = np.full((n_rows, n_cols), np.nan)
     filled = counts > 0
     values[filled] = sums[filled] / counts[filled]
@@ -240,10 +214,8 @@ def cross_validate(
     worker that dies (say, killed by the operating system) raises
     WorkerError, also after the shutdown.
     """
-    if not configs:
-        raise ConfigError("empty config grid")
     if not train_set.labeled:
-        raise DataError("fold selection needs a labeled dataset")
+        raise DataError("fold selection requires a labeled target CSV")
     folds = make_folds(train_set, n_folds=n_folds, seed=seed)
     # Imported here, not at the top: every CLI verb imports this module, and
     # only cv needs the pool's modules (about 18 ms to import with Python

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, NormStats, fit_normalizer, normalize_features
-from .errors import ConfigError, NumericalError, UsageError
+from .errors import ConfigError, DataError, NumericalError
 from .networks import FEATURE_DIM, Localizer, in_blocks
 from .nn import Adam, Rng, l1_loss
 
@@ -237,7 +237,7 @@ def train_source(source: Dataset, cfg: TrainConfig | None = None) -> LocalizerMo
     cfg = cfg or TrainConfig()
     cfg.validate()
     if not source.labeled:
-        raise UsageError("source training requires a labeled dataset")
+        raise DataError("training data has no x,y label columns")
     rng = Rng(cfg.seed)
     net = Localizer.init(rng.stream("init"))
     norm = fit_normalizer(source)
@@ -272,7 +272,7 @@ def finetune_oracle(
     cfg = cfg or TrainConfig()
     cfg.validate()
     if not labeled_target.labeled:
-        raise UsageError("oracle fine-tuning requires a labeled target dataset")
+        raise DataError("oracle fine-tuning requires x,y labels in the target CSV")
     net = model.net.clone()
     z = normalize_features(labeled_target.features, model.norm)
     fit_meta = _fit(net, z, labeled_target.labels, cfg, Rng(cfg.seed))

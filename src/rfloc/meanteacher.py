@@ -96,8 +96,6 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     PREDICT_BLOCK_ROWS rows, the blocks predict_fn's in_blocks forms, so
     only the outputs grow with the number of rows.
     """
-    if n_probe < 2:
-        raise ConfigError("uncertainty probing needs at least 2 probes")
     n, dim = z.shape
     labels = predict_fn(z)
     sigma = np.empty((n, 2))
@@ -115,10 +113,6 @@ def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> tuple[flo
     """Set confidence flags in place and return the thresholds (t_x, t_y);
     a sample is uncertain when either coordinate's spread exceeds its
     threshold, mean + c * std of the spreads."""
-    if pls.sigma is None or len(pls.sigma) == 0:
-        raise UsageError("cannot compute thresholds from an empty pseudo-label set")
-    if c_x < 0.0 or c_y < 0.0:
-        raise ConfigError("threshold coefficients must be non-negative")
     mu = pls.sigma.mean(axis=0)
     sd = pls.sigma.std(axis=0)
     t = mu + np.array([c_x, c_y]) * sd
@@ -180,24 +174,17 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     """Replace uncertain labels by the inverse-distance weighted average of
     the k nearest confident samples (ties broken by lower sample index).
 
-    features must be the normalized inputs the labels were computed from.
-    If there are fewer than k confident samples, all of them are used; if
-    there are none, the set is returned unchanged with a warning.
+    pls must carry the confidence flags compute_thresholds sets, and
+    features must be the (n, 8) normalized inputs the labels were computed
+    from; k is at least 1. If there are fewer than k confident samples,
+    all of them are used; if there are none, the set is returned unchanged
+    with a warning.
 
     Uncertain rows are processed in blocks; every distance and sum is
     formed in the same floating-point order as a per-row
     ``sqrt(((conf - x) ** 2).sum(axis=1))``, so the result does not depend
     on the blocking.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if pls.confident is None:
-        raise UsageError("confidence flags not set; run compute_thresholds first")
-    if features.shape != (len(pls.labels), NUM_FEATURES):
-        raise ConfigError(
-            f"label correction needs ({len(pls.labels)}, {NUM_FEATURES}) features, one row"
-            f" per pseudo label, got {features.shape}"
-        )
     if not np.isfinite(features).all():
         raise ConfigError("label correction needs finite features")
     conf_idx = np.flatnonzero(pls.confident)

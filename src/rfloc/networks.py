@@ -6,7 +6,9 @@ Input is one 8-value received-power fingerprint per sample (4 receivers x
 network is a :class:`Sequential` over a tuple of layers and one named
 :class:`ParamSet`. Backward passes run the layers in reverse against the
 forward caches and accumulate (+=) into the parameter gradients, so
-several loss paths can share one step.
+several loss paths can share one step. The networks trust their callers:
+``Sequential`` checks parameter shapes once, at construction, and a
+forward pass takes its inputs unchecked.
 
 The layer kernels (``conv1d_forward``, ``dense_forward``,
 ``dropout_forward`` and their backwards) are looked up as globals of this
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 from .nn import (
     ParamSet,
     conv1d_backward,
@@ -61,11 +63,10 @@ def in_blocks(fn, x: np.ndarray) -> np.ndarray:
     the rows of its output for the whole input. The blocks' outputs are
     written into one preallocated array, so the intermediates of fn stay
     cache-sized and only the output grows with the number of rows. Inputs
-    of at most one block, and inputs that are not 2-D (which fn rejects),
-    take a single call.
+    of at most one block take a single call.
     """
     b = PREDICT_BLOCK_ROWS
-    if x.ndim != 2 or len(x) <= b:
+    if len(x) <= b:
         return fn(x)
     first = fn(x[:b])
     out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
@@ -146,7 +147,7 @@ class Dropout(Layer):
     """Active iff the forward pass is given a generator."""
 
     def forward(self, values, x, drop_gen):
-        return dropout_forward(x, DROPOUT_RATE, drop_gen, drop_gen is not None)
+        return dropout_forward(x, DROPOUT_RATE, drop_gen)
 
     def backward(self, values, dy, mask):
         return dropout_backward(dy, mask), ()
@@ -179,14 +180,15 @@ class Reshape(Layer):
 # ---------------------------------------------------------------- networks
 
 class Sequential:
-    """LAYERS run in order over one ParamSet of (batch, IN_DIM) inputs.
+    """LAYERS run in order over one ParamSet on a batch of rows.
 
     SHAPES, the parameter names and shapes in ParamSet order, is derived
-    from LAYERS for each subclass.
+    from LAYERS for each subclass. The network is built from given params,
+    whose names are SHAPES' in that order, or else initialized from
+    init_gen; either way each parameter's shape is checked here.
     """
 
     LAYERS: tuple[Layer, ...] = ()
-    IN_DIM = 0
     SHAPES: dict[str, tuple] = {}
 
     def __init_subclass__(cls):
@@ -195,16 +197,10 @@ class Sequential:
 
     def __init__(self, params: ParamSet | None = None, init_gen: np.random.Generator | None = None):
         if params is None:
-            if init_gen is None:
-                raise ConfigError("need either existing parameters or an init generator")
             params = ParamSet()
             for layer in self.LAYERS:
                 for name, value in zip(layer.shapes, layer.init(init_gen)):
                     params.add(name, value)
-        elif params.names() != list(self.SHAPES):
-            raise ConfigError(
-                f"parameter names {params.names()} do not match expected {list(self.SHAPES)}"
-            )
         for name, shape in self.SHAPES.items():
             if params[name].value.shape != shape:
                 raise ConfigError(
@@ -216,8 +212,6 @@ class Sequential:
     def forward(self, x: np.ndarray, drop_gen: np.random.Generator | None = None):
         """Returns (output, cache). Dropout is active iff drop_gen is
         given; None means inference."""
-        if x.ndim != 2 or x.shape[1] != self.IN_DIM:
-            raise ConfigError(f"expected input of shape (batch, {self.IN_DIM}), got {x.shape}")
         cache = []
         for layer, ps in zip(self.LAYERS, self._layer_params):
             x, c = layer.forward([p.value for p in ps], x, drop_gen)
@@ -227,8 +221,6 @@ class Sequential:
     def backward(self, dy: np.ndarray, cache, accumulate: bool = True) -> np.ndarray:
         """Gradient of a scalar loss w.r.t. the input; parameter gradients
         are added to the grads when accumulate is true."""
-        if cache is None:
-            raise UsageError("backward requires the cache of a matching forward pass")
         for i in reversed(range(len(self.LAYERS))):
             ps = self._layer_params[i]
             dy, grads = self.LAYERS[i].backward([p.value for p in ps], dy, cache[i])
@@ -251,7 +243,6 @@ class FeatureExtractor(Sequential):
         Conv1D("conv2", CONV1_FILTERS, CONV2_FILTERS), ReLU(), Dropout(),
         Reshape(FEATURE_DIM),
     )
-    IN_DIM = INPUT_LEN
     # Bound in each class body for the tracer (see the module docstring).
     forward = Sequential.forward
     backward = Sequential.backward
@@ -265,7 +256,6 @@ class Regressor(Sequential):
         Dense("dense2", HIDDEN1, HIDDEN2), ReLU(),
         Dense("dense3", HIDDEN2, OUTPUT_DIM),
     )
-    IN_DIM = FEATURE_DIM
     forward = Sequential.forward
     backward = Sequential.backward
 
@@ -279,7 +269,6 @@ class Discriminator(Sequential):
         Dense("disc2", HIDDEN1, HIDDEN2), ReLU(),
         Dense("disc3", HIDDEN2, 1), ClippedSigmoid(),
     )
-    IN_DIM = FEATURE_DIM
     forward = Sequential.forward
     backward = Sequential.backward
 
@@ -302,8 +291,6 @@ class Localizer:
         return preds, (c_ext, c_reg)
 
     def backward(self, dpreds: np.ndarray, cache) -> np.ndarray:
-        if cache is None:
-            raise UsageError("backward requires the cache of a matching forward pass")
         c_ext, c_reg = cache
         dfeats = self.regressor.backward(dpreds, c_reg)
         return self.extractor.backward(dfeats, c_ext)

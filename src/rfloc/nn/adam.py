@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError
+from ..errors import NumericalError
 from .params import ParamSet, row_blocks, scratch_for, scratch_like
 
 
@@ -19,8 +19,6 @@ EPS = 1e-8
 
 class Adam:
     def __init__(self, params: ParamSet, lr: float = 1e-3):
-        if lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = params
         self.lr = lr
         self.t = 0

@@ -3,14 +3,14 @@ reverse-mode gradients. All arrays are float64.
 
 Forward functions return plain arrays; the matching backward takes the
 original inputs it needs. Composition and gradient accumulation live in
-the layer objects and the `Sequential` of `rfloc.networks`, not here.
+the layer objects and the `Sequential` of `rfloc.networks`, not here. The
+kernels check no shapes: `Sequential` checks its parameters' shapes once,
+at construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..errors import ConfigError, UsageError
 
 
 def glorot_uniform(gen: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -21,10 +21,6 @@ def glorot_uniform(gen: np.random.Generator, shape, fan_in: int, fan_out: int) -
 # ---------------------------------------------------------------- dense
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ConfigError(f"dense: input {x.shape} incompatible with weights {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ConfigError(f"dense: bias {b.shape} incompatible with weights {w.shape}")
     y = x @ w
     y += b  # in place: no second (batch, n_out) array, the same bits
     return y
@@ -54,15 +50,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     x: (batch, length, in_ch), w: (out_ch, in_ch, k), b: (out_ch,).
     out[n, i, o] = b[o] + sum_{j, c} x[n, i + j, c] * w[o, c, j]
     """
-    if x.ndim != 3 or w.ndim != 3:
-        raise ConfigError("conv1d expects x (batch, length, in_ch) and w (out_ch, in_ch, k)")
     out_ch, in_ch, k = w.shape
-    if x.shape[2] != in_ch:
-        raise ConfigError(f"conv1d: {x.shape[2]} input channels, weights expect {in_ch}")
-    if x.shape[1] < k:
-        raise ConfigError(f"conv1d: input length {x.shape[1]} shorter than kernel {k}")
-    if b.shape != (out_ch,):
-        raise ConfigError(f"conv1d: bias {b.shape} incompatible with weights {w.shape}")
     out = _im2col(x, k) @ w.reshape(out_ch, in_ch * k).T
     out += b
     return out.reshape(x.shape[0], x.shape[1] - k + 1, out_ch)
@@ -105,9 +93,10 @@ def sigmoid_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- dropout
 
-def dropout_forward(x: np.ndarray, rate: float, gen: np.random.Generator | None, training: bool):
-    """Inverted dropout (Srivastava et al., JMLR 2014). Returns (out, mask);
-    mask is None when inert.
+def dropout_forward(x: np.ndarray, rate: float, gen: np.random.Generator | None):
+    """Inverted dropout (Srivastava et al., JMLR 2014) at a rate in [0, 1).
+    Returns (out, mask); the layer is inert, with mask None, iff gen is
+    None.
 
     Kept units are scaled by 1/(1-rate) so inference needs no rescaling.
     The mask costs half a Philox word per unit: each raw 64-bit word of
@@ -115,12 +104,8 @@ def dropout_forward(x: np.ndarray, rate: float, gen: np.random.Generator | None,
     (in C order) is kept iff lane i >= round(rate * 2**32), capped at
     2**32 - 1. The keep probability is within 2**-32 of 1 - rate.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, None
     if gen is None:
-        raise UsageError("training-mode dropout needs a random generator")
+        return x, None
     threshold = np.uint32(min(round(rate * 2.0**32), 2**32 - 1))
     words = gen.bit_generator.random_raw((x.size + 1) // 2)
     lanes = words.astype("<u8", copy=False).view("<u4")[: x.size].reshape(x.shape)
@@ -141,8 +126,6 @@ def l1_loss(pred: np.ndarray, target: np.ndarray):
 
     Returns (loss, dloss/dpred). Subgradient at zero error is 0.
     """
-    if pred.shape != target.shape:
-        raise ConfigError(f"loss: prediction {pred.shape} vs target {target.shape}")
     diff = pred - target
     loss = float(np.abs(diff).sum(axis=1).mean())
     grad = np.sign(diff) / pred.shape[0]

@@ -37,14 +37,13 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _tag_word(tag) -> int:
+    """The 64-bit word of a str or int tag."""
     if isinstance(tag, str):
         # Stable across processes, unlike the builtin hash().
         return int.from_bytes(
             hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "little"
         )
-    if isinstance(tag, (int, np.integer)):
-        return int(tag) & _MASK64
-    raise TypeError(f"stream tags must be str or int, got {type(tag).__name__}")
+    return int(tag) & _MASK64
 
 
 def _fold(k: int, tags) -> int:

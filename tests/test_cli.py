@@ -362,22 +362,43 @@ def test_eval_keeps_one_model_alive_at_a_time(workdir, tmp_path):
     assert peak(3) - peak(1) < 1024 * 1024
 
 
-def test_oracle_requires_labels(workdir, tmp_path, capsys):
+def _needs_labels_args(workdir, verb, csv, out) -> list[str]:
+    """A command line of verb that reads csv where it needs labels."""
+    model, data = str(workdir / "source.model"), workdir / "data"
+    adapt = ["adapt", "--model", model, "--set", "epochs=1", "--out", str(out / "m.model")]
+    return {
+        "train": ["train", "--source-csv", csv, "--set", "epochs=1",
+                  "--out", str(out / "m.model")],
+        "oracle": adapt + ["--method", "oracle", "--target-csv", csv],
+        "dann": adapt + ["--method", "dann", "--target-csv", str(data / "target.csv"),
+                         "--source-csv", csv],
+        "eval": ["eval", "--model", model, "--csv", csv, "--out-report", str(out / "r.csv")],
+        "heatmap": ["heatmap", "--model", model, "--csv", csv, "--out-prefix", str(out / "grid")],
+        "cv": ["cv", "--method", "mtloc", "--model", model, "--target-csv", csv,
+               "--grid", "alpha=0.8", "--folds", "2", "--set", "epochs=1",
+               "--out", str(out / "cv.csv")],
+    }[verb]
+
+
+# Per verb that reads labels, the error an unlabeled CSV must give.
+NEEDS_LABELS = {
+    "train": "training data has no x,y label columns",
+    "oracle": "oracle fine-tuning requires x,y labels in the target CSV",
+    "dann": "adversarial adaptation needs labeled source data",
+    "eval": "evaluation requires a labeled CSV",
+    "heatmap": "heatmaps require a labeled CSV",
+    "cv": "fold selection requires a labeled target CSV",
+}
+
+
+@pytest.mark.parametrize("verb", list(NEEDS_LABELS))
+def test_verbs_that_need_labels_refuse_an_unlabeled_csv(workdir, tmp_path, capsys, verb):
     unlabeled = tmp_path / "unlabeled.csv"
-    ds = load_csv(workdir / "data" / "target.csv")
-    write_csv(ds.without_labels(), unlabeled)
-    rc = main(
-        [
-            "adapt",
-            "--method", "oracle",
-            "--model", str(workdir / "source.model"),
-            "--target-csv", str(unlabeled),
-            "--set", "epochs=1",
-            "--out", str(tmp_path / "o.model"),
-        ]
-    )
-    assert rc == 3
-    assert "labels" in capsys.readouterr().err
+    write_csv(load_csv(workdir / "data" / "target.csv").without_labels(), unlabeled)
+    out = tmp_path / "out"
+    assert main(_needs_labels_args(workdir, verb, str(unlabeled), out)) == 3
+    assert capsys.readouterr().err == f"error: {NEEDS_LABELS[verb]}\n"
+    assert [p for p in out.rglob("*") if p.is_file()] == []  # no output, no manifest
 
 
 def test_oracle_adapts_on_labeled_target(workdir, tmp_path):
@@ -567,8 +588,10 @@ def _run_cli_counting_children(args, prelude=""):
         ("alpha=abc", 2, "config key 'alpha'"),
         ("alpha=0.8,1.5", 2, "alpha must lie in (0, 1], got 1.5"),
         ("alpha=0.8;lr=1e-3,1e300", 4, "adaptation diverged"),
+        # The one statement of this rule: cross_validate trusts it.
+        (" ; ", 2, "empty hyperparameter grid"),
     ],
-    ids=["not-a-number", "out-of-range", "diverging"],
+    ids=["not-a-number", "out-of-range", "diverging", "empty"],
 )
 def test_cv_grid_errors_exit_typed_without_traceback(workdir, tmp_path, grid, code, message):
     proc = _run_cli_counting_children(_cv_grid_args(workdir, grid, tmp_path / "cv.csv"))

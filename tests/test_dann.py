@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rfloc.dann import DannConfig, cycled, disc_loss, run_dann
-from rfloc.errors import ConfigError, ResourceError, UsageError
+from rfloc.errors import ConfigError, DataError, ResourceError
 from rfloc.nn import Rng
 
 from util import max_rel_error
@@ -53,7 +53,7 @@ def test_disc_loss_clamps_extreme_probabilities():
 
 
 def test_run_requires_labeled_source(source_model, small_source, small_target):
-    with pytest.raises(UsageError):
+    with pytest.raises(DataError, match="adversarial adaptation needs labeled source data"):
         run_dann(source_model, small_source.without_labels(), small_target, DannConfig(epochs=1))
 
 

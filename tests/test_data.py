@@ -232,24 +232,6 @@ def test_csv_all_rows_bad(tmp_path):
         load_csv(path)
 
 
-def test_csv_column_mapping(tmp_path):
-    path = tmp_path / "d.csv"
-    cols = [f"f{i}" for i in range(8)]
-    path.write_text(",".join(cols) + "\n" + ",".join(["2.5"] * 8) + "\n")
-    mapping = {c: f"f{i}" for i, c in enumerate(
-        ("r1x", "r1y", "r2x", "r2y", "r3x", "r3y", "r4x", "r4y"))}
-    ds = load_csv(path, mapping=mapping)
-    assert len(ds) == 1 and not ds.labeled
-
-
-def test_csv_mapping_drops_labels(tmp_path):
-    path = tmp_path / "d.csv"
-    header = "r1x,r1y,r2x,r2y,r3x,r3y,r4x,r4y,x,y"
-    path.write_text(f"{header}\n" + ",".join(["1.0"] * 10) + "\n")
-    ds = load_csv(path, mapping={"x": None, "y": None})
-    assert not ds.labeled
-
-
 def test_csv_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/nope.csv")
@@ -311,6 +293,3 @@ def test_folds_errors():
         make_folds(ds, n_folds=1)
     with pytest.raises(DataError):
         make_folds(ds, n_folds=9)
-    folds = make_folds(ds, n_folds=2)
-    with pytest.raises(ConfigError):
-        folds.val_indices(5)

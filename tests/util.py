@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from rfloc.data import FEATURE_COLUMNS, LABEL_COLUMNS, make_folds
-from rfloc.errors import ConfigError, DataError, NumericalError
+from rfloc.errors import DataError, NumericalError
 from rfloc.evalmetrics import compute_metrics
 from rfloc.networks import (
     CONV1_FILTERS,
@@ -230,10 +230,8 @@ def correct_labels_bruteforce(labels, sigma, confident, features, k, eps=1e-8):
 def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
     """The one-process config x fold loop that cross_validate ran before
     its fold pool; the oracle the pooled results must equal exactly."""
-    if not configs:
-        raise ConfigError("empty config grid")
     if not train_set.labeled:
-        raise DataError("fold selection needs a labeled dataset")
+        raise DataError("fold selection requires a labeled target CSV")
     folds = make_folds(train_set, n_folds=n_folds, seed=seed)
     results = []
     for config in configs:
@@ -369,14 +367,13 @@ def extractor_init_unrolled(gen):
 
 
 def extractor_forward_unrolled(p, x, drop_gen=None):
-    training = drop_gen is not None
     a0 = x[:, :, None]
     z1 = conv1d_forward(a0, p["conv1_w"].value, p["conv1_b"].value)
     r1 = relu(z1)
-    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
+    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen)
     z2 = conv1d_forward(d1, p["conv2_w"].value, p["conv2_b"].value)
     r2 = relu(z2)
-    d2, m2 = dropout_forward(r2, DROPOUT_RATE, drop_gen, training)
+    d2, m2 = dropout_forward(r2, DROPOUT_RATE, drop_gen)
     feats = d2.reshape(x.shape[0], FEATURE_DIM)
     cache = {"a0": a0, "z1": z1, "m1": m1, "d1": d1, "z2": z2, "m2": m2, "shape2": d2.shape}
     return feats, cache
@@ -410,10 +407,9 @@ def dense_head_init_unrolled(gen, prefix, n_out):
 
 
 def regressor_forward_unrolled(p, feats, drop_gen=None):
-    training = drop_gen is not None
     z1 = dense_forward(feats, p["dense1_w"].value, p["dense1_b"].value)
     r1 = relu(z1)
-    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen, training)
+    d1, m1 = dropout_forward(r1, DROPOUT_RATE, drop_gen)
     z2 = dense_forward(d1, p["dense2_w"].value, p["dense2_b"].value)
     r2 = relu(z2)
     out = dense_forward(r2, p["dense3_w"].value, p["dense3_b"].value)
