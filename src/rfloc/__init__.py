@@ -29,7 +29,6 @@ from .errors import (  # noqa: E402
 )
 from .data import (  # noqa: E402
     Dataset,
-    FoldAssignment,
     NormStats,
     fit_normalizer,
     load_csv,
@@ -67,8 +66,6 @@ from .shot import (  # noqa: E402
 )
 from .evalmetrics import (  # noqa: E402
     HeatmapGrid,
-    MetricsReport,
-    aggregate_runs,
     compute_heatmap,
     compute_metrics,
     cross_validate,

@@ -25,7 +25,7 @@ from .data import NormStats
 from .errors import ArtifactError, ConfigError
 from .localizer import LocalizerModel, SourceStats
 from .networks import FEATURE_DIM, FeatureExtractor, Localizer, Regressor
-from .nn import ParamSet
+from .nn import Param
 
 MAGIC = b"RFLM"
 FORMAT_VERSION = 2
@@ -173,12 +173,8 @@ def load_model(path) -> LocalizerModel:
 
     try:
         norm = NormStats(take("norm.mean"), take("norm.std"))
-        ext_params, reg_params = ParamSet(), ParamSet()
-        for name in FeatureExtractor.SHAPES:
-            ext_params.add(name, take(f"param.{name}"))
-        for name in Regressor.SHAPES:
-            reg_params.add(name, take(f"param.{name}"))
-        net = Localizer(FeatureExtractor(ext_params), Regressor(reg_params))
+        net = Localizer(*(cls({name: Param(take(f"param.{name}")) for name in cls.SHAPES})
+                          for cls in (FeatureExtractor, Regressor)))
         stats = None
         if header.get("has_source_stats"):
             stats = SourceStats(take("stats.pred_mean"), take("stats.pred_var"),

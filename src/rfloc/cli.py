@@ -7,7 +7,8 @@ produces; `replay` re-executes a manifest and reproduces the artifacts
 byte for byte.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure, 5 a worker process died, 6 out of memory.
+failure, 5 a worker process died, 6 out of memory. Each is the exit_code
+of the error class raised (rfloc.errors).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .artifact import load_model, save_model
 from .configio import (
@@ -42,15 +45,12 @@ from .data import load_csv, write_csv
 from .errors import (
     ConfigError,
     DataError,
-    NumericalError,
     ResourceError,
     RflocError,
     UsageError,
-    WorkerError,
 )
 from .evalmetrics import (
     METRIC_NAMES,
-    aggregate_runs,
     compute_heatmap,
     compute_metrics,
     cross_validate,
@@ -65,11 +65,6 @@ from .synthetic import SynthConfig, generate_synthetic
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_WORKER = 5
-EXIT_MEMORY = 6
 
 # Largest cv grid. Each entry is one adaptation per fold, so this many
 # entries already run for days; the cap refuses a grid whose product of
@@ -402,17 +397,19 @@ def _run_eval(_, inputs, outputs, run_id) -> None:
     reports = [
         compute_metrics(predict(load_model(inputs[key]), data), data.labels) for key in model_keys
     ]
-    report = aggregate_runs(reports)
+    rows = []
+    for m in METRIC_NAMES:
+        v = [r[m] for r in reports]
+        rows.append((m, float(np.mean(v)), float(np.std(v)), v))
     with open(outputs["report"], "w") as fh:
         fh.write(f"# run: {run_id}\n")
-        run_cols = ",".join(f"run_{i + 1}" for i in range(report.n_runs))
+        run_cols = ",".join(f"run_{i + 1}" for i in range(len(reports)))
         fh.write(f"metric,mean,std,{run_cols}\n")
-        for m in METRIC_NAMES:
-            vals = ",".join(repr(v) for v in report.per_run[m])
-            fh.write(f"{m},{report.value(m)!r},{report.std[m]!r},{vals}\n")
-    print(f"{'metric':<8}{'mean':>12}{'std':>12}   (n_runs={report.n_runs})")
-    for m in METRIC_NAMES:
-        print(f"{m:<8}{report.value(m):>12.4f}{report.std[m]:>12.4f}")
+        for m, mean, std, v in rows:
+            fh.write(f"{m},{mean!r},{std!r},{','.join(map(repr, v))}\n")
+    print(f"{'metric':<8}{'mean':>12}{'std':>12}   (n_runs={len(reports)})")
+    for m, mean, std, _ in rows:
+        print(f"{m:<8}{mean:>12.4f}{std:>12.4f}")
 
 
 def _parse_heatmap(config_kv):
@@ -665,16 +662,6 @@ def _dispatch(args) -> int:
     return EXIT_OK
 
 
-# The exit code of each error class; any other RflocError (ConfigError,
-# UsageError) exits EXIT_USAGE.
-_EXIT_CODES = (
-    (DataError, EXIT_DATA),
-    (NumericalError, EXIT_NUMERIC),
-    (WorkerError, EXIT_WORKER),
-    (ResourceError, EXIT_MEMORY),
-)
-
-
 def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -692,7 +679,7 @@ def main(argv=None) -> int:
             raise ResourceError(f"out of memory: {e}" if str(e) else "out of memory") from None
     except RflocError as e:
         print(f"error: {e}", file=sys.stderr)
-        return next((code for cls, code in _EXIT_CODES if isinstance(e, cls)), EXIT_USAGE)
+        return e.exit_code
 
 
 def entry() -> None:

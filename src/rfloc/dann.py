@@ -75,12 +75,7 @@ def cycled(n_s: int, n_t: int, batch_size: int, rng: Rng):
     return batches
 
 
-def run_dann(
-    source_model: LocalizerModel,
-    source: Dataset,
-    target: Dataset,
-    cfg: DannConfig | None = None,
-):
+def run_dann(source_model: LocalizerModel, source: Dataset, target: Dataset, cfg: DannConfig):
     """Adversarial adaptation starting from the source localizer.
 
     Returns (adapted model, per-epoch diagnostics); the diagnostics are
@@ -95,7 +90,6 @@ def run_dann(
     signs); then both steps apply, and run_epochs raises its NumericalError
     naming the epoch and batch before step 3's update.
     """
-    cfg = cfg or DannConfig()
     cfg.validate()
     if not source.labeled:
         raise DataError("adversarial adaptation needs labeled source data")

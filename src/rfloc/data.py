@@ -224,21 +224,9 @@ def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
 
 # ---------------------------------------------------------------- folds
 
-@dataclass
-class FoldAssignment:
-    """Round-robin assignment of shuffled samples to folds."""
-
-    fold_of_sample: np.ndarray  # (n,) int
-    n_folds: int
-
-    def val_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_sample == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_sample != fold)
-
-
-def make_folds(dataset: Dataset, n_folds: int = 5, seed: int = 0) -> FoldAssignment:
+def make_folds(dataset: Dataset, n_folds: int = 5, seed: int = 0) -> np.ndarray:
+    """The (n,) fold index of each sample: shuffled samples are assigned
+    to folds round-robin."""
     n = len(dataset)
     if n_folds < 2:
         raise ConfigError(f"need at least 2 folds, got {n_folds}")
@@ -247,4 +235,4 @@ def make_folds(dataset: Dataset, n_folds: int = 5, seed: int = 0) -> FoldAssignm
     perm = Rng(seed).stream("folds").permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % n_folds
-    return FoldAssignment(fold_of, n_folds)
+    return fold_of

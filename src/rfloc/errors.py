@@ -1,13 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: usage/configuration problems
-exit 2, data problems exit 3, numerical failures exit 4, a worker process
-that died exits 5, and running out of memory exits 6.
+Each class states the process exit code the CLI returns for it, as
+exit_code: usage/configuration problems exit 2, data problems exit 3,
+numerical failures exit 4, a worker process that died exits 5, and
+running out of memory exits 6.
 """
 
 
 class RflocError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ConfigError(RflocError):
@@ -20,6 +23,8 @@ class UsageError(RflocError):
 
 class DataError(RflocError):
     """Problem with a dataset or a data file."""
+
+    exit_code = 3
 
 
 class SchemaError(DataError):
@@ -37,12 +42,18 @@ class ArtifactError(DataError):
 class NumericalError(RflocError):
     """A computation produced non-finite values."""
 
+    exit_code = 4
+
 
 class WorkerError(RflocError):
     """A worker process died before returning its result (for example,
     killed by the operating system)."""
 
+    exit_code = 5
+
 
 class ResourceError(RflocError):
     """The machine could not meet a request for memory (a MemoryError,
     raised in this process or in a worker process)."""
+
+    exit_code = 6

@@ -1,12 +1,14 @@
-"""Evaluation: per-axis and Euclidean error metrics, multi-run aggregation,
-error heatmaps binned by true location, and a k-fold selection harness.
+"""Evaluation: per-axis and Euclidean error metrics of one model's
+predictions, as a {name: value} dict, error heatmaps binned by true
+location, and a k-fold selection harness. Aggregating several models'
+metrics is the eval command's (rfloc.cli).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,34 +21,9 @@ METRIC_NAMES = ("mae_x", "mae_y", "mae_d", "rmse_x", "rmse_y", "rmse_d")
 MAX_HEATMAP_CELLS = 1_000_000
 
 
-@dataclass
-class MetricsReport:
-    """Mean metrics with per-run values and across-run population std."""
-
-    mae_x: float
-    mae_y: float
-    mae_d: float
-    rmse_x: float
-    rmse_y: float
-    rmse_d: float
-    n_runs: int = 1
-    per_run: dict = field(default_factory=dict)  # metric -> list of per-run values
-    std: dict = field(default_factory=dict)  # metric -> across-run std
-
-    def __post_init__(self):
-        if not self.per_run:
-            self.per_run = {m: [getattr(self, m)] for m in METRIC_NAMES}
-        if not self.std:
-            self.std = {m: 0.0 for m in METRIC_NAMES}
-
-    def value(self, metric: str) -> float:
-        """The mean value of one of METRIC_NAMES."""
-        return getattr(self, metric)
-
-
-def compute_metrics(preds: np.ndarray, labels: np.ndarray) -> MetricsReport:
-    """Single-run metrics of (n, 2) predictions against a Dataset's (n, 2)
-    labels.
+def compute_metrics(preds: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """{name: value} of each of METRIC_NAMES, in that order, for (n, 2)
+    predictions against a Dataset's (n, 2) labels.
 
     mae_d is the mean Euclidean distance error; rmse_d is the root of the
     mean squared distance error, so rmse_d >= mae_d always.
@@ -54,23 +31,14 @@ def compute_metrics(preds: np.ndarray, labels: np.ndarray) -> MetricsReport:
     diff = preds - labels
     sq = diff * diff
     dist_sq = sq.sum(axis=1)
-    return MetricsReport(
-        mae_x=float(np.abs(diff[:, 0]).mean()),
-        mae_y=float(np.abs(diff[:, 1]).mean()),
-        mae_d=float(np.sqrt(dist_sq).mean()),
-        rmse_x=float(np.sqrt(sq[:, 0].mean())),
-        rmse_y=float(np.sqrt(sq[:, 1].mean())),
-        rmse_d=float(np.sqrt(dist_sq.mean())),
-    )
-
-
-def aggregate_runs(reports: list[MetricsReport]) -> MetricsReport:
-    """Combine one or more single-run reports: per-metric mean and
-    population std."""
-    per_run = {m: [r.value(m) for r in reports] for m in METRIC_NAMES}
-    means = {m: float(np.mean(v)) for m, v in per_run.items()}
-    stds = {m: float(np.std(v)) for m, v in per_run.items()}
-    return MetricsReport(**means, n_runs=len(reports), per_run=per_run, std=stds)
+    return {
+        "mae_x": float(np.abs(diff[:, 0]).mean()),
+        "mae_y": float(np.abs(diff[:, 1]).mean()),
+        "mae_d": float(np.sqrt(dist_sq).mean()),
+        "rmse_x": float(np.sqrt(sq[:, 0].mean())),
+        "rmse_y": float(np.sqrt(sq[:, 1].mean())),
+        "rmse_d": float(np.sqrt(dist_sq.mean())),
+    }
 
 
 # ---------------------------------------------------------------- heatmap
@@ -186,10 +154,10 @@ def _score_fold(task) -> float:
     """Validation mae_d of grid entry config_index on one fold."""
     config_index, fold = task
     train_set, recipe, configs, folds = _fold_job
-    tr = train_set.subset(folds.train_indices(fold))
-    va = train_set.subset(folds.val_indices(fold))
+    tr = train_set.subset(np.flatnonzero(folds != fold))
+    va = train_set.subset(np.flatnonzero(folds == fold))
     preds = recipe(tr, va, configs[config_index])
-    return compute_metrics(preds, va.labels).mae_d
+    return compute_metrics(preds, va.labels)["mae_d"]
 
 
 def cross_validate(

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset, NormStats, fit_normalizer, normalize_features
 from .errors import ConfigError, DataError, NumericalError
 from .networks import FEATURE_DIM, Localizer, in_blocks
-from .nn import Adam, Rng, l1_loss
+from .nn import Adam, Rng, clone_params, l1_loss
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
         nonlocal best_val, best_params, patience_left
         val_loss = l1_loss(net.predict(z[val_idx]), y[val_idx])[0]
         if val_loss < best_val:
-            best_val, best_params, patience_left = val_loss, net.params.clone(), cfg.patience
+            best_val, best_params, patience_left = val_loss, clone_params(net.params), cfg.patience
             return False
         patience_left -= 1
         return patience_left == 0
@@ -224,7 +224,8 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
         stop=stop if n_val else None,
     )
     if best_params is not None:
-        net.params.copy_values_from(best_params)
+        for name, p in net.params.items():
+            p.value = best_params[name].value
     return {
         "epochs_run": len(rows),
         "final_train_loss": rows[-1]["loss"] if rows else None,
@@ -232,9 +233,8 @@ def _fit(net: Localizer, z: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: Rn
     }
 
 
-def train_source(source: Dataset, cfg: TrainConfig | None = None) -> LocalizerModel:
+def train_source(source: Dataset, cfg: TrainConfig) -> LocalizerModel:
     """Train the localizer from scratch on labeled source data."""
-    cfg = cfg or TrainConfig()
     cfg.validate()
     if not source.labeled:
         raise DataError("training data has no x,y label columns")
@@ -263,13 +263,12 @@ def predict(model: LocalizerModel, data) -> np.ndarray:
 
 
 def finetune_oracle(
-    model: LocalizerModel, labeled_target: Dataset, cfg: TrainConfig | None = None
+    model: LocalizerModel, labeled_target: Dataset, cfg: TrainConfig
 ) -> LocalizerModel:
     """Upper-bound baseline: continue training on labeled target data.
 
     Keeps the model's normalization; zero epochs returns an identical copy.
     """
-    cfg = cfg or TrainConfig()
     cfg.validate()
     if not labeled_target.labeled:
         raise DataError("oracle fine-tuning requires x,y labels in the target CSV")

@@ -31,7 +31,7 @@ from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
 from .localizer import LocalizerModel, check_schedule, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS
-from .nn import Adam, ParamSet, Rng, ema_blend, l1_loss
+from .nn import Adam, Rng, ema_blend, l1_loss
 
 log = logging.getLogger(__name__)
 
@@ -170,15 +170,16 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(chosen, order, axis=1)
 
 
-def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoLabelSet:
-    """Replace uncertain labels by the inverse-distance weighted average of
-    the k nearest confident samples (ties broken by lower sample index).
+def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndarray:
+    """The (n, 2) labels with each uncertain one replaced by the
+    inverse-distance weighted average of the k nearest confident samples'
+    labels (ties broken by lower sample index). pls is not changed.
 
     pls must carry the confidence flags compute_thresholds sets, and
     features must be the (n, 8) normalized inputs the labels were computed
     from; k is at least 1. If there are fewer than k confident samples,
-    all of them are used; if there are none, the set is returned unchanged
-    with a warning.
+    all of them are used; if there are none, a copy of the labels is
+    returned with a warning.
 
     Uncertain rows are processed in blocks; every distance and sum is
     formed in the same floating-point order as a per-row
@@ -191,7 +192,7 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
     unc_idx = np.flatnonzero(~pls.confident)
     if conf_idx.size == 0:
         log.warning("no confident samples; pseudo-label correction skipped")
-        return PseudoLabelSet(pls.labels.copy(), pls.sigma.copy(), pls.confident.copy())
+        return pls.labels.copy()
     k_eff = min(k, conf_idx.size)
     conf_cols = np.ascontiguousarray(features[conf_idx].T)  # (dim, n_confident)
     conf_labels = pls.labels[conf_idx]
@@ -219,12 +220,12 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> PseudoL
         for j in range(1, k_eff):
             num += w[:, j, None] * conf_labels[nearest[:, j]]
         labels[rows] = num / w.sum(axis=1)[:, None]
-    return PseudoLabelSet(labels, pls.sigma.copy(), pls.confident.copy())
+    return labels
 
 
-def ema_update(teacher: ParamSet, student: ParamSet, alpha: float) -> None:
+def ema_update(teacher: dict, student: dict, alpha: float) -> None:
     """teacher <- alpha * student + (1 - alpha) * teacher, elementwise and
-    in place."""
+    in place, over two name -> Param dicts."""
     ema_blend(teacher, student, alpha, 1.0 - alpha)
 
 
@@ -257,7 +258,7 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
         pls = PseudoLabelSet(labels, sigma)
         t_x, t_y = compute_thresholds(pls, cfg.c_x, cfg.c_y)
         n_uncertain = int((~pls.confident).sum())
-        pseudo = correct_labels(pls, z, cfg.k).labels
+        pseudo = correct_labels(pls, z, cfg.k)
         return {"n_uncertain": n_uncertain, "t_x": t_x, "t_y": t_y}
 
     def step(epoch, bi, idx):

@@ -3,8 +3,8 @@ and the domain discriminator used by the adversarial baseline.
 
 Input is one 8-value received-power fingerprint per sample (4 receivers x
 2 polarizations), treated as a length-8 single-channel sequence. Each
-network is a :class:`Sequential` over a tuple of layers and one named
-:class:`ParamSet`. Backward passes run the layers in reverse against the
+network is a :class:`Sequential` over a tuple of layers and one
+name -> :class:`Param` dict. Backward passes run the layers in reverse against the
 forward caches and accumulate (+=) into the parameter gradients, so
 several loss paths can share one step. The networks trust their callers:
 ``Sequential`` checks parameter shapes once, at construction, and a
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn import (
-    ParamSet,
+    Param,
+    clone_params,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -180,9 +181,9 @@ class Reshape(Layer):
 # ---------------------------------------------------------------- networks
 
 class Sequential:
-    """LAYERS run in order over one ParamSet on a batch of rows.
+    """LAYERS run in order over one name -> Param dict on a batch of rows.
 
-    SHAPES, the parameter names and shapes in ParamSet order, is derived
+    SHAPES, the parameter names and shapes in dict order, is derived
     from LAYERS for each subclass. The network is built from given params,
     whose names are SHAPES' in that order, or else initialized from
     init_gen; either way each parameter's shape is checked here.
@@ -195,12 +196,10 @@ class Sequential:
         super().__init_subclass__()
         cls.SHAPES = {name: shape for layer in cls.LAYERS for name, shape in layer.shapes.items()}
 
-    def __init__(self, params: ParamSet | None = None, init_gen: np.random.Generator | None = None):
+    def __init__(self, params: dict | None = None, init_gen: np.random.Generator | None = None):
         if params is None:
-            params = ParamSet()
-            for layer in self.LAYERS:
-                for name, value in zip(layer.shapes, layer.init(init_gen)):
-                    params.add(name, value)
+            params = {name: Param(value) for layer in self.LAYERS
+                      for name, value in zip(layer.shapes, layer.init(init_gen))}
         for name, shape in self.SHAPES.items():
             if params[name].value.shape != shape:
                 raise ConfigError(
@@ -230,7 +229,7 @@ class Sequential:
         return dy
 
     def clone(self):
-        return type(self)(self.params.clone())
+        return type(self)(clone_params(self.params))
 
 
 class FeatureExtractor(Sequential):
@@ -274,12 +273,15 @@ class Discriminator(Sequential):
 
 
 class Localizer:
-    """Feature extractor + regressor, trained and stepped as one network."""
+    """Feature extractor + regressor, trained and stepped as one network.
+
+    params is the union of the two networks' dicts and shares their Param
+    objects, so a step through it is visible to both."""
 
     def __init__(self, extractor: FeatureExtractor, regressor: Regressor):
         self.extractor = extractor
         self.regressor = regressor
-        self.params = ParamSet.union(extractor.params, regressor.params)
+        self.params = {**extractor.params, **regressor.params}
 
     @classmethod
     def init(cls, init_gen: np.random.Generator) -> "Localizer":

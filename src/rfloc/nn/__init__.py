@@ -7,7 +7,7 @@ caches, which keeps the arithmetic auditable and bit-reproducible.
 """
 
 from .rng import Rng
-from .params import Param, ParamSet, ema_blend
+from .params import Param, clone_params, ema_blend
 from .adam import Adam
 from .layers import (
     conv1d_backward,
@@ -26,8 +26,8 @@ from .layers import (
 __all__ = [
     "Adam",
     "Param",
-    "ParamSet",
     "Rng",
+    "clone_params",
     "conv1d_backward",
     "conv1d_forward",
     "dense_backward",

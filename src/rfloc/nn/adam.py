@@ -1,6 +1,6 @@
-"""Adam optimizer over a ParamSet, with bias correction folded into two
-per-step scalars. beta1, beta2 and eps are fixed at Kingma & Ba's defaults
-(arXiv 1412.6980); only the learning rate is a parameter."""
+"""Adam optimizer over a name -> Param dict, with bias correction folded
+into two per-step scalars. beta1, beta2 and eps are fixed at Kingma & Ba's
+defaults (arXiv 1412.6980); only the learning rate is a parameter."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalError
-from .params import ParamSet, row_blocks, scratch_for, scratch_like
+from .params import Param, row_blocks, scratch_for, scratch_like
 
 
 BETA1 = 0.9
@@ -18,7 +18,7 @@ EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params: ParamSet, lr: float = 1e-3):
+    def __init__(self, params: dict[str, Param], lr: float = 1e-3):
         self.params = params
         self.lr = lr
         self.t = 0

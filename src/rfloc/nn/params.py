@@ -1,5 +1,9 @@
-"""Named parameter collections with explicit gradient buffers, and the
-blocked in-place updates over them."""
+"""Trainable parameters with explicit gradient buffers, and the blocked
+in-place updates over name -> Param dicts of them.
+
+Several dicts may share the same Param objects (a network's dict is the
+union of its parts'); an update through one is then visible through the
+others."""
 
 from __future__ import annotations
 
@@ -26,50 +30,9 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
-class ParamSet:
-    """Ordered name -> Param mapping.
-
-    Different sets may share the same Param objects (see :meth:`union`);
-    an optimizer step through one set is then visible through the other.
-    """
-
-    def __init__(self):
-        self._params: dict[str, Param] = {}
-
-    def add(self, name: str, value: np.ndarray) -> Param:
-        p = Param(value)
-        self._params[name] = p
-        return p
-
-    def __getitem__(self, name: str) -> Param:
-        return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def clone(self) -> "ParamSet":
-        """Deep copy of values; fresh zero gradients."""
-        out = ParamSet()
-        for name, p in self._params.items():
-            out.add(name, p.value.copy())
-        return out
-
-    def copy_values_from(self, other: "ParamSet") -> None:
-        """Copy other's values in; other is a clone of this set."""
-        for name, p in self._params.items():
-            p.value = other[name].value.copy()
-
-    @staticmethod
-    def union(*sets: "ParamSet") -> "ParamSet":
-        """A view over several sets, whose names are disjoint, sharing the
-        underlying Param objects."""
-        out = ParamSet()
-        for s in sets:
-            out._params.update(s.items())
-        return out
+def clone_params(params: dict[str, Param]) -> dict[str, Param]:
+    """Deep copy of the values, with fresh zero gradients."""
+    return {name: Param(p.value.copy()) for name, p in params.items()}
 
 
 # Cached: the optimizer and the EMA ask for the same few parameter shapes
@@ -88,10 +51,10 @@ def row_blocks(shape: tuple[int, ...]) -> tuple:
     return tuple(slice(i, i + step) for i in range(0, shape[0], step))
 
 
-def scratch_for(params: ParamSet) -> np.ndarray:
+def scratch_for(params: dict[str, Param]) -> np.ndarray:
     """A 1-D scratch vector large enough for any block of these parameters
     (sized by the largest one; a block uses its leading part)."""
-    return np.empty(max((p.value.size for _, p in params.items()), default=0))
+    return np.empty(max((p.value.size for p in params.values()), default=0))
 
 
 def scratch_like(buf: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -99,16 +62,14 @@ def scratch_like(buf: np.ndarray, block: np.ndarray) -> np.ndarray:
     return buf[: block.size].reshape(block.shape)
 
 
-def ema_blend(
-    teacher: ParamSet, student: ParamSet, student_weight: float, teacher_weight: float
-) -> None:
+def ema_blend(teacher: dict, student: dict, student_weight: float, teacher_weight: float) -> None:
     """teacher <- student_weight * student + teacher_weight * teacher,
     elementwise and in place.
 
-    The two sets are clones of one network. Both weights are given:
-    deriving one as 1 - the other is not exact in floating point. The
-    student term is formed before the teacher is scaled, so teacher and
-    student may be the same set.
+    The two name -> Param dicts are clones of one network's parameters.
+    Both weights are given: deriving one as 1 - the other is not exact in
+    floating point. The student term is formed before the teacher is
+    scaled, so teacher and student may be the same dict.
     """
     buf = scratch_for(teacher)
     for name, t in teacher.items():

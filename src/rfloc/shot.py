@@ -177,14 +177,13 @@ def _shot_step(
     return {"cons": cons, "teach": teach, "stat": stat, "coral": coral, "total": total}
 
 
-def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig | None = None):
+def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig):
     """Adapt the extractor to unlabeled target data; the regressor is frozen.
 
     Requires source statistics in the model artifact. Returns (adapted
     model, per-epoch diagnostics); the diagnostics are run_epochs rows
     {"epoch", "cons", "teach", "stat", "coral", "total"} of batch means.
     """
-    cfg = cfg or ShotConfig()
     cfg.validate()
     if model.source_stats is None:
         raise ArtifactError(

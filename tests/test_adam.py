@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rfloc.errors import NumericalError
-from rfloc.nn import Adam, ParamSet
+from rfloc.nn import Adam, Param, clone_params
 from rfloc.nn.adam import BETA1, BETA2
 from rfloc.nn.params import BLOCK_ELEMENTS
 
@@ -14,10 +14,7 @@ from util import AdamAllocating, AdamTextbook
 
 
 def make_params(values):
-    ps = ParamSet()
-    for i, v in enumerate(values):
-        ps.add(f"p{i}", np.asarray(v, dtype=float))
-    return ps
+    return {f"p{i}": Param(np.asarray(v, dtype=float)) for i, v in enumerate(values)}
 
 
 def test_matches_hand_recurrence():
@@ -83,13 +80,13 @@ def test_descends_quadratic():
 
 
 def test_shared_params_update_once_through_union():
-    a = ParamSet()
-    a.add("w", np.ones(2))
-    b = ParamSet.union(a)
+    # Localizer.params is such a union of its two networks' dicts.
+    a = {"w": Param(np.ones(2))}
+    b = {**a, "v": Param(np.zeros(1))}
     opt = Adam(b, lr=0.1)
     a["w"].grad[...] = 1.0
     opt.step()
-    # The union shares the same Param object; both views see the update.
+    # The union shares the same Param object; both dicts see the update.
     assert np.array_equal(a["w"].value, b["w"].value)
     assert not np.array_equal(a["w"].value, np.ones(2))
 
@@ -103,7 +100,7 @@ def test_nonfinite_gradient_leaves_every_parameter_unchanged():
     ps["p1"].grad[...] = 1.0
     opt.step()
     before = {n: p.value.copy() for n, p in ps.items()}
-    moments = {n: (opt._m[n].copy(), opt._v[n].copy()) for n in ps.names()}
+    moments = {n: (opt._m[n].copy(), opt._v[n].copy()) for n in ps}
     ps["p0"].grad[...] = 0.5
     ps["p1"].grad[...] = np.array([0.0, np.nan])
     with pytest.raises(NumericalError, match="'p1'"):
@@ -131,7 +128,7 @@ def test_step_bit_equal_to_allocating_oracle(lr):
     assert 300 * 130 > BLOCK_ELEMENTS and (300 * 130) % BLOCK_ELEMENTS
     gen = np.random.default_rng(7)
     ps = _random_set(gen, _ORACLE_SHAPES)
-    ref = ps.clone()
+    ref = clone_params(ps)
     opt, oracle = Adam(ps, lr=lr), AdamAllocating(ref, lr=lr)
     for _ in range(20):
         for name, p in ps.items():
@@ -160,7 +157,7 @@ _TEXTBOOK_TOL = 1e-14
 def test_folded_step_tracks_textbook_adam(lr):
     gen = np.random.default_rng(11)
     ps = _random_set(gen, _ORACLE_SHAPES)
-    ref = ps.clone()
+    ref = clone_params(ps)
     opt, textbook = Adam(ps, lr=lr), AdamTextbook(ref, lr=lr)
     for _ in range(200):
         for name, p in ps.items():
@@ -176,7 +173,7 @@ def test_folded_step_tracks_textbook_adam(lr):
             assert err.max() <= _TEXTBOOK_TOL, name
     # The kept moments are the textbook ones without their (1-b) factors
     # (measured: within 2.5e-15 of the largest entry).
-    for name in ps.names():
+    for name in ps:
         for kept, want, beta in (
             (opt._m[name], textbook._m[name], BETA1),
             (opt._v[name], textbook._v[name], BETA2),

@@ -21,9 +21,21 @@ from rfloc.artifact import DIGEST_BYTES, FORMAT_VERSION, MAGIC, load_model, save
 from rfloc.cli import main, read_manifest
 from rfloc.configio import dataclass_to_kv, kv_to_dataclass, read_kv, write_kv
 from rfloc.data import load_csv, write_csv
-from rfloc.errors import RflocError
+from rfloc.errors import (
+    ArtifactError,
+    ConfigError,
+    CsvParseError,
+    DataError,
+    NumericalError,
+    ResourceError,
+    RflocError,
+    SchemaError,
+    UsageError,
+    WorkerError,
+)
+from rfloc.evalmetrics import METRIC_NAMES, compute_metrics
 from rfloc.dann import DannConfig
-from rfloc.localizer import TrainConfig
+from rfloc.localizer import TrainConfig, predict
 from rfloc.meanteacher import MeanTeacherConfig
 from rfloc.shot import ShotConfig
 from util import cross_validate_serial, resealed
@@ -340,6 +352,39 @@ def test_eval_prints_table(workdir, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mae_d" in out and "rmse_d" in out
+
+
+def test_eval_report_is_each_models_metrics_in_model_order(workdir, tmp_path):
+    # benchmarks/bench.py reads the mae_d row from column 3 on as one value
+    # per model, in --model order.
+    adapted = tmp_path / "adapted.model"
+    assert main(_adapt_args(workdir, "mtloc", adapted, "epochs=1")) == 0
+    models = [adapted, workdir / "source.model", workdir / "source.model"]
+    csv = workdir / "data" / "target.csv"
+    report = tmp_path / "report.csv"
+    args = ["eval", "--model", *map(str, models), "--csv", str(csv), "--out-report", str(report)]
+    assert main(args) == 0
+    data = load_csv(csv)
+    per_model = [compute_metrics(predict(load_model(m), data), data.labels) for m in models]
+    rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
+    assert rows[0] == ["metric", "mean", "std", "run_1", "run_2", "run_3"]
+    assert [r[0] for r in rows[1:]] == list(METRIC_NAMES)
+    for name, mean, std, *runs in rows[1:]:
+        values = [r[name] for r in per_model]
+        assert runs == [repr(v) for v in values]
+        assert mean == repr(float(np.mean(values)))
+        assert std == repr(float(np.std(values)))
+    assert rows[3][3] != rows[3][4]  # mae_d: adapted and source differ
+
+
+def test_each_error_class_states_its_exit_code():
+    codes = {cls: cls.exit_code for cls in (
+        RflocError, ConfigError, UsageError, DataError, SchemaError, CsvParseError,
+        ArtifactError, NumericalError, WorkerError, ResourceError)}
+    assert codes == {
+        RflocError: 2, ConfigError: 2, UsageError: 2, DataError: 3, SchemaError: 3,
+        CsvParseError: 3, ArtifactError: 3, NumericalError: 4, WorkerError: 5, ResourceError: 6,
+    }
 
 
 def test_eval_keeps_one_model_alive_at_a_time(workdir, tmp_path):
@@ -679,7 +724,7 @@ def _raise_bare_memory_error(*args):
 )
 def test_memory_error_exits_6(tmp_path, capsys, monkeypatch, callee, message):
     monkeypatch.setattr(cli, "generate_synthetic", callee)
-    assert main(["gen-synth", "--out-dir", str(tmp_path / "data")]) == cli.EXIT_MEMORY == 6
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "data")]) == ResourceError.exit_code == 6
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
@@ -1126,7 +1171,7 @@ def _fuzz(out: Path, cases: list[list[str]], jobs: int = 2) -> list[int]:
     codes = [codes[i] for i in range(len(cases))]
     for i, (case, code) in enumerate(zip(cases, codes)):
         err = (out / f"{i}.err").read_text()
-        assert code in (0, 2, 3, 4, cli.EXIT_MEMORY), (case, code, err)
+        assert code in (0, 2, 3, 4, ResourceError.exit_code), (case, code, err)
         assert "Traceback" not in err, (case, err)
         assert "RuntimeWarning" not in err, (case, err)
     return codes
@@ -1263,7 +1308,7 @@ def test_non_finite_results_never_exit_0(workdir, slices, tmp_path):
         _fuzz_case(workdir, slices, "dann", "--set", f"batch_size={2**63}"),
     ]
     codes = _fuzz(tmp_path, cases, jobs=1)  # eval and heatmap read the model before them
-    assert codes == [0, 4, 4] * 3 + [4, 4, cli.EXIT_MEMORY]
+    assert codes == [0, 4, 4] * 3 + [4, 4, ResourceError.exit_code]
     for i, code in enumerate(codes):
         assert code == 0 or not any((tmp_path / str(i)).glob("*")), cases[i]  # no output left
 

@@ -114,13 +114,13 @@ def test_deterministic(source_model, small_source, small_target):
     cfg = DannConfig(epochs=2, seed=3)
     m1, d1 = run_dann(source_model, small_source, small_target, cfg)
     m2, d2 = run_dann(source_model, small_source, small_target, cfg)
-    for name in m1.net.params.names():
+    for name in m1.net.params:
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
     assert [d["disc_loss"] for d in d1] == [d["disc_loss"] for d in d2]
 
 
 def test_source_model_untouched(source_model, small_source, small_target):
-    before = {n: source_model.net.params[n].value.copy() for n in source_model.net.params.names()}
+    before = {n: source_model.net.params[n].value.copy() for n in source_model.net.params}
     run_dann(source_model, small_source, small_target, DannConfig(epochs=1, seed=0))
     for name, v in before.items():
         assert np.array_equal(source_model.net.params[name].value, v)

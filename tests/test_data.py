@@ -278,8 +278,8 @@ def test_folds_partition_and_balance():
     folds = make_folds(ds, n_folds=5, seed=0)
     seen = np.zeros(23, dtype=int)
     for f in range(5):
-        val = folds.val_indices(f)
-        train = folds.train_indices(f)
+        val = np.flatnonzero(folds == f)
+        train = np.flatnonzero(folds != f)
         assert len(val) + len(train) == 23
         assert set(val).isdisjoint(train)
         seen[val] += 1

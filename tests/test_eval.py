@@ -1,4 +1,4 @@
-"""Error metrics, multi-run aggregation, heatmaps, fold selection."""
+"""Error metrics, heatmaps, fold selection."""
 
 import concurrent.futures
 import multiprocessing
@@ -13,8 +13,6 @@ from rfloc.errors import ConfigError, DataError, WorkerError
 from rfloc.evalmetrics import (
     MAX_HEATMAP_CELLS,
     METRIC_NAMES,
-    MetricsReport,
-    aggregate_runs,
     compute_heatmap,
     compute_metrics,
     cross_validate,
@@ -34,12 +32,12 @@ def test_metrics_fixture_exact():
     # Errors (3,4) and (0,0): mae_x = 1.5, mae_y = 2.0, distance errors
     # {5, 0} so mae_d = 2.5 and rmse_d = sqrt(25/2) = sqrt(12.5).
     r = compute_metrics(FIXTURE_PREDS, FIXTURE_LABELS)
-    assert r.mae_x == 1.5
-    assert r.mae_y == 2.0
-    assert r.mae_d == 2.5
-    assert r.rmse_d == np.sqrt(12.5)
-    assert r.rmse_x == np.sqrt(4.5)
-    assert r.rmse_y == np.sqrt(8.0)
+    assert r["mae_x"] == 1.5
+    assert r["mae_y"] == 2.0
+    assert r["mae_d"] == 2.5
+    assert r["rmse_d"] == np.sqrt(12.5)
+    assert r["rmse_x"] == np.sqrt(4.5)
+    assert r["rmse_y"] == np.sqrt(8.0)
 
 
 def test_rmse_dominates_mae():
@@ -47,32 +45,21 @@ def test_rmse_dominates_mae():
     preds = gen.normal(size=(50, 2))
     labels = gen.normal(size=(50, 2))
     r = compute_metrics(preds, labels)
-    assert r.rmse_d >= r.mae_d
-    assert r.rmse_x >= r.mae_x
-    assert r.rmse_y >= r.mae_y
+    assert r["rmse_d"] >= r["mae_d"]
+    assert r["rmse_x"] >= r["mae_x"]
+    assert r["rmse_y"] >= r["mae_y"]
 
 
 def test_metrics_zero_for_perfect_predictions():
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     r = compute_metrics(p, p.copy())
-    assert all(r.value(m) == 0.0 for m in METRIC_NAMES)
+    assert all(r[m] == 0.0 for m in METRIC_NAMES)
 
 
-def test_single_run_report_defaults():
+def test_metrics_are_plain_floats_in_metric_names_order():
     r = compute_metrics(FIXTURE_PREDS, FIXTURE_LABELS)
-    assert r.n_runs == 1
-    assert r.per_run["mae_d"] == [2.5]
-    assert r.std["mae_d"] == 0.0
-
-
-def test_aggregate_population_std():
-    r1 = compute_metrics(np.array([[1.0, 0.0]]), np.zeros((1, 2)))  # mae_d 1
-    r2 = compute_metrics(np.array([[3.0, 0.0]]), np.zeros((1, 2)))  # mae_d 3
-    agg = aggregate_runs([r1, r2])
-    assert agg.mae_d == 2.0
-    assert agg.std["mae_d"] == 1.0  # population, not sample
-    assert agg.per_run["mae_d"] == [1.0, 3.0]
-    assert agg.n_runs == 2
+    assert list(r) == list(METRIC_NAMES)
+    assert all(type(v) is float for v in r.values())
 
 
 # ---------------------------------------------------------------- heatmap
@@ -82,7 +69,7 @@ def test_heatmap_weighted_mean_identity():
     labels = gen.uniform(0, 10, size=(300, 2))
     preds = labels + gen.normal(0, 1.0, size=(300, 2))
     grid = compute_heatmap(preds, labels, cell=1.0)
-    mae_d = compute_metrics(preds, labels).mae_d
+    mae_d = compute_metrics(preds, labels)["mae_d"]
     assert abs(overall_mae_d(grid) - mae_d) <= 1e-9
     assert grid.counts.sum() == 300
 
@@ -107,7 +94,7 @@ def test_heatmap_bins_the_sample_at_the_smallest_label():
     assert grid.origin == (6.800000000000001, 1.0)
     assert grid.counts.sum() == 3
     assert grid.counts[0, 0] == 1 and grid.values[0, 0] == 1.0
-    assert abs(overall_mae_d(grid) - compute_metrics(preds, labels).mae_d) <= 1e-12
+    assert abs(overall_mae_d(grid) - compute_metrics(preds, labels)["mae_d"]) <= 1e-12
     # All samples on that one coordinate: a grid of one row, not of none.
     flat = np.array([[1.0, 6.8], [2.0, 6.8]])
     grid = compute_heatmap(flat, flat, cell=0.05)

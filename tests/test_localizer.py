@@ -15,7 +15,7 @@ import pytest
 import rfloc
 from rfloc import localizer
 from rfloc.artifact import DIGEST_BYTES, FORMAT_VERSION, MAGIC, load_model, save_model
-from rfloc.data import Dataset
+from rfloc.data import Dataset, normalize_features
 from rfloc.errors import ArtifactError, ConfigError, DataError, NumericalError
 from rfloc.localizer import (
     LocalizerModel,
@@ -29,7 +29,7 @@ from rfloc.localizer import (
     train_source,
 )
 from rfloc.networks import FEATURE_DIM
-from rfloc.nn import Rng
+from rfloc.nn import Rng, l1_loss
 
 from util import AdamAllocating
 
@@ -110,12 +110,12 @@ def test_training_is_deterministic(small_source):
     cfg = TrainConfig(epochs=2, seed=3)
     m1 = train_source(small_source, cfg)
     m2 = train_source(small_source, cfg)
-    for name in m1.net.params.names():
+    for name in m1.net.params:
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
     m3 = train_source(small_source, TrainConfig(epochs=2, seed=4))
     assert any(
         not np.array_equal(m1.net.params[n].value, m3.net.params[n].value)
-        for n in m1.net.params.names()
+        for n in m1.net.params
     )
 
 
@@ -278,15 +278,22 @@ def test_predict_refuses_non_finite_output(source_model, small_target):
 
 
 def test_early_stopping_restores_best(small_source):
-    # Long schedule with tight patience: runs fewer epochs than requested.
-    model = train_source(small_source, TrainConfig(epochs=60, patience=2, seed=0))
-    assert model.meta["epochs_run"] <= 60
-    assert model.meta["best_val_loss"] is not None
+    # Long schedule with tight patience: training stops early, so the last
+    # epochs were worse than the best one and the restore replaced them.
+    cfg = TrainConfig(epochs=60, patience=2, seed=0)
+    model = train_source(small_source, cfg)
+    assert model.meta["epochs_run"] < cfg.epochs
+    # The held-out slice _fit scores each epoch on, rebuilt from the seed.
+    n = len(small_source)
+    val_idx = Rng(cfg.seed).stream("valsplit").permutation(n)[: int(cfg.val_fraction * n)]
+    z = normalize_features(small_source.features, model.norm)
+    val_loss = l1_loss(model.net.predict(z[val_idx]), small_source.labels[val_idx])[0]
+    assert val_loss == model.meta["best_val_loss"]
 
 
 def test_oracle_zero_epochs_identity(source_model, small_target):
     out = finetune_oracle(source_model, small_target, TrainConfig(epochs=0, seed=0))
-    for name in source_model.net.params.names():
+    for name in source_model.net.params:
         assert np.array_equal(
             out.net.params[name].value, source_model.net.params[name].value
         )
@@ -314,7 +321,7 @@ def test_artifact_round_trip_bit_exact(tmp_path, source_model):
     path = tmp_path / "m.rfm"
     save_model(source_model, path)
     back = load_model(path)
-    for name in source_model.net.params.names():
+    for name in source_model.net.params:
         assert np.array_equal(back.net.params[name].value, source_model.net.params[name].value)
     assert np.array_equal(back.norm.mean, source_model.norm.mean)
     assert np.array_equal(back.norm.std, source_model.norm.std)

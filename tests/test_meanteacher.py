@@ -20,7 +20,7 @@ from rfloc.meanteacher import (
     ema_update,
 )
 from rfloc.networks import PREDICT_BLOCK_ROWS
-from rfloc.nn import ParamSet, Rng
+from rfloc.nn import Param, Rng, clone_params
 
 from util import (
     AdamAllocating,
@@ -187,8 +187,8 @@ def test_correction_hand_case_inverse_distance():
     labels = np.array([[0.0, 0.0], [2.0, 2.0], [50.0, 50.0]])
     pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
     out = correct_labels(pls, features, k=2)
-    assert np.allclose(out.labels[2], [0.5, 0.5])
-    assert np.array_equal(out.labels[:2], labels[:2])  # confident untouched
+    assert np.allclose(out[2], [0.5, 0.5])
+    assert np.array_equal(out[:2], labels[:2])  # confident untouched
 
 
 def test_correction_k1_uses_nearest():
@@ -196,7 +196,7 @@ def test_correction_k1_uses_nearest():
     labels = np.array([[1.0, 5.0], [9.0, 9.0], [0.0, 0.0]])
     pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
     out = correct_labels(pls, features, k=1)
-    assert np.array_equal(out.labels[2], [9.0, 9.0])
+    assert np.array_equal(out[2], [9.0, 9.0])
 
 
 def test_correction_tie_broken_by_lower_index():
@@ -205,7 +205,7 @@ def test_correction_tie_broken_by_lower_index():
     labels = np.array([[3.0, 3.0], [7.0, 7.0], [0.0, 0.0]])
     pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
     out = correct_labels(pls, features, k=1)
-    assert np.array_equal(out.labels[2], [3.0, 3.0])
+    assert np.array_equal(out[2], [3.0, 3.0])
 
 
 def test_correction_zero_distance_floored():
@@ -213,9 +213,9 @@ def test_correction_zero_distance_floored():
     labels = np.array([[1.0, 2.0], [9.0, 9.0], [0.0, 0.0]])
     pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
     out = correct_labels(pls, features, k=2)
-    assert np.isfinite(out.labels).all()
+    assert np.isfinite(out).all()
     # The co-located confident sample dominates the weighted average.
-    assert np.allclose(out.labels[2], [1.0, 2.0], atol=1e-6)
+    assert np.allclose(out[2], [1.0, 2.0], atol=1e-6)
 
 
 def test_correction_k_exceeding_confident_degrades():
@@ -224,7 +224,7 @@ def test_correction_k_exceeding_confident_degrades():
     pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
     out5 = correct_labels(pls, features, k=5)
     out2 = correct_labels(pls, features, k=2)
-    assert np.array_equal(out5.labels, out2.labels)
+    assert np.array_equal(out5, out2)
 
 
 def test_correction_result_in_convex_hull_of_confident():
@@ -238,8 +238,8 @@ def test_correction_result_in_convex_hull_of_confident():
     lo = labels[confident].min(axis=0)
     hi = labels[confident].max(axis=0)
     for i in np.flatnonzero(~confident):
-        assert (out.labels[i] >= lo - 1e-12).all()
-        assert (out.labels[i] <= hi + 1e-12).all()
+        assert (out[i] >= lo - 1e-12).all()
+        assert (out[i] <= hi + 1e-12).all()
 
 
 def test_correction_no_confident_warns_and_keeps(caplog):
@@ -250,7 +250,7 @@ def test_correction_no_confident_warns_and_keeps(caplog):
     )
     with caplog.at_level("WARNING"):
         out = correct_labels(pls, np.zeros((2, 8)), k=2)
-    assert np.array_equal(out.labels, pls.labels)
+    assert np.array_equal(out, pls.labels)
     assert any("confident" in r.message for r in caplog.records)
 
 
@@ -264,7 +264,7 @@ def test_correction_matches_bruteforce_bitwise():
         pls = PseudoLabelSet(labels.copy(), np.zeros((40, 2)), confident.copy())
         out = correct_labels(pls, features, k=k)
         oracle = correct_labels_bruteforce(labels, None, confident, features, k)
-        assert np.array_equal(out.labels, oracle)
+        assert np.array_equal(out, oracle)
 
 
 def test_correction_k8_with_ties_matches_oracles_bitwise(monkeypatch):
@@ -283,7 +283,7 @@ def test_correction_k8_with_ties_matches_oracles_bitwise(monkeypatch):
     for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
         monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
         pls = PseudoLabelSet(labels.copy(), np.zeros((300, 2)), confident.copy())
-        assert np.array_equal(correct_labels(pls, features, k=8).labels, per_row)
+        assert np.array_equal(correct_labels(pls, features, k=8), per_row)
 
 
 def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
@@ -301,7 +301,7 @@ def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
     for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
         monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
         pls = PseudoLabelSet(labels.copy(), np.zeros((400, 2)), confident.copy())
-        assert np.array_equal(correct_labels(pls, features, k=1).labels, per_row)
+        assert np.array_equal(correct_labels(pls, features, k=1), per_row)
 
 
 def test_correction_memory_is_bounded_by_the_block():
@@ -353,10 +353,8 @@ def test_correction_rejects_nonfinite_features():
 # ---------------------------------------------------------------- EMA
 
 def make_pair(values_t, values_s):
-    t, s = ParamSet(), ParamSet()
-    for i, (vt, vs) in enumerate(zip(values_t, values_s)):
-        t.add(f"p{i}", np.asarray(vt, dtype=float))
-        s.add(f"p{i}", np.asarray(vs, dtype=float))
+    t = {f"p{i}": Param(np.asarray(v, dtype=float)) for i, v in enumerate(values_t)}
+    s = {f"p{i}": Param(np.asarray(v, dtype=float)) for i, v in enumerate(values_s)}
     return t, s
 
 
@@ -390,7 +388,7 @@ def test_ema_in_place_bit_equal_to_allocating_oracle(alpha):
     gen = np.random.default_rng(5)
     shapes = [(300, 130), (64, 1, 2), (1,), ()]
     t, s = make_pair([gen.normal(size=sh) for sh in shapes], [gen.normal(size=sh) for sh in shapes])
-    ref = t.clone()
+    ref = clone_params(t)
     arrays = {n: p.value for n, p in t.items()}
     for _ in range(5):
         for _, p in s.items():
@@ -422,7 +420,7 @@ def test_adapt_deterministic(source_model, small_target):
     cfg = MeanTeacherConfig(alpha=0.7, epochs=2, seed=5)
     m1, d1 = adapt(source_model, small_target.without_labels(), cfg)
     m2, d2 = adapt(source_model, small_target.without_labels(), cfg)
-    for name in m1.net.params.names():
+    for name in m1.net.params:
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
     assert [e["kd_loss"] for e in d1] == [e["kd_loss"] for e in d2]
 
@@ -432,7 +430,7 @@ def test_adapt_ignores_confidence_knobs_when_off(source_model, small_target):
     tweaked = MeanTeacherConfig(alpha=0.7, epochs=1, seed=0, confidence=False, c_x=0.1, c_y=0.1, k=9)
     m1, _ = adapt(source_model, small_target.without_labels(), base)
     m2, _ = adapt(source_model, small_target.without_labels(), tweaked)
-    for name in m1.net.params.names():
+    for name in m1.net.params:
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
 
 
@@ -454,7 +452,7 @@ def test_adapt_diagnostics_shape(source_model, small_target):
 def test_adapt_zero_epochs_identity(source_model, small_target):
     out, diags = adapt(source_model, small_target.without_labels(), MeanTeacherConfig(epochs=0))
     assert diags == []
-    for name in source_model.net.params.names():
+    for name in source_model.net.params:
         assert np.array_equal(
             out.net.params[name].value, source_model.net.params[name].value
         )
@@ -472,7 +470,7 @@ def test_adapt_meta_kinds(source_model, small_target):
 
 
 def test_adapt_source_model_untouched(source_model, small_target):
-    before = {n: source_model.net.params[n].value.copy() for n in source_model.net.params.names()}
+    before = {n: source_model.net.params[n].value.copy() for n in source_model.net.params}
     adapt(source_model, small_target.without_labels(), MeanTeacherConfig(epochs=1, seed=0))
     for name, v in before.items():
         assert np.array_equal(source_model.net.params[name].value, v)

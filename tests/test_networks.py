@@ -17,7 +17,7 @@ from rfloc.networks import (
     Localizer,
     Regressor,
 )
-from rfloc.nn import ParamSet, Rng, l1_loss
+from rfloc.nn import Param, Rng, clone_params, l1_loss
 
 from util import (
     dense_head_init_unrolled,
@@ -278,7 +278,7 @@ def test_init_matches_unrolled_oracle(kind):
     cls, init, *_ = ORACLES[kind]
     net = cls(init_gen=Rng(20).stream("init"))
     ref = init(Rng(20).stream("init"))
-    assert net.params.names() == ref.names() == list(cls.SHAPES)
+    assert list(net.params) == list(ref) == list(cls.SHAPES)
     for name, p in ref.items():
         assert same_bits(net.params[name].value, p.value), name
 
@@ -294,7 +294,7 @@ def test_forward_backward_match_unrolled_oracle(kind, dropout, batch, accumulate
     cls, _, ref_forward, ref_backward, width, takes_gen = ORACLES[kind]
     gen = np.random.default_rng(batch)
     net = cls(init_gen=Rng(21).stream("init"))
-    ref = net.params.clone()
+    ref = clone_params(net.params)
     for name, p in net.params.items():
         # Equal nonzero starting grads, so accumulation must add to them.
         p.grad[...] = gen.normal(size=p.grad.shape)
@@ -321,11 +321,8 @@ def test_forward_backward_match_unrolled_oracle(kind, dropout, batch, accumulate
 
 # ---------------------------------------------------------------- parameter checks
 
-def _params_like(shapes: dict) -> ParamSet:
-    ps = ParamSet()
-    for name, shape in shapes.items():
-        ps.add(name, np.zeros(shape))
-    return ps
+def _params_like(shapes: dict) -> dict:
+    return {name: Param(np.zeros(shape)) for name, shape in shapes.items()}
 
 
 @pytest.mark.parametrize("cls", [FeatureExtractor, Regressor, Discriminator])

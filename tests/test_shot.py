@@ -9,7 +9,7 @@ from rfloc import shot
 from rfloc.errors import ArtifactError, ConfigError, UsageError
 from rfloc.localizer import LocalizerModel, SourceStats
 from rfloc.networks import FEATURE_DIM
-from rfloc.nn import ParamSet, Rng, ema_blend
+from rfloc.nn import Param, Rng, clone_params, ema_blend
 from rfloc.shot import (
     ShotConfig,
     _shot_step,
@@ -255,7 +255,7 @@ def test_regressor_frozen(source_model, small_target):
     # ... while the extractor did move.
     moved = any(
         not np.array_equal(out.net.extractor.params[n].value, source_model.net.extractor.params[n].value)
-        for n in out.net.extractor.params.names()
+        for n in out.net.extractor.params
     )
     assert moved
 
@@ -263,7 +263,7 @@ def test_regressor_frozen(source_model, small_target):
 def test_zero_lambdas_leave_model_bit_identical(source_model, small_target):
     cfg = ShotConfig(lambda_cons=0.0, lambda_teach=0.0, lambda_stat=0.0, lambda_coral=0.0, epochs=2)
     out, diags = run_shot(source_model, small_target.without_labels(), cfg)
-    for name in source_model.net.params.names():
+    for name in source_model.net.params:
         assert np.array_equal(out.net.params[name].value, source_model.net.params[name].value)
     assert all(d["total"] == 0.0 for d in diags)
 
@@ -288,7 +288,7 @@ def test_teacher_disabled_zeroes_term(source_model, small_target):
     )
     assert not all(
         np.array_equal(out.net.params[n].value, with_teacher.net.params[n].value)
-        for n in out.net.params.names()
+        for n in out.net.params
     )
 
 
@@ -296,7 +296,7 @@ def test_deterministic(source_model, small_target):
     cfg = ShotConfig(epochs=2, seed=4)
     m1, d1 = run_shot(source_model, small_target.without_labels(), cfg)
     m2, d2 = run_shot(source_model, small_target.without_labels(), cfg)
-    for name in m1.net.params.names():
+    for name in m1.net.params:
         assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
     assert [d["total"] for d in d1] == [d["total"] for d in d2]
 
@@ -323,11 +323,11 @@ def test_teacher_update_bit_equal_to_old_expression(teacher_ema):
     # For teacher_ema < 0.5, 1 - (1 - teacher_ema) != teacher_ema in
     # general, so both weights must reach the kernel as given.
     gen = np.random.default_rng(8)
-    t, s = ParamSet(), ParamSet()
+    t, s = {}, {}
     for name, shape in (("w", (300, 130)), ("b", (7,))):
-        t.add(name, gen.normal(size=shape))
-        s.add(name, gen.normal(size=shape))
-    ref = t.clone()
+        t[name] = Param(gen.normal(size=shape))
+        s[name] = Param(gen.normal(size=shape))
+    ref = clone_params(t)
     for _ in range(3):
         ema_blend(t, s, 1.0 - teacher_ema, teacher_ema)
         shot_ema_allocating(ref, s, teacher_ema)

@@ -21,7 +21,7 @@ from rfloc.networks import (
     SIGMOID_CLIP,
 )
 from rfloc.nn import (
-    ParamSet,
+    Param,
     Rng,
     conv1d_backward,
     conv1d_forward,
@@ -83,13 +83,13 @@ def max_rel_error(analytic, numeric, floor: float = 1e-8) -> float:
     return float((np.abs(analytic - numeric) / scale).max())
 
 
-def zero_grads(params: ParamSet) -> None:
-    for _, p in params.items():
+def zero_grads(params: dict) -> None:
+    for p in params.values():
         p.grad[...] = 0.0
 
 
-def total_size(params: ParamSet) -> int:
-    return sum(p.value.size for _, p in params.items())
+def total_size(params: dict) -> int:
+    return sum(p.value.size for p in params.values())
 
 
 def overall_mae_d(grid) -> float:
@@ -237,10 +237,10 @@ def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
     for config in configs:
         fold_scores = []
         for fold in range(n_folds):
-            tr = train_set.subset(folds.train_indices(fold))
-            va = train_set.subset(folds.val_indices(fold))
+            tr = train_set.subset(np.flatnonzero(folds != fold))
+            va = train_set.subset(np.flatnonzero(folds == fold))
             preds = recipe(tr, va, config)
-            fold_scores.append(compute_metrics(preds, va.labels).mae_d)
+            fold_scores.append(compute_metrics(preds, va.labels)["mae_d"])
         results.append({**config, "val_mae_d": float(np.mean(fold_scores))})
 
     def sort_key(r):
@@ -350,19 +350,19 @@ def relu(x):
 
 
 # The networks as they were written before they became layer lists: init,
-# forward and backward unrolled by hand over a ParamSet. The oracle the
+# forward and backward unrolled by hand over a name -> Param dict. The oracle the
 # Sequential networks must equal bit for bit.
 
 def extractor_init_unrolled(gen):
-    p = ParamSet()
-    p.add("conv1_w", glorot_uniform(gen, (CONV1_FILTERS, IN_CHANNELS, KERNEL_SIZE),
-                                    fan_in=IN_CHANNELS * KERNEL_SIZE,
-                                    fan_out=CONV1_FILTERS * KERNEL_SIZE))
-    p.add("conv1_b", np.zeros(CONV1_FILTERS))
-    p.add("conv2_w", glorot_uniform(gen, (CONV2_FILTERS, CONV1_FILTERS, KERNEL_SIZE),
-                                    fan_in=CONV1_FILTERS * KERNEL_SIZE,
-                                    fan_out=CONV2_FILTERS * KERNEL_SIZE))
-    p.add("conv2_b", np.zeros(CONV2_FILTERS))
+    p = {}
+    p["conv1_w"] = Param(glorot_uniform(gen, (CONV1_FILTERS, IN_CHANNELS, KERNEL_SIZE),
+                                        fan_in=IN_CHANNELS * KERNEL_SIZE,
+                                        fan_out=CONV1_FILTERS * KERNEL_SIZE))
+    p["conv1_b"] = Param(np.zeros(CONV1_FILTERS))
+    p["conv2_w"] = Param(glorot_uniform(gen, (CONV2_FILTERS, CONV1_FILTERS, KERNEL_SIZE),
+                                        fan_in=CONV1_FILTERS * KERNEL_SIZE,
+                                        fan_out=CONV2_FILTERS * KERNEL_SIZE))
+    p["conv2_b"] = Param(np.zeros(CONV2_FILTERS))
     return p
 
 
@@ -396,13 +396,13 @@ def extractor_backward_unrolled(p, dfeats, cache, accumulate=True):
 
 
 def dense_head_init_unrolled(gen, prefix, n_out):
-    p = ParamSet()
-    p.add(f"{prefix}1_w", glorot_uniform(gen, (FEATURE_DIM, HIDDEN1), FEATURE_DIM, HIDDEN1))
-    p.add(f"{prefix}1_b", np.zeros(HIDDEN1))
-    p.add(f"{prefix}2_w", glorot_uniform(gen, (HIDDEN1, HIDDEN2), HIDDEN1, HIDDEN2))
-    p.add(f"{prefix}2_b", np.zeros(HIDDEN2))
-    p.add(f"{prefix}3_w", glorot_uniform(gen, (HIDDEN2, n_out), HIDDEN2, n_out))
-    p.add(f"{prefix}3_b", np.zeros(n_out))
+    p = {}
+    p[f"{prefix}1_w"] = Param(glorot_uniform(gen, (FEATURE_DIM, HIDDEN1), FEATURE_DIM, HIDDEN1))
+    p[f"{prefix}1_b"] = Param(np.zeros(HIDDEN1))
+    p[f"{prefix}2_w"] = Param(glorot_uniform(gen, (HIDDEN1, HIDDEN2), HIDDEN1, HIDDEN2))
+    p[f"{prefix}2_b"] = Param(np.zeros(HIDDEN2))
+    p[f"{prefix}3_w"] = Param(glorot_uniform(gen, (HIDDEN2, n_out), HIDDEN2, n_out))
+    p[f"{prefix}3_b"] = Param(np.zeros(n_out))
     return p
 
 
