@@ -7,11 +7,11 @@ metrics is the eval command's (rfloc.cli).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import networks
 from .data import Dataset, make_folds
 from .errors import ConfigError, DataError, WorkerError
 
@@ -145,9 +145,10 @@ def write_heatmap_pgm(grid: HeatmapGrid, pgm_path, scale_path) -> None:
 _fold_job = None  # set only inside fold workers, by _init_fold_worker
 
 
-def _init_fold_worker(train_set, recipe, configs, folds) -> None:
+def _init_fold_worker(train_set, recipe, configs, folds, threads) -> None:
     global _fold_job
     _fold_job = (train_set, recipe, configs, folds)
+    networks.THREADS = threads
 
 
 def _score_fold(task) -> float:
@@ -175,8 +176,10 @@ def cross_validate(
     lexicographically smaller config (sorted key/value pairs).
 
     The config x fold recipe calls are independent. They run in a fresh
-    pool of min(configs x folds, os.cpu_count()) forked processes, and the
-    scores come back in grid order, so the results equal a serial run's.
+    pool of min(configs x folds, networks.THREADS) forked processes, the
+    CPUs this process may run on, and each worker's for_blocks gets
+    max(1, THREADS // workers) threads of them. The scores come back in
+    grid order, so the results equal a serial run's.
     An exception raised by a recipe call reaches the caller with its type
     and message, the first in grid order, after the pool has shut down. A
     worker that dies (say, killed by the operating system) raises
@@ -197,12 +200,13 @@ def cross_validate(
     # recipe (closures and lambdas included) instead of receiving them
     # pickled. The method is named because Python 3.14 makes forkserver the
     # Linux default.
+    workers = min(len(tasks), networks.THREADS)
     try:
         with ProcessPoolExecutor(
-            max_workers=min(len(tasks), os.cpu_count() or 1),
+            max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_fold_worker,
-            initargs=(train_set, recipe, configs, folds),
+            initargs=(train_set, recipe, configs, folds, max(1, networks.THREADS // workers)),
         ) as pool:
             scores = list(pool.map(_score_fold, tasks))
     except BrokenProcessPool as e:

@@ -135,7 +135,8 @@ def compute_source_stats(net: Localizer, normalized_features: np.ndarray) -> Sou
     # The regressor stays one pass over all rows: BLAS may pick another
     # kernel for its 64 -> 2 output GEMM on a smaller input, which would
     # change the last bits of the prediction statistics.
-    feats = in_blocks(lambda rows: net.extractor.forward(rows)[0], normalized_features)
+    feats = in_blocks(lambda rows: net.extractor.forward(rows)[0], normalized_features,
+                      (FEATURE_DIM,))
     preds, _ = net.regressor.forward(feats)
     feats -= feats.mean(axis=0)
     denom = max(len(feats) - 1, 1)

@@ -23,6 +23,7 @@ confident samples' labels (distances in normalized input space).
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,15 +31,15 @@ import numpy as np
 from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
 from .localizer import LocalizerModel, check_schedule, run_epochs, shuffled
-from .networks import PREDICT_BLOCK_ROWS
+from .networks import PREDICT_BLOCK_ROWS, for_blocks
 from .nn import Adam, Rng, ema_blend, l1_loss
 
 log = logging.getLogger(__name__)
 
 DISTANCE_EPS = 1e-8
 
-# Probing holds one block's noise and noisy predictions at a time,
-# PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats; a larger
+# Probing holds one block's noise and noisy predictions at a time on each
+# thread, PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats; a larger
 # request (n_probe above 13,107) is refused.
 MAX_PROBE_FLOATS = 1 << 25
 
@@ -92,20 +93,25 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     """Clean predictions plus per-coordinate spread under input noise.
 
     Noise comes from per-sample streams, so results do not depend on how
-    probing is batched or scheduled. The noisy passes run over blocks of
-    PREDICT_BLOCK_ROWS rows, the blocks predict_fn's in_blocks forms, so
-    only the outputs grow with the number of rows.
+    probing is batched or scheduled. The noise draws and noisy passes run
+    over blocks of PREDICT_BLOCK_ROWS rows on up to THREADS threads
+    (for_blocks), the blocks predict_fn's in_blocks forms, so only the
+    outputs grow with the number of rows.
     """
     n, dim = z.shape
     labels = predict_fn(z)
     sigma = np.empty((n, 2))
-    for start in range(0, n, PREDICT_BLOCK_ROWS):
-        zb = z[start : start + PREDICT_BLOCK_ROWS]
-        noise = rng.row_normals(("probe", epoch), len(zb), noise_std, (n_probe, dim), offset=start)
-        preds = np.empty((n_probe, len(zb), 2))
+
+    def noisy_passes(start, stop):
+        zb = z[start:stop]
+        noise = rng.row_normals(("probe", epoch), stop - start, noise_std, (n_probe, dim),
+                                offset=start)
+        preds = np.empty((n_probe, stop - start, 2))
         for p in range(n_probe):
             preds[p] = predict_fn(zb + noise[:, p])
-        sigma[start : start + len(zb)] = preds.std(axis=0)
+        sigma[start:stop] = preds.std(axis=0)
+
+    for_blocks(n, noisy_passes)
     return labels, sigma
 
 
@@ -181,10 +187,11 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndar
     all of them are used; if there are none, a copy of the labels is
     returned with a warning.
 
-    Uncertain rows are processed in blocks; every distance and sum is
-    formed in the same floating-point order as a per-row
+    Uncertain rows are processed in blocks, on up to THREADS threads
+    (for_blocks); every distance and sum is formed in the same
+    floating-point order as a per-row
     ``sqrt(((conf - x) ** 2).sum(axis=1))``, so the result does not depend
-    on the blocking.
+    on the blocking or the thread count.
     """
     if not np.isfinite(features).all():
         raise ConfigError("label correction needs finite features")
@@ -198,20 +205,23 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndar
     conf_labels = pls.labels[conf_idx]
     labels = pls.labels.copy()
     block = max(1, min(_BLOCK_CELLS // conf_idx.size, unc_idx.size))
-    # One block buffer per slot of _tree's stack, reused by every
-    # block: fresh arrays of this size cost page faults on each block.
-    buffers = []
+    # Each thread's block buffers, one per slot of _tree's stack, reused
+    # by every block it runs: fresh arrays of this size cost page faults on
+    # each block.
+    scratch = threading.local()
 
-    def squared_difference(d, slot):
-        if slot == len(buffers):
-            buffers.append(np.empty((block, conf_idx.size)))
-        t = buffers[slot][: len(x)]
-        np.subtract(conf_cols[d], x[:, d, None], out=t)
-        return np.multiply(t, t, out=t)
-
-    for start in range(0, unc_idx.size, block):
-        rows = unc_idx[start : start + block]
+    def correct_block(start, stop):
+        rows = unc_idx[start:stop]
         x = features[rows]
+        buffers = scratch.__dict__.setdefault("buffers", [])
+
+        def squared_difference(d, slot):
+            if slot == len(buffers):
+                buffers.append(np.empty((block, conf_idx.size)))
+            t = buffers[slot][: len(x)]
+            np.subtract(conf_cols[d], x[:, d, None], out=t)
+            return np.multiply(t, t, out=t)
+
         dist = _tree(squared_difference, 0, NUM_FEATURES)
         np.sqrt(dist, out=dist)
         nearest = _nearest(dist, k_eff)
@@ -220,6 +230,8 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndar
         for j in range(1, k_eff):
             num += w[:, j, None] * conf_labels[nearest[:, j]]
         labels[rows] = num / w.sum(axis=1)[:, None]
+
+    for_blocks(unc_idx.size, correct_block, block)
     return labels
 
 

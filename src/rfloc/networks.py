@@ -21,6 +21,9 @@ them from it.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .errors import ConfigError
@@ -57,23 +60,71 @@ SIGMOID_CLIP = 1e-12
 PREDICT_BLOCK_ROWS = 256
 
 
-def in_blocks(fn, x: np.ndarray) -> np.ndarray:
-    """fn(x) computed over blocks of PREDICT_BLOCK_ROWS rows.
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
-    fn must map each row on its own, so that its outputs for a block are
-    the rows of its output for the whole input. The blocks' outputs are
-    written into one preallocated array, so the intermediates of fn stay
-    cache-sized and only the output grows with the number of rows. Inputs
-    of at most one block take a single call.
+
+# Threads for_blocks runs its blocks on: the CPUs this process may run on.
+# cross_validate splits them among its fold workers.
+THREADS = _cpus()
+
+
+def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS) -> None:
+    """work(start, stop) over the blocks [0, block), [block, 2 block), ...
+    of n rows, the last one cut at n.
+
+    The blocks are dealt round-robin to up to THREADS threads, the
+    caller's own thread included, so work must touch only its own rows of
+    any shared output. Each thread runs under the caller's numpy error
+    state, and BLAS runs on one thread inside each (rfloc/__init__.py), so
+    every block is computed as it would be alone and the results do not
+    depend on the thread count. The threads are joined before this
+    returns, so none outlives the call (cv forks its workers from a
+    single-threaded process); then the first exception, in thread order,
+    is raised. Zero rows do no work.
     """
-    b = PREDICT_BLOCK_ROWS
-    if len(x) <= b:
-        return fn(x)
-    first = fn(x[:b])
-    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
-    out[:b] = first
-    for i in range(b, len(x), b):
-        out[i : i + b] = fn(x[i : i + b])
+    starts = range(0, n, block)
+    share = max(1, min(THREADS, len(starts)))
+    errstate = np.geterr()
+    errors = [None] * share
+
+    def run(t):
+        try:
+            with np.errstate(**errstate):
+                for start in starts[t::share]:
+                    work(start, min(start + block, n))
+        except BaseException as e:  # re-raised in the caller, after the joins
+            errors[t] = e
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(1, share)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
+
+
+def in_blocks(fn, x: np.ndarray, row_shape: tuple) -> np.ndarray:
+    """fn(x) computed over blocks of PREDICT_BLOCK_ROWS rows (for_blocks).
+
+    fn must map each row on its own to a float64 row of row_shape, so that
+    its outputs for a block are the rows of its output for the whole
+    input. The blocks' outputs are written into one preallocated array, so
+    the intermediates of fn stay cache-sized and only the output grows
+    with the number of rows.
+    """
+    out = np.empty((len(x), *row_shape))
+
+    def block(start, stop):
+        out[start:stop] = fn(x[start:stop])
+
+    for_blocks(len(x), block)
     return out
 
 
@@ -301,10 +352,10 @@ class Localizer:
         """Inference pass: dropout inert.
 
         Runs forward over blocks of PREDICT_BLOCK_ROWS rows (in_blocks),
-        so the conv and dense intermediates stay cache-sized and memory
-        does not grow with the number of rows.
+        on up to THREADS threads, so the conv and dense intermediates stay
+        cache-sized and memory does not grow with the number of rows.
         """
-        return in_blocks(lambda rows: self.forward(rows)[0], x)
+        return in_blocks(lambda rows: self.forward(rows)[0], x, (OUTPUT_DIM,))
 
     def clone(self) -> "Localizer":
         return Localizer(self.extractor.clone(), self.regressor.clone())

@@ -8,6 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from rfloc import networks
 from rfloc.data import Dataset
 from rfloc.errors import ConfigError, DataError, WorkerError
 from rfloc.evalmetrics import (
@@ -229,7 +230,7 @@ def test_cross_validate_equals_serial_loop(monkeypatch, cpus, case):
     recipe, grid, n_folds = LAMBDA_GRIDS[case]
     ds = _grid_dataset()
     expected = cross_validate_serial(ds, recipe, grid, n_folds=n_folds, seed=3)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(networks, "THREADS", cpus)
     assert cross_validate(ds, recipe, grid, n_folds=n_folds, seed=3) == expected
 
 
@@ -242,7 +243,7 @@ def test_cross_validate_mtloc_conf_equals_serial_loop(monkeypatch, cpus, source_
 
     grid = [{"alpha": 0.7, "k": 2}, {"alpha": 0.8, "k": 8}]
     expected = cross_validate_serial(small_target, recipe, grid, n_folds=3)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(networks, "THREADS", cpus)
     assert cross_validate(small_target, recipe, grid, n_folds=3) == expected
 
 
@@ -257,17 +258,28 @@ class _PoolSizes(concurrent.futures.ProcessPoolExecutor):
 
 
 @pytest.mark.parametrize(
-    "cpus, n_configs, n_folds, workers",
-    [(1, 3, 2, 1), (None, 3, 2, 1), (8, 1, 2, 2), (8, 2, 3, 6), (2, 2, 3, 2)],
-    ids=["one-cpu", "cpu-count-unknown", "two-tasks", "six-tasks", "two-cpus"],
+    "cpus, n_configs, n_folds, workers, threads",
+    [(1, 3, 2, 1, 1), (None, 3, 2, 1, 1), (8, 1, 2, 2, 4), (8, 2, 3, 6, 1), (2, 2, 3, 2, 1),
+     (2, 1, 2, 2, 1)],
+    ids=["one-cpu", "cpu-count-unknown", "two-tasks", "six-tasks", "two-cpus",
+         "two-cpus-two-tasks"],
 )
-def test_cross_validate_worker_count(monkeypatch, tmp_path, cpus, n_configs, n_folds, workers):
-    # Each task leaves a file named after the process that ran it.
+def test_cross_validate_worker_count(
+    monkeypatch, tmp_path, cpus, n_configs, n_folds, workers, threads
+):
+    # Each task leaves a file named after the process that ran it and the
+    # THREADS that process's for_blocks uses.
     def recipe(train, val, config):
-        os.close(tempfile.mkstemp(prefix=f"{os.getpid()}-", dir=tmp_path)[0])
+        prefix = f"{os.getpid()}-{networks.THREADS}-"
+        os.close(tempfile.mkstemp(prefix=prefix, dir=tmp_path)[0])
         return np.zeros((len(val), 2))
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        # No affinity call and an unknown CPU count: one CPU.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        cpus = networks._cpus()
+    monkeypatch.setattr(networks, "THREADS", cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSizes)
     _PoolSizes.sizes = []
     grid = [{"i": i} for i in range(n_configs)]
@@ -275,8 +287,20 @@ def test_cross_validate_worker_count(monkeypatch, tmp_path, cpus, n_configs, n_f
     assert _PoolSizes.sizes == [workers]
     pids = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
     assert os.getpid() not in pids and 1 <= len(pids) <= workers
+    assert {int(p.name.split("-")[1]) for p in tmp_path.iterdir()} == {threads}
     assert len(list(tmp_path.iterdir())) == n_configs * n_folds
     assert multiprocessing.active_children() == []
+    assert networks.THREADS == cpus  # the parent's count is left alone
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_threads_count_the_cpus_this_process_may_run_on(monkeypatch):
+    # Under `taskset -c 0` on a 2-CPU host, os.cpu_count() is 2 but the
+    # process may run on one CPU; cv would start two workers on it.
+    assert networks.THREADS == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert networks._cpus() == 1
 
 
 def test_cross_validate_error_leaves_no_workers():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfloc import meanteacher
+from rfloc import meanteacher, networks
 from rfloc.data import NUM_FEATURES, normalize_features
 from rfloc.errors import ConfigError, NumericalError, UsageError
 from rfloc.meanteacher import (
@@ -109,23 +109,30 @@ def test_blocked_probe_matches_whole_set_oracle_bitwise(source_model, rows, n_pr
 
 
 def test_probe_passes_run_on_the_blocks_of_in_blocks():
-    # So every forward call computes exactly the block predict would.
-    sizes = []
+    # So every forward call computes exactly the block predict would. The
+    # blocks may run on several threads in any order, so each call is
+    # keyed by its first row: feature 0 holds 10 times the row's index.
+    calls = []
 
     def record(v):
-        sizes.append(len(v))
+        calls.append((round(v[0, 0] / 10), len(v)))
         return v[:, :2]
 
-    _probe(record, np.zeros((700, 8)), 0.1, 3, Rng(0), 0)
+    z = np.zeros((700, 8))
+    z[:, 0] = 10.0 * np.arange(700)
+    _probe(record, z, 0.1, 3, Rng(0), 0)
     b = PREDICT_BLOCK_ROWS
-    assert sizes == [700] + [b] * 3 + [b] * 3 + [700 - 2 * b] * 3
+    assert calls[0] == (0, 700)  # the clean pass, before any noisy one
+    assert sorted(calls[1:]) == [(0, b)] * 3 + [(b, b)] * 3 + [(2 * b, 700 - 2 * b)] * 3
 
 
-def test_probe_memory_grows_only_by_its_outputs(source_model):
-    # Noise and noisy predictions are held one block at a time. Drawing all
-    # of the noise at once (6000 more rows x 4 probes x 8 floats) and
-    # predicting each pass over every row grew the peak by 2.5 MB.
-    def peak(rows):
+def test_probe_memory_grows_only_by_its_outputs(monkeypatch, source_model):
+    # Noise and noisy predictions are held one block at a time per thread.
+    # Drawing all of the noise at once (6000 more rows x 4 probes x 8
+    # floats) and predicting each pass over every row grew the peak by
+    # 2.5 MB.
+    def peak(rows, threads):
+        monkeypatch.setattr(networks, "THREADS", threads)
         z = np.random.default_rng(rows).normal(size=(rows, 8))
         tracemalloc.start()
         try:
@@ -134,8 +141,12 @@ def test_probe_memory_grows_only_by_its_outputs(source_model):
         finally:
             tracemalloc.stop()
 
+    threads = networks.THREADS
     outputs = (8000 - 2000) * 2 * 2 * 8  # labels and sigma, (n, 2) float64 each
-    assert peak(8000) - peak(2000) <= outputs + 64 * 1024
+    one = peak(8000, 1)
+    assert one - peak(2000, 1) <= outputs + 64 * 1024
+    # Each thread holds one block's noise and passes at a time.
+    assert peak(8000, threads) <= threads * one
 
 
 # ---------------------------------------------------------------- thresholds
@@ -304,7 +315,7 @@ def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
         assert np.array_equal(correct_labels(pls, features, k=1), per_row)
 
 
-def test_correction_memory_is_bounded_by_the_block():
+def test_correction_memory_is_bounded_by_the_block(monkeypatch):
     # 10,050 rows, about 30% uncertain (the large-target share). With all
     # eight squared-difference terms of a 2^19-cell block alive, the peak
     # was 43.8 MB; one buffer per stack slot of 2^16 cells needs about 3 MB.
@@ -313,13 +324,21 @@ def test_correction_memory_is_bounded_by_the_block():
     pls = PseudoLabelSet(
         gen.uniform(0, 10, size=(10050, 2)), np.zeros((10050, 2)), gen.random(10050) > 0.3
     )
-    tracemalloc.start()
-    try:
-        correct_labels(pls, features, k=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+    def peak(threads):
+        monkeypatch.setattr(networks, "THREADS", threads)
+        tracemalloc.start()
+        try:
+            correct_labels(pls, features, k=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    threads = networks.THREADS
+    one = peak(1)
+    assert one < 8 * 2**20
+    # Each thread has its own block buffers.
+    assert peak(threads) <= threads * one
 
 
 def test_tree_sum_matches_numpy_row_sum():

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from rfloc import networks
 from rfloc.data import NormStats
 from rfloc.errors import ConfigError
 from rfloc.localizer import LocalizerModel, compute_source_stats, predict
@@ -117,18 +118,26 @@ def test_blocked_predict_close_to_one_forward(n):
     assert np.allclose(preds, net.forward(x)[0], rtol=0.0, atol=1e-12)
 
 
-def test_predict_memory_does_not_grow_with_rows():
+def test_predict_memory_does_not_grow_with_rows(monkeypatch):
     # One unblocked forward over 20,000 rows peaks near 430 MB; blocked,
-    # the peak is a few block-sized intermediates.
+    # the peak is a few block-sized intermediates per thread.
     net = Localizer.init(Rng(14).stream("init"))
     x = np.random.default_rng(9).normal(size=(20_000, 8))
-    tracemalloc.start()
-    try:
-        net.predict(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, peak
+
+    def peak(threads):
+        monkeypatch.setattr(networks, "THREADS", threads)
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    threads = networks.THREADS
+    one = peak(1)
+    assert one < 32 * 2**20, one
+    # Each thread holds one block's intermediates at a time.
+    assert peak(threads) <= threads * one
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 10_050])
@@ -168,19 +177,27 @@ def test_networks_predicting_in_alternation_match_each_alone():
                 assert same_bits(net.predict(rows), ref)
 
 
-def test_source_stats_memory_is_features_plus_one_regressor_pass():
+def test_source_stats_memory_is_features_plus_one_regressor_pass(monkeypatch):
     # At 20,000 rows the (n, 768) features take 117 MiB and one regressor
     # pass about 60 MiB; an unblocked extractor pass peaked near 430 MiB.
     net = Localizer.init(Rng(14).stream("init"))
     x = np.random.default_rng(9).normal(size=(20_000, 8))
-    tracemalloc.start()
-    try:
-        stats = compute_source_stats(net, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert stats.feat_cov.shape == (FEATURE_DIM, FEATURE_DIM)
-    assert peak < 224 * 2**20, peak
+
+    def peak(threads):
+        monkeypatch.setattr(networks, "THREADS", threads)
+        tracemalloc.start()
+        try:
+            stats = compute_source_stats(net, x)
+            assert stats.feat_cov.shape == (FEATURE_DIM, FEATURE_DIM)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    threads = networks.THREADS
+    one = peak(1)
+    assert one < 224 * 2**20, one
+    # The extractor's blocks add one block's intermediates per thread.
+    assert peak(threads) <= threads * one
 
 
 def test_localizer_gradient_matches_fd():

@@ -1,0 +1,172 @@
+"""Row blocks on threads (networks.for_blocks): every result is the same
+for any THREADS, no thread outlives a call, and a block's exception and
+the caller's numpy error state cross between the threads."""
+
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from rfloc import cli, meanteacher, networks
+from rfloc.artifact import save_model
+from rfloc.data import Dataset, write_csv
+from rfloc.errors import NumericalError, ResourceError
+from rfloc.localizer import LocalizerModel, compute_source_stats, predict
+from rfloc.meanteacher import PseudoLabelSet, _probe, correct_labels
+from rfloc.networks import PREDICT_BLOCK_ROWS, Localizer, for_blocks
+from rfloc.nn import Rng
+
+B = PREDICT_BLOCK_ROWS
+THREAD_COUNTS = (1, 2, 3, 8)
+
+
+def under_each_thread_count(monkeypatch, fn) -> list:
+    """fn() with THREADS at each of THREAD_COUNTS; no call may leave a
+    thread behind."""
+    results = []
+    for threads in THREAD_COUNTS:
+        monkeypatch.setattr(networks, "THREADS", threads)
+        before = threading.active_count()
+        results.append(fn())
+        assert threading.active_count() == before, threads
+    return results
+
+
+def assert_same_bits(results) -> None:
+    first, *rest = results
+    for other in rest:
+        assert other.shape == first.shape
+        assert other.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("block", [B, 5])
+def test_for_blocks_runs_each_block_once(monkeypatch, n, block):
+    def blocks():
+        seen, threads = [], set()
+
+        def work(start, stop):
+            seen.append((start, stop))
+            threads.add(threading.get_ident())
+
+        for_blocks(n, work, block)
+        assert len(threads) <= networks.THREADS
+        return sorted(seen)
+
+    want = [(a, min(a + block, n)) for a in range(0, n, block)]
+    assert under_each_thread_count(monkeypatch, blocks) == [want] * len(THREAD_COUNTS)
+
+
+def test_for_blocks_raises_a_blocks_exception_after_every_thread_joined(monkeypatch):
+    # Block 1 of 4 fails. Its thread runs no further block; every other
+    # thread runs all of the blocks dealt to it.
+    done = []
+
+    def work(start, stop):
+        if start == B:
+            raise MemoryError("block failed")
+        done.append(start)
+
+    def run():
+        done.clear()
+        with pytest.raises(MemoryError, match="block failed"):
+            for_blocks(4 * B, work)
+        return sorted(done)
+
+    ran = {1: [0], 2: [0, 2 * B], 3: [0, 2 * B, 3 * B], 8: [0, 2 * B, 3 * B]}
+    assert under_each_thread_count(monkeypatch, run) == [ran[t] for t in THREAD_COUNTS]
+
+
+@pytest.mark.parametrize("n", [1, B, B + 1, 3 * B + 7, 10_050])
+def test_predict_bits_do_not_depend_on_threads(monkeypatch, n):
+    net = Localizer.init(Rng(21).stream("init"))
+    x = np.random.default_rng(n).normal(size=(n, 8))
+    assert_same_bits(under_each_thread_count(monkeypatch, lambda: net.predict(x)))
+
+
+def test_probe_bits_do_not_depend_on_threads(monkeypatch, source_model):
+    z = np.random.default_rng(5).normal(size=(3 * B + 7, 8))
+
+    def probe():
+        labels, sigma = _probe(source_model.net.predict, z, 0.5, 4, Rng(2), epoch=1)
+        return np.hstack([labels, sigma])
+
+    assert_same_bits(under_each_thread_count(monkeypatch, probe))
+
+
+@pytest.mark.parametrize("uncertain_share", [0.0, 0.3, 1.0])
+def test_correct_labels_bits_do_not_depend_on_threads(monkeypatch, uncertain_share):
+    # 1000-cell blocks give the 600 uncertain rows of the 0.3 share 75
+    # blocks of 8 rows; no uncertain rows give no block at all.
+    monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", 1000)
+    gen = np.random.default_rng(7)
+    features = gen.normal(size=(2000, 8))
+    confident = gen.random(2000) >= uncertain_share
+    pls = PseudoLabelSet(gen.uniform(0, 10, size=(2000, 2)), np.zeros((2000, 2)), confident)
+    results = under_each_thread_count(monkeypatch, lambda: correct_labels(pls, features, k=3))
+    assert_same_bits(results)
+    assert np.array_equal(results[0][confident], pls.labels[confident])
+
+
+def test_source_stats_bits_do_not_depend_on_threads(monkeypatch):
+    net = Localizer.init(Rng(22).stream("init"))
+    x = np.random.default_rng(8).normal(size=(3 * B + 7, 8))
+
+    def stats():
+        s = compute_source_stats(net, x)
+        return np.concatenate([s.pred_mean, s.pred_var, s.feat_cov.ravel()])
+
+    assert_same_bits(under_each_thread_count(monkeypatch, stats))
+
+
+def test_overflow_in_a_threaded_block_warns_nowhere(monkeypatch, source_model):
+    # predict runs under _CHECKED, which silences overflow warnings; a
+    # block on another thread must run under that state too, or its
+    # RuntimeWarning would be raised instead of the NumericalError.
+    params = {name: p.value.copy() for name, p in source_model.net.params.items()}
+    for name in ("dense1_b", "dense2_w", "dense3_w"):
+        params[name] = np.full_like(params[name], 1e300)
+    net = source_model.net.clone()
+    for name, p in net.params.items():
+        p.value = params[name]
+    model = LocalizerModel(net, source_model.norm, None, {})
+    x = np.random.default_rng(9).normal(size=(3 * B + 7, 8))
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                predict(model, x)
+
+    under_each_thread_count(monkeypatch, run)
+
+
+def test_memory_error_in_a_block_thread_exits_6(
+    monkeypatch, tmp_path, capsys, source_model, small_target
+):
+    # The target holds more than one block of rows, so with THREADS = 2 a
+    # second thread runs the teacher's pseudo-label pass.
+    model, target = tmp_path / "m.model", tmp_path / "target.csv"
+    save_model(source_model, model)
+    write_csv(Dataset("target", np.vstack([small_target.features] * 3)), target)
+    assert len(small_target) * 3 > B
+    main_thread = threading.main_thread()
+    conv = networks.conv1d_forward
+
+    def conv_failing_off_the_main_thread(*args):
+        if threading.current_thread() is not main_thread:
+            raise MemoryError
+        return conv(*args)
+
+    monkeypatch.setattr(networks, "conv1d_forward", conv_failing_off_the_main_thread)
+    monkeypatch.setattr(networks, "THREADS", 2)
+    before = threading.active_count()
+    args = ["adapt", "--method", "mtloc", "--model", str(model), "--target-csv", str(target),
+            "--set", "epochs=1", "--out", str(tmp_path / "a.model")]
+    assert cli.main(args) == ResourceError.exit_code == 6
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert "error: out of memory\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.model").exists()
