@@ -47,6 +47,7 @@ from .localizer import (  # noqa: E402
 )
 from .artifact import load_model, save_model  # noqa: E402
 from .meanteacher import (  # noqa: E402
+    ConfidenceConfig,
     MeanTeacherConfig,
     PseudoLabelSet,
     adapt,

@@ -58,7 +58,7 @@ from .evalmetrics import (
     write_heatmap_pgm,
 )
 from .localizer import TrainConfig, finetune_oracle, predict, train_source
-from .meanteacher import MeanTeacherConfig, adapt
+from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt
 from .shot import ShotConfig, run_shot
 from .synthetic import SynthConfig, generate_synthetic
 
@@ -320,9 +320,10 @@ def _run_oracle(cfg, model, target, inputs):
 @dataclass(frozen=True)
 class Method:
     """One adapt method. defaults is its config with the method's default
-    values; its type parses the method's config keys. columns is the
-    diagnostics-CSV header; needs_source says whether it reads source
-    data (--source-csv)."""
+    values; its type parses the method's config keys (and, for the
+    mean-teacher family, whether adapt gates its pseudo labels). columns
+    is the diagnostics-CSV header; needs_source says whether it reads
+    source data (--source-csv)."""
 
     defaults: object
     run: Callable
@@ -330,11 +331,12 @@ class Method:
     needs_source: bool = False
 
 
-_MT_COLUMNS = ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y")
-
 METHODS = {
-    "mtloc": Method(MeanTeacherConfig(alpha=0.7, confidence=False), _run_mean_teacher, _MT_COLUMNS),
-    "mtloc-conf": Method(MeanTeacherConfig(alpha=0.8, confidence=True), _run_mean_teacher, _MT_COLUMNS),
+    "mtloc": Method(MeanTeacherConfig(alpha=0.7), _run_mean_teacher, ("epoch", "kd_loss")),
+    "mtloc-conf": Method(
+        ConfidenceConfig(alpha=0.8), _run_mean_teacher,
+        ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y"),
+    ),
     "dann": Method(
         DannConfig(), _run_dann, ("epoch", "reg_loss", "disc_loss", "feat_loss"), needs_source=True
     ),
@@ -370,10 +372,7 @@ def _run_adapt(parsed, inputs, outputs, run_id) -> None:
         with open(outputs["diagnostics"], "w") as fh:
             fh.write(f"# run: {run_id}\n" + ",".join(method.columns) + "\n")
             for row in rows:
-                cells = (row[c] for c in method.columns)
-                fh.write(",".join(
-                    "" if v is None else repr(v) if isinstance(v, float) else str(v) for v in cells
-                ) + "\n")
+                fh.write(",".join(str(row[c]) for c in method.columns) + "\n")
 
 
 def _parse_eval(config_kv) -> None:

@@ -1,5 +1,5 @@
-"""Source-free mean-teacher adaptation with optional confidence-gated
-pseudo-label correction.
+"""Source-free mean-teacher adaptation, with confidence-gated pseudo-label
+correction when the config is a ConfidenceConfig (method mtloc-conf).
 
 Teacher and student both start from the source localizer. Each epoch the
 teacher labels the (unlabeled) target set on clean inputs; the student is
@@ -13,7 +13,7 @@ The EMA deliberately places alpha on the STUDENT:
 which is the reverse of the common convention; with alpha near 1 the
 teacher tracks the student almost immediately.
 
-With confidence gating enabled, each sample is probed n_probe times under
+With confidence gating, each sample is probed n_probe times under
 input noise; samples whose per-coordinate prediction spread exceeds
 mean + c * std of the spreads are deemed uncertain and their pseudo labels
 are replaced by an inverse-distance weighted average of the k nearest
@@ -39,8 +39,9 @@ log = logging.getLogger(__name__)
 DISTANCE_EPS = 1e-8
 
 # Probing holds one block's noise and noisy predictions at a time on each
-# thread, PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats; a larger
-# request (n_probe above 13,107) is refused.
+# thread, PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats, on only
+# as many threads as keep the blocks in flight within this cap. An n_probe
+# whose single block exceeds it (above 13,107) is refused.
 MAX_PROBE_FLOATS = 1 << 25
 
 
@@ -51,11 +52,6 @@ class MeanTeacherConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
-    confidence: bool = False
-    n_probe: int = 10  # probes per sample for the uncertainty estimate
-    c_x: float = 8.0  # threshold coefficients: T = mean + c * std of spreads
-    c_y: float = 4.0
-    k: int = 2  # neighbors for pseudo-label correction
     seed: int = 0
 
     def validate(self) -> None:
@@ -64,20 +60,32 @@ class MeanTeacherConfig:
         if self.noise_variance < 0.0:
             raise ConfigError("noise variance must be non-negative")
         check_schedule(self)
-        if self.confidence:
-            if self.n_probe < 2:
-                raise ConfigError("uncertainty probing needs at least 2 probes")
-            if self.c_x < 0.0 or self.c_y < 0.0:
-                raise ConfigError("threshold coefficients must be non-negative")
-            if self.k < 1:
-                raise ConfigError("k must be at least 1")
-            per_probe = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
-            if self.n_probe * per_probe > MAX_PROBE_FLOATS:
-                raise ConfigError(
-                    f"n_probe={self.n_probe} needs {self.n_probe * per_probe:.3g} floats of"
-                    f" probe buffers, over the cap of {MAX_PROBE_FLOATS:.3g}; n_probe may be"
-                    f" at most {MAX_PROBE_FLOATS // per_probe}"
-                )
+
+
+@dataclass
+class ConfidenceConfig(MeanTeacherConfig):
+    """A mean-teacher config whose adapt gates the pseudo labels."""
+
+    n_probe: int = 10  # probes per sample for the uncertainty estimate
+    c_x: float = 8.0  # threshold coefficients: T = mean + c * std of spreads
+    c_y: float = 4.0
+    k: int = 2  # neighbors for pseudo-label correction
+
+    def validate(self) -> None:
+        super().validate()
+        if self.n_probe < 2:
+            raise ConfigError("uncertainty probing needs at least 2 probes")
+        if self.c_x < 0.0 or self.c_y < 0.0:
+            raise ConfigError("threshold coefficients must be non-negative")
+        if self.k < 1:
+            raise ConfigError("k must be at least 1")
+        per_probe = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
+        if self.n_probe * per_probe > MAX_PROBE_FLOATS:
+            raise ConfigError(
+                f"n_probe={self.n_probe} needs {self.n_probe * per_probe:.3g} floats of"
+                f" probe buffers, over the cap of {MAX_PROBE_FLOATS:.3g}; n_probe may be"
+                f" at most {MAX_PROBE_FLOATS // per_probe}"
+            )
 
 
 @dataclass
@@ -94,9 +102,10 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
 
     Noise comes from per-sample streams, so results do not depend on how
     probing is batched or scheduled. The noise draws and noisy passes run
-    over blocks of PREDICT_BLOCK_ROWS rows on up to THREADS threads
-    (for_blocks), the blocks predict_fn's in_blocks forms, so only the
-    outputs grow with the number of rows.
+    over blocks of PREDICT_BLOCK_ROWS rows (for_blocks), the blocks
+    predict_fn's in_blocks forms, so only the outputs grow with the number
+    of rows; they run on as many threads as keep the blocks in flight
+    within MAX_PROBE_FLOATS, at least one.
     """
     n, dim = z.shape
     labels = predict_fn(z)
@@ -109,9 +118,11 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
         preds = np.empty((n_probe, stop - start, 2))
         for p in range(n_probe):
             preds[p] = predict_fn(zb + noise[:, p])
+        del noise  # freed before std's temporaries: a block holds at most its two buffers
         sigma[start:stop] = preds.std(axis=0)
 
-    for_blocks(n, noisy_passes)
+    block_floats = n_probe * PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
+    for_blocks(n, noisy_passes, max_threads=max(1, MAX_PROBE_FLOATS // block_floats))
     return labels, sigma
 
 
@@ -244,11 +255,11 @@ def ema_update(teacher: dict, student: dict, alpha: float) -> None:
 def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     """Adapt the source localizer to unlabeled target data.
 
+    Pseudo labels are gated exactly when cfg is a ConfidenceConfig.
     Returns (student model, per-epoch diagnostics). The diagnostics are
-    run_epochs rows {"epoch", "kd_loss", "n_uncertain", "t_x", "t_y"}; the
-    last three are None when confidence gating is off. Source data is
-    never touched; only the model artifact and target fingerprints are
-    read.
+    run_epochs rows {"epoch", "kd_loss"}, plus "n_uncertain", "t_x" and
+    "t_y" when gated. Source data is never touched; only the model
+    artifact and target fingerprints are read.
     """
     cfg.validate()
     if target.labeled:
@@ -259,13 +270,14 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     z = normalize_features(target.features, model.norm)
     adam = Adam(student.params, lr=cfg.lr)
     noise_std = float(np.sqrt(cfg.noise_variance))
+    gated = isinstance(cfg, ConfidenceConfig)
     pseudo = None
 
     def start(epoch):
         nonlocal pseudo
-        if not cfg.confidence:
+        if not gated:
             pseudo = teacher.predict(z)
-            return {"n_uncertain": None, "t_x": None, "t_y": None}
+            return {}
         labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
         pls = PseudoLabelSet(labels, sigma)
         t_x, t_y = compute_thresholds(pls, cfg.c_x, cfg.c_y)
@@ -290,7 +302,7 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     )
     meta = {
         **model.meta,
-        "kind": "mean-teacher-confidence" if cfg.confidence else "mean-teacher",
+        "kind": "mean-teacher-confidence" if gated else "mean-teacher",
         "adapt_config": asdict(cfg),
     }
     return LocalizerModel(student, model.norm, model.source_stats, meta), diagnostics

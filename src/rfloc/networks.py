@@ -72,22 +72,23 @@ def _cpus() -> int:
 THREADS = _cpus()
 
 
-def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS) -> None:
+def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS, max_threads: int = 0) -> None:
     """work(start, stop) over the blocks [0, block), [block, 2 block), ...
     of n rows, the last one cut at n.
 
-    The blocks are dealt round-robin to up to THREADS threads, the
-    caller's own thread included, so work must touch only its own rows of
-    any shared output. Each thread runs under the caller's numpy error
-    state, and BLAS runs on one thread inside each (rfloc/__init__.py), so
-    every block is computed as it would be alone and the results do not
-    depend on the thread count. The threads are joined before this
-    returns, so none outlives the call (cv forks its workers from a
-    single-threaded process); then the first exception, in thread order,
-    is raised. Zero rows do no work.
+    The blocks are dealt round-robin to up to THREADS threads (and to no
+    more than max_threads, if positive), the caller's own thread included,
+    so that many blocks at most are in flight at once. work must touch
+    only its own rows of any shared output. Each thread runs under the
+    caller's numpy error state, and BLAS runs on one thread inside each
+    (rfloc/__init__.py), so every block is computed as it would be alone
+    and the results do not depend on the thread count. The threads are
+    joined before this returns, so none outlives the call (cv forks its
+    workers from a single-threaded process); then the first exception, in
+    thread order, is raised. Zero rows do no work.
     """
     starts = range(0, n, block)
-    share = max(1, min(THREADS, len(starts)))
+    share = max(1, min(THREADS, max_threads or THREADS, len(starts)))
     errstate = np.geterr()
     errors = [None] * share
 

@@ -61,7 +61,6 @@ class ShotConfig:
     weak_noise_std: float = 0.01
     strong_mask_prob: float = 0.10
     strong_noise_std: float = 0.05
-    use_teacher: bool = True
     teacher_ema: float = 0.995  # coefficient on the teacher (conventional EMA)
     epochs: int = 30
     batch_size: int = 32
@@ -134,7 +133,7 @@ def coral_loss(feats: np.ndarray, feat_cov: np.ndarray, cov_sq: float, weight: f
 def _shot_step(
     student_ext: FeatureExtractor,
     regressor: Regressor,
-    teacher_ext: FeatureExtractor | None,
+    teacher_ext: FeatureExtractor,
     z_weak: np.ndarray,
     z_strong: np.ndarray,
     stats: SourceStats,
@@ -153,13 +152,9 @@ def _shot_step(
     y_s, cr_s = regressor.forward(f_s)
 
     cons, dy_w = sq_loss(y_w, y_s, cfg.lambda_cons)
-    dy_s = -dy_w
-    if teacher_ext is not None:
-        y_t, _ = regressor.forward(teacher_ext.forward(z_weak)[0])
-        teach, dy_t = sq_loss(y_s, y_t, cfg.lambda_teach)
-        dy_s += dy_t
-    else:
-        teach = 0.0
+    y_t, _ = regressor.forward(teacher_ext.forward(z_weak)[0])
+    teach, dy_t = sq_loss(y_s, y_t, cfg.lambda_teach)
+    dy_s = dy_t - dy_w
     stat, dy_stat = pred_stat_loss(y_w, stats, cfg.lambda_stat)
     dy_w += dy_stat
     coral, df_coral = coral_loss(f_w, stats.feat_cov, cov_sq, cfg.lambda_coral)
@@ -195,7 +190,7 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig):
     rng = Rng(cfg.seed)
     student_ext = model.net.extractor.clone()
     regressor = model.net.regressor.clone()
-    teacher_ext = student_ext.clone() if cfg.use_teacher else None
+    teacher_ext = student_ext.clone()
     adam = Adam(student_ext.params, lr=cfg.lr)
     z = normalize_features(target.features, model.norm)
     cov_sq = float(np.vdot(stats.feat_cov, stats.feat_cov))
@@ -213,8 +208,7 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig):
 
     def update():
         adam.step()
-        if teacher_ext is not None:
-            ema_blend(teacher_ext.params, student_ext.params, 1.0 - cfg.teacher_ema, cfg.teacher_ema)
+        ema_blend(teacher_ext.params, student_ext.params, 1.0 - cfg.teacher_ema, cfg.teacher_ema)
 
     diagnostics = run_epochs(
         cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update, "adaptation"

@@ -21,7 +21,10 @@ Run from the root of a checkout:
 
 Output is one ``name digest`` line per file, in a fixed order. The files'
 names are part of their bits (run ids hash the output names), so they are
-fixed here too.
+fixed here too. Each ``.model`` line is followed by a ``<name>.params``
+line, the sha256 of the model's parameter arrays alone (their bytes, in
+``params`` order), so a change that alters only an artifact's metadata
+(its run id or config echo) can show that no weight moved.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 from rfloc import cli  # first: rfloc pins BLAS to one thread before numpy loads
+from rfloc.artifact import load_model
 from rfloc.data import write_csv
 from rfloc.synthetic import SynthConfig, generate_synthetic
 
@@ -99,6 +103,14 @@ def produce(work: Path) -> list[Path]:
     ]
 
 
+def params_digest(path: Path) -> str:
+    """sha256 of a model's parameter arrays, in params order."""
+    h = hashlib.sha256()
+    for param in load_model(path).net.params.values():
+        h.update(param.value.tobytes())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--full", action="store_true", help="print whole sha256 digests")
@@ -109,6 +121,9 @@ def main(argv=None) -> int:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             name = path.relative_to(tmp).as_posix()
             print(name, digest if args.full else digest[:12])
+            if path.suffix == ".model":
+                digest = params_digest(path)
+                print(f"{name}.params", digest if args.full else digest[:12])
             if args.keep:
                 kept = Path(args.keep) / name
                 kept.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,13 @@ from rfloc.dann import disc_loss
 from rfloc.data import load_csv
 from rfloc.evalmetrics import compute_heatmap, compute_metrics
 from rfloc.localizer import SourceStats, TrainConfig, predict, train_source
-from rfloc.meanteacher import MeanTeacherConfig, PseudoLabelSet, adapt, correct_labels
+from rfloc.meanteacher import (
+    ConfidenceConfig,
+    MeanTeacherConfig,
+    PseudoLabelSet,
+    adapt,
+    correct_labels,
+)
 from rfloc.networks import FEATURE_DIM, Discriminator, Localizer
 from rfloc.nn import l1_loss
 from rfloc.shot import ShotConfig, _shot_step, pred_stat_loss, run_shot, sq_loss
@@ -195,9 +201,8 @@ def test_adaptation_gain_synthetic(capsys):
         m, _ = adapt(
             model,
             unlabeled,
-            MeanTeacherConfig(
-                alpha=0.8, confidence=True, c_x=1.0, c_y=1.0, k=8,
-                epochs=5, noise_variance=0.3, seed=seed,
+            ConfidenceConfig(
+                alpha=0.8, c_x=1.0, c_y=1.0, k=8, epochs=5, noise_variance=0.3, seed=seed
             ),
         )
         conf.append(compute_metrics(predict(m, target), target.labels)["mae_d"])
@@ -377,7 +382,7 @@ def test_published_dataset_advisory(capsys):
     adapted, _ = adapt(
         model,
         target.without_labels(),
-        MeanTeacherConfig(alpha=0.8, confidence=True, c_x=8.0, c_y=4.0, k=2, seed=0),
+        ConfidenceConfig(alpha=0.8, c_x=8.0, c_y=4.0, k=2, seed=0),
     )
     mae = compute_metrics(predict(adapted, target), target.labels)["mae_d"]
     good = mae <= 6.5 and mae <= 0.25 * base

@@ -36,7 +36,7 @@ from rfloc.errors import (
 from rfloc.evalmetrics import METRIC_NAMES, compute_metrics
 from rfloc.dann import DannConfig
 from rfloc.localizer import TrainConfig, predict
-from rfloc.meanteacher import MeanTeacherConfig
+from rfloc.meanteacher import ConfidenceConfig, MeanTeacherConfig
 from rfloc.shot import ShotConfig
 from util import cross_validate_serial, resealed
 
@@ -93,7 +93,7 @@ def test_train_artifact_carries_run_id(workdir):
 # Per method: the kind recorded in the adapted model and the header of its
 # diagnostics CSV.
 ADAPT_CASES = {
-    "mtloc": ("mean-teacher", "epoch,kd_loss,n_uncertain,t_x,t_y"),
+    "mtloc": ("mean-teacher", "epoch,kd_loss"),
     "mtloc-conf": ("mean-teacher-confidence", "epoch,kd_loss,n_uncertain,t_x,t_y"),
     "shot": ("shot", "epoch,cons,teach,stat,coral,total"),
     "dann": ("dann", "epoch,reg_loss,disc_loss,feat_loss"),
@@ -135,9 +135,7 @@ def test_adapt_eval_heatmap_pipeline(workdir, tmp_path, method):
         assert rows == []  # fine-tuning records no per-epoch rows
     else:
         assert [r.split(",")[0] for r in rows] == ["0", "1"]  # two epochs
-        assert all(r.count(",") == header.count(",") for r in rows)
-    if method == "mtloc":
-        assert rows[0].endswith(",,,")  # confidence fields blank for plain mtloc
+        assert all(r.count(",") == header.count(",") and ",," not in r for r in rows)
 
     report = tmp_path / "report.csv"
     rc = main(
@@ -1222,7 +1220,8 @@ def test_heatmap_config_fuzz_exits_typed_without_traceback(workdir, slices, tmp_
 _FULL_FUZZ = os.environ.get("RFLOC_FULL_FUZZ") == "1"
 _FUZZ_CONFIGS = {
     "train": (TrainConfig(), ("train", "oracle")),
-    "meanteacher": (MeanTeacherConfig(), ("mtloc-conf", "mtloc", "cv mtloc-conf", "cv mtloc")),
+    "meanteacher": (ConfidenceConfig(), ("mtloc-conf", "cv mtloc-conf")),
+    "mtloc": (MeanTeacherConfig(), ("mtloc", "cv mtloc")),
     "shot": (ShotConfig(), ("shot",)),
     "dann": (DannConfig(), ("dann",)),
 }
@@ -1448,6 +1447,55 @@ def test_replay_of_invalid_config_with_changed_input_exits_2(workdir, tmp_path, 
     assert not (tmp_path / "r").exists()
 
 
+# ---------------------------------------------------------------- one name per behaviour
+
+# The method alone picks confidence gating (mtloc-conf) and SHOT always
+# runs its teacher (lambda_teach=0 drops the term): `confidence`,
+# `use_teacher` and mtloc's gating keys are unknown keys.
+@pytest.mark.parametrize(
+    "verb, method, option, key",
+    [
+        ("adapt", "mtloc", "k=3", "k"),
+        ("adapt", "mtloc", "confidence=true", "confidence"),
+        ("adapt", "mtloc-conf", "confidence=true", "confidence"),
+        ("adapt", "shot", "use_teacher=false", "use_teacher"),
+        ("cv", "mtloc", "k=2,8", "k"),
+    ],
+    ids=["mtloc-k", "mtloc-confidence", "mtloc-conf-confidence", "shot-use_teacher", "cv-mtloc-k"],
+)
+def test_retired_or_foreign_key_exits_2_naming_it(workdir, tmp_path, capsys, verb, method, option,
+                                                   key):
+    if verb == "adapt":
+        args = _adapt_args(workdir, method, tmp_path / "a.model", option)
+    else:
+        args, _ = _cv_args(workdir, tmp_path)  # method mtloc
+        args[args.index("--grid") + 1] = option
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r}" in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "method, key", [("mtloc", "confidence"), ("mtloc-conf", "confidence"), ("shot", "use_teacher")]
+)
+def test_replay_of_manifest_with_retired_key_exits_2(workdir, tmp_path, capsys, method, key):
+    # As a manifest written before the key retired records it.
+    out = tmp_path / "a.model"
+    assert main(_adapt_args(workdir, method, out, "epochs=1")) == 0
+    manifest = Path(str(out) + ".manifest")
+    lines = manifest.read_text().splitlines()
+    at = lines.index("config.seed = 0")
+    manifest.write_text("\n".join([*lines[:at], f"config.{key} = true", *lines[at:]]) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest), "--out-dir", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r}" in err, err
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------- cv grid entries
 
 @pytest.mark.parametrize(
@@ -1457,9 +1505,9 @@ def test_replay_of_invalid_config_with_changed_input_exits_2(workdir, tmp_path, 
         ("alpha=0.7;k=2;alpha=0.7", "grid axis 'alpha' is given more than once"),
         ("alpha=0.7,0.7", "grid axis 'alpha' repeats a value"),
         ("k=2,8;alpha=0.7,0.8,0.70", "grid axis 'alpha' repeats a value"),
-        ("confidence=true,1", "grid axis 'confidence' repeats a value"),
+        ("k=2,02", "grid axis 'k' repeats a value"),
     ],
-    ids=["key", "key-apart", "value", "same-number", "same-bool"],
+    ids=["key", "key-apart", "value", "same-number", "same-int"],
 )
 def test_cv_repeated_grid_entry_exits_2(workdir, tmp_path, capsys, monkeypatch, grid, message):
     # Before, a repeated key ran only its last axis, and a repeated value
@@ -1469,6 +1517,7 @@ def test_cv_repeated_grid_entry_exits_2(workdir, tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "cross_validate", never)
     args, _ = _cv_args(workdir, tmp_path)
+    args[args.index("--method") + 1] = "mtloc-conf"
     args[args.index("--grid") + 1] = grid
     assert main(args) == 2
     err = capsys.readouterr().err

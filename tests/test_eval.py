@@ -21,7 +21,7 @@ from rfloc.evalmetrics import (
     write_heatmap_pgm,
 )
 from rfloc.localizer import predict
-from rfloc.meanteacher import MeanTeacherConfig, adapt
+from rfloc.meanteacher import ConfidenceConfig, adapt
 from util import cross_validate_serial, overall_mae_d
 
 
@@ -237,7 +237,7 @@ def test_cross_validate_equals_serial_loop(monkeypatch, cpus, case):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_cross_validate_mtloc_conf_equals_serial_loop(monkeypatch, cpus, source_model, small_target):
     def recipe(train, val, config):
-        cfg = MeanTeacherConfig(confidence=True, epochs=1, noise_variance=0.3, **config)
+        cfg = ConfidenceConfig(epochs=1, noise_variance=0.3, **config)
         adapted, _ = adapt(source_model, train.without_labels(), cfg)
         return predict(adapted, val)
 

@@ -1,5 +1,6 @@
 """Mean-teacher adaptation: probing, thresholds, label correction, EMA."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from rfloc.data import NUM_FEATURES, normalize_features
 from rfloc.errors import ConfigError, NumericalError, UsageError
 from rfloc.meanteacher import (
     MAX_PROBE_FLOATS,
+    ConfidenceConfig,
     MeanTeacherConfig,
     PseudoLabelSet,
     _probe,
@@ -41,7 +43,7 @@ def unit_row(value: float) -> np.ndarray:
 def probe_model(model, target, noise_variance):
     # As adapt probes its teacher: on the normalized target features.
     z = normalize_features(target.features, model.norm)
-    n_probe = MeanTeacherConfig().n_probe
+    n_probe = ConfidenceConfig().n_probe
     return _probe(model.net.predict, z, float(np.sqrt(noise_variance)), n_probe, Rng(0), epoch=0)
 
 
@@ -444,28 +446,40 @@ def test_adapt_deterministic(source_model, small_target):
     assert [e["kd_loss"] for e in d1] == [e["kd_loss"] for e in d2]
 
 
-def test_adapt_ignores_confidence_knobs_when_off(source_model, small_target):
-    base = MeanTeacherConfig(alpha=0.7, epochs=1, seed=0, confidence=False, c_x=8.0, c_y=4.0, k=2)
-    tweaked = MeanTeacherConfig(alpha=0.7, epochs=1, seed=0, confidence=False, c_x=0.1, c_y=0.1, k=9)
-    m1, _ = adapt(source_model, small_target.without_labels(), base)
-    m2, _ = adapt(source_model, small_target.without_labels(), tweaked)
-    for name in m1.net.params:
-        assert np.array_equal(m1.net.params[name].value, m2.net.params[name].value)
+def test_adapt_gates_exactly_with_a_confidence_config(monkeypatch, source_model, small_target):
+    # The config's class is the only switch: MeanTeacherConfig has no
+    # gating keys, and adapt probes only a ConfidenceConfig's target.
+    gating = {"n_probe", "c_x", "c_y", "k"}
+    assert not gating & {f.name for f in dataclasses.fields(MeanTeacherConfig)}
+    assert gating <= {f.name for f in dataclasses.fields(ConfidenceConfig)}
+    probes = []
+
+    def counting_probe(*args):
+        probes.append(args[3])
+        return _probe(*args)
+
+    monkeypatch.setattr(meanteacher, "_probe", counting_probe)
+    target = small_target.without_labels()
+    adapt(source_model, target, MeanTeacherConfig(alpha=0.7, epochs=2, seed=0))
+    assert probes == []
+    adapt(source_model, target, ConfidenceConfig(alpha=0.7, epochs=2, seed=0, n_probe=3))
+    assert probes == [3, 3]
 
 
 def test_adapt_diagnostics_shape(source_model, small_target):
     _, diags = adapt(
         source_model,
         small_target.without_labels(),
-        MeanTeacherConfig(alpha=0.8, confidence=True, c_x=1.0, c_y=1.0, epochs=3, seed=0),
+        ConfidenceConfig(alpha=0.8, c_x=1.0, c_y=1.0, epochs=3, seed=0),
     )
     assert [d["epoch"] for d in diags] == [0, 1, 2]
     assert all(np.isfinite(d["kd_loss"]) for d in diags)
-    assert all(d["n_uncertain"] is not None and d["t_x"] is not None for d in diags)
+    assert all(set(d) == {"epoch", "kd_loss", "n_uncertain", "t_x", "t_y"} for d in diags)
+    assert all(isinstance(d["n_uncertain"], int) and np.isfinite(d["t_x"]) for d in diags)
     _, plain = adapt(
         source_model, small_target.without_labels(), MeanTeacherConfig(epochs=1, seed=0)
     )
-    assert plain[0]["n_uncertain"] is None and plain[0]["t_x"] is None
+    assert [set(d) for d in plain] == [{"epoch", "kd_loss"}]
 
 
 def test_adapt_zero_epochs_identity(source_model, small_target):
@@ -482,7 +496,7 @@ def test_adapt_meta_kinds(source_model, small_target):
     conf, _ = adapt(
         source_model,
         small_target.without_labels(),
-        MeanTeacherConfig(epochs=1, confidence=True, c_x=1.0, c_y=1.0),
+        ConfidenceConfig(epochs=1, c_x=1.0, c_y=1.0),
     )
     assert plain.meta["kind"] == "mean-teacher"
     assert conf.meta["kind"] == "mean-teacher-confidence"
@@ -505,31 +519,37 @@ def test_config_validation():
     # The probe count, threshold coefficients and k are checked here
     # only; _probe, compute_thresholds and correct_labels trust them.
     with pytest.raises(ConfigError, match="at least 2 probes"):
-        MeanTeacherConfig(confidence=True, n_probe=1).validate()
+        ConfidenceConfig(n_probe=1).validate()
     for c in ({"c_x": -1.0}, {"c_y": -1.0}):
         with pytest.raises(ConfigError, match="threshold coefficients"):
-            MeanTeacherConfig(confidence=True, **c).validate()
+            ConfidenceConfig(**c).validate()
     with pytest.raises(ConfigError, match="k must be at least 1"):
-        MeanTeacherConfig(confidence=True, k=0).validate()
+        ConfidenceConfig(k=0).validate()
+    # A ConfidenceConfig is a MeanTeacherConfig: the shared checks hold too.
+    with pytest.raises(ConfigError, match="alpha"):
+        ConfidenceConfig(alpha=0.0).validate()
     MeanTeacherConfig(alpha=1.0).validate()  # boundary allowed
 
 
 def test_config_caps_the_probe_buffers():
     # One block's noise and noisy predictions: rows x n_probe x (8 + 2).
     largest = MAX_PROBE_FLOATS // (PREDICT_BLOCK_ROWS * 10)
-    MeanTeacherConfig(confidence=True, n_probe=largest).validate()
+    ConfidenceConfig(n_probe=largest).validate()
     with pytest.raises(ConfigError, match=f"n_probe may be at most {largest}"):
-        MeanTeacherConfig(confidence=True, n_probe=largest + 1).validate()
-    MeanTeacherConfig(confidence=False, n_probe=10**9).validate()  # probing off
+        ConfidenceConfig(n_probe=largest + 1).validate()
 
 
-@pytest.mark.parametrize("confidence", [False, True], ids=["mtloc", "mtloc-conf"])
-def test_adapt_bit_equal_with_allocating_oracles(monkeypatch, source_model, small_target, confidence):
-    cfg = dict(alpha=0.8, epochs=2, seed=4, confidence=confidence, c_x=1.0, c_y=1.0)
+@pytest.mark.parametrize(
+    "cfg",
+    [MeanTeacherConfig(alpha=0.8, epochs=2, seed=4),
+     ConfidenceConfig(alpha=0.8, epochs=2, seed=4, c_x=1.0, c_y=1.0)],
+    ids=["mtloc", "mtloc-conf"],
+)
+def test_adapt_bit_equal_with_allocating_oracles(monkeypatch, source_model, small_target, cfg):
     target = small_target.without_labels()
-    new, _ = adapt(source_model, target, MeanTeacherConfig(**cfg))
+    new, _ = adapt(source_model, target, cfg)
     monkeypatch.setattr(meanteacher, "Adam", AdamAllocating)
     monkeypatch.setattr(meanteacher, "ema_update", ema_update_allocating)
-    old, _ = adapt(source_model, target, MeanTeacherConfig(**cfg))
+    old, _ = adapt(source_model, target, cfg)
     for name, p in new.net.params.items():
         assert np.array_equal(p.value, old.net.params[name].value), name

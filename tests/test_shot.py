@@ -1,5 +1,6 @@
 """Hypothesis-transfer adaptation: augmentations, loss terms, frozen regressor."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -204,7 +205,8 @@ def _coral_only_step(source_model, z_w, stats):
     cfg = ShotConfig(lambda_cons=0.0, lambda_teach=0.0, lambda_stat=0.0, lambda_coral=1.0)
     ext = _RecordingExtractor(source_model.net.extractor.clone())
     reg = source_model.net.regressor.clone()
-    terms = _shot_step(ext, reg, None, z_w, z_w + 0.1, stats, cov_norm(stats), cfg, drop_gen=None)
+    teacher = source_model.net.extractor.clone()
+    terms = _shot_step(ext, reg, teacher, z_w, z_w + 0.1, stats, cov_norm(stats), cfg, None)
     return terms["coral"], ext.feats[0], ext.grads[0]
 
 
@@ -238,8 +240,8 @@ def test_step_uses_given_covariance_norm(source_model):
     ext = source_model.net.extractor.clone()
     reg = source_model.net.regressor.clone()
     cov_sq = cov_norm(stats)
-    given = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cov_sq, cfg, None)
-    shifted = _shot_step(ext.clone(), reg, None, z, z + 0.1, stats, cov_sq + 1.0, cfg, None)
+    given = _shot_step(ext.clone(), reg, ext, z, z + 0.1, stats, cov_sq, cfg, None)
+    shifted = _shot_step(ext.clone(), reg, ext, z, z + 0.1, stats, cov_sq + 1.0, cfg, None)
     assert shifted["coral"] == pytest.approx(given["coral"] + 1.0, rel=1e-12)
 
 
@@ -279,16 +281,27 @@ def test_rejects_labeled_target(source_model, small_target):
         run_shot(source_model, small_target, ShotConfig(epochs=1))
 
 
-def test_teacher_disabled_zeroes_term(source_model, small_target):
-    cfg = ShotConfig(use_teacher=False, epochs=1, seed=0)
-    out, diags = run_shot(source_model, small_target.without_labels(), cfg)
-    assert all(d["teach"] == 0.0 for d in diags)
-    with_teacher, _ = run_shot(
-        source_model, small_target.without_labels(), ShotConfig(epochs=1, seed=0)
-    )
+def test_lambda_teach_zero_drops_teacher_term(source_model, small_target):
+    # The teacher still runs and its term is still reported, but at weight
+    # 0 it moves nothing: a teacher that copies the student each batch
+    # (teacher_ema=0) and one that stays the source extractor
+    # (teacher_ema=1) leave the same bits.
+    target = small_target.without_labels()
+    cfg = ShotConfig(lambda_teach=0.0, teacher_ema=0.0, epochs=2, seed=0)
+    out, diags = run_shot(source_model, target, cfg)
+    frozen, frozen_diags = run_shot(source_model, target, dataclasses.replace(cfg, teacher_ema=1.0))
+    for name, p in out.net.params.items():
+        assert np.array_equal(p.value, frozen.net.params[name].value), name
+    assert [d["total"] for d in diags] == [d["total"] for d in frozen_diags]
+    assert all(d["teach"] > 0.0 for d in frozen_diags)
+    for d in diags:
+        rest = cfg.lambda_cons * d["cons"] + cfg.lambda_stat * d["stat"] + cfg.lambda_coral * d["coral"]
+        assert d["total"] == pytest.approx(rest, rel=1e-12)
+    # At its default weight the term moves the extractor.
+    with_teacher, _ = run_shot(source_model, target, dataclasses.replace(cfg, lambda_teach=0.5))
     assert not all(
-        np.array_equal(out.net.params[n].value, with_teacher.net.params[n].value)
-        for n in out.net.params
+        np.array_equal(p.value, with_teacher.net.params[name].value)
+        for name, p in out.net.params.items()
     )
 
 

@@ -3,6 +3,7 @@ for any THREADS, no thread outlives a call, and a block's exception and
 the caller's numpy error state cross between the threads."""
 
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from rfloc import cli, meanteacher, networks
 from rfloc.artifact import save_model
-from rfloc.data import Dataset, write_csv
+from rfloc.data import NUM_FEATURES, Dataset, write_csv
 from rfloc.errors import NumericalError, ResourceError
 from rfloc.localizer import LocalizerModel, compute_source_stats, predict
 from rfloc.meanteacher import PseudoLabelSet, _probe, correct_labels
@@ -93,6 +94,36 @@ def test_probe_bits_do_not_depend_on_threads(monkeypatch, source_model):
         return np.hstack([labels, sigma])
 
     assert_same_bits(under_each_thread_count(monkeypatch, probe))
+
+
+def test_probe_keeps_its_buffers_in_flight_within_the_cap(monkeypatch):
+    # Eight blocks on eight threads, under a cap of two and a half blocks'
+    # noise and noisy predictions: two blocks may be in flight at once, and
+    # the half block leaves room for what the cap does not count, each
+    # pass's noisy input and predict_fn's output. So the peak stays within
+    # the cap plus the outputs; uncapped, all eight blocks were in flight,
+    # at 3.3 times the cap.
+    n_probe = 40
+    block_floats = n_probe * B * (NUM_FEATURES + 2)
+    cap = 5 * block_floats // 2
+    monkeypatch.setattr(networks, "THREADS", 8)
+    monkeypatch.setattr(meanteacher, "MAX_PROBE_FLOATS", cap)
+    z = np.random.default_rng(3).normal(size=(8 * B, NUM_FEATURES))
+    threads = set()
+
+    def predict(v):
+        threads.add(threading.get_ident())
+        return v[:, :2] * 2.0
+
+    tracemalloc.start()
+    try:
+        _probe(predict, z, 0.5, n_probe, Rng(0), epoch=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = 2 * len(z) * 2 * 8  # labels and sigma, (n, 2) float64 each
+    assert len(threads) == 2
+    assert peak <= cap * 8 + outputs, (peak, cap * 8 + outputs)
 
 
 @pytest.mark.parametrize("uncertain_share", [0.0, 0.3, 1.0])
