@@ -3,8 +3,10 @@
 Layout: 4-byte magic, little-endian uint32 format version, uint64 header
 length, UTF-8 JSON header (metadata plus array names/shapes in payload
 order), the arrays as raw little-endian float64, then a 32-byte sha256 of
-everything before it. The feature covariance is stored as its row-major
-upper triangle ("stats.feat_cov_triu") and mirrored back at load, so a
+everything before it. Every artifact carries the model's source
+statistics ("stats.pred_mean", "stats.pred_var", "stats.feat_cov_triu");
+a file without one of them is refused, naming it. The feature covariance
+is stored as its row-major upper triangle and mirrored back at load, so a
 loaded covariance is symmetric by construction. Round-trips are bit-exact;
 a changed byte, truncation, corruption and other format versions
 (version 1 stored the full covariance and no checksum) fail with
@@ -55,17 +57,18 @@ def _mirrored(triu: np.ndarray) -> np.ndarray:
 def save_model(model: LocalizerModel, path) -> None:
     arrays = [("norm.mean", model.norm.mean), ("norm.std", model.norm.std)]
     arrays += [(f"param.{name}", p.value) for name, p in model.net.params.items()]
-    if model.source_stats is not None:
-        s = model.source_stats
-        arrays += [
-            ("stats.pred_mean", s.pred_mean),
-            ("stats.pred_var", s.pred_var),
-            ("stats.feat_cov_triu", s.feat_cov[_upper()]),
-        ]
+    s = model.source_stats
+    arrays += [
+        ("stats.pred_mean", s.pred_mean),
+        ("stats.pred_var", s.pred_var),
+        ("stats.feat_cov_triu", s.feat_cov[_upper()]),
+    ]
     header = {
         "format_version": FORMAT_VERSION,
         "meta": model.meta,
-        "has_source_stats": model.source_stats is not None,
+        # Always true: every model carries its source statistics. The key
+        # stays so that files keep their bytes.
+        "has_source_stats": True,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         "payload_bytes": int(sum(a.size for _, a in arrays)) * 8,
     }
@@ -175,10 +178,8 @@ def load_model(path) -> LocalizerModel:
         norm = NormStats(take("norm.mean"), take("norm.std"))
         net = Localizer(*(cls({name: Param(take(f"param.{name}")) for name in cls.SHAPES})
                           for cls in (FeatureExtractor, Regressor)))
-        stats = None
-        if header.get("has_source_stats"):
-            stats = SourceStats(take("stats.pred_mean"), take("stats.pred_var"),
-                                _mirrored(take("stats.feat_cov_triu")))
+        stats = SourceStats(take("stats.pred_mean"), take("stats.pred_var"),
+                            _mirrored(take("stats.feat_cov_triu")))
     except ConfigError as e:
         raise ArtifactError(f"{path}: invalid artifact contents: {e}") from e
     return LocalizerModel(net, norm, stats, header.get("meta", {}))

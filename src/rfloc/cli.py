@@ -334,7 +334,7 @@ class Method:
 METHODS = {
     "mtloc": Method(MeanTeacherConfig(alpha=0.7), _run_mean_teacher, ("epoch", "kd_loss")),
     "mtloc-conf": Method(
-        ConfidenceConfig(alpha=0.8), _run_mean_teacher,
+        ConfidenceConfig(), _run_mean_teacher,
         ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y"),
     ),
     "dann": Method(
@@ -469,34 +469,32 @@ def _parse_cv(config_kv):
     n_folds = _config_value(config_kv, "folds", "5", parse_int)
     fold_seed = _config_value(config_kv, "fold_seed", "0", parse_int)
     grid = _parse_grid(config_kv.get("grid", ""), type(method.defaults))
-    configs = [{**base_kv, **entry} for entry in grid]
-    for config in configs:
-        _checked(type(method.defaults), config)
-    return method, sorted(grid[0]), configs, n_folds, fold_seed
+    configs = [_checked(type(method.defaults), {**base_kv, **entry}) for entry in grid]
+    return method, grid, configs, n_folds, fold_seed
 
 
 def _run_cv(parsed, inputs, outputs, run_id) -> None:
-    method, vary_keys, configs, n_folds, fold_seed = parsed
+    """Score each grid entry by k-fold validation and mark the best: the
+    lowest score, a tie going to the entry whose values, as given and in
+    sorted key order, come first."""
+    method, grid, configs, n_folds, fold_seed = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
 
-    def recipe(train, val, config):
-        cfg = kv_to_dataclass(type(method.defaults), config)
+    def recipe(train, val, cfg):
         adapted, _ = method.run(cfg, model, train, inputs)
         return predict(adapted, val)
 
-    best_config, results = cross_validate(target, recipe, configs, n_folds=n_folds, seed=fold_seed)
+    scores = cross_validate(target, recipe, configs, n_folds=n_folds, seed=fold_seed)
+    vary_keys = sorted(grid[0])
+    rows = [[entry[k] for k in vary_keys] for entry in grid]
+    best = min(range(len(rows)), key=lambda i: (scores[i], rows[i]))
     with open(outputs["table"], "w") as fh:
         fh.write(f"# run: {run_id}\n")
         fh.write(",".join(vary_keys) + ",val_mae_d,best\n")
-        for r in results:
-            is_best = all(r[k] == best_config[k] for k in vary_keys)
-            fh.write(
-                ",".join(str(r[k]) for k in vary_keys)
-                + f",{r['val_mae_d']!r},{int(is_best)}\n"
-            )
-    best_desc = ", ".join(f"{k}={best_config[k]}" for k in vary_keys)
-    print(f"best config: {best_desc}")
+        for i, (row, score) in enumerate(zip(rows, scores)):
+            fh.write(",".join(row) + f",{score!r},{int(i == best)}\n")
+    print(f"best config: {', '.join(f'{k}={v}' for k, v in zip(vary_keys, rows[best]))}")
 
 
 _VERBS = {

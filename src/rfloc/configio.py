@@ -2,9 +2,11 @@
 package's config dataclasses.
 
 Format: one "key = value" per line, '#' starts a comment, blank lines are
-ignored. Values are parsed according to the dataclass field's default:
-bool, int, float, str, a comma-separated tuple of floats ("5.0,9.0"), or a
-semicolon-separated tuple of such pairs ("0,8;6.5,17.5").
+ignored. Values are parsed according to the type of the dataclass field's
+default, the types rfloc's configs have: int, float, a comma-separated
+tuple of floats ("5.0,9.0"), or a semicolon-separated tuple of such pairs
+("0,8;6.5,17.5"). A field of any other type, bool and str included, has
+no parser.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import dataclasses
 import math
 
 from .errors import ConfigError
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
 
 
 def read_kv(path) -> dict[str, str]:
@@ -49,15 +48,6 @@ def write_kv(path, mapping: dict, header: str | None = None) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in _TRUE:
-        return True
-    if t in _FALSE:
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def parse_int(text: str) -> int:
     try:
         return int(text)
@@ -89,25 +79,17 @@ def parse_pair_tuple(text: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _parser_for(default):
-    if isinstance(default, bool):
-        return parse_bool
-    if isinstance(default, int):
-        return parse_int
-    if isinstance(default, float):
-        return parse_float
-    if isinstance(default, str):
-        return lambda s: s
-    if isinstance(default, tuple):
-        if default and isinstance(default[0], tuple):
-            return parse_pair_tuple
-        return parse_float_tuple
-    raise ConfigError(f"no parser for config value of type {type(default).__name__}")
+    # Exact types: a bool is an int too, and must not parse as one.
+    if type(default) is tuple:
+        return parse_pair_tuple if default and isinstance(default[0], tuple) else parse_float_tuple
+    parser = {int: parse_int, float: parse_float}.get(type(default))
+    if parser is None:
+        raise ConfigError(f"no parser for config value of type {type(default).__name__}")
+    return parser
 
 
 def value_to_str(value) -> str:
     """Round-trippable textual form for manifests and config snapshots."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

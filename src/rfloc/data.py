@@ -224,7 +224,7 @@ def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
 
 # ---------------------------------------------------------------- folds
 
-def make_folds(dataset: Dataset, n_folds: int = 5, seed: int = 0) -> np.ndarray:
+def make_folds(dataset: Dataset, n_folds: int, seed: int) -> np.ndarray:
     """The (n,) fold index of each sample: shuffled samples are assigned
     to folds round-robin."""
     n = len(dataset)

@@ -53,7 +53,7 @@ class HeatmapGrid:
     counts: np.ndarray  # (rows, cols) samples per cell
 
 
-def compute_heatmap(preds: np.ndarray, labels: np.ndarray, cell: float = 1.0) -> HeatmapGrid:
+def compute_heatmap(preds: np.ndarray, labels: np.ndarray, cell: float) -> HeatmapGrid:
     """Bin samples by true location into cell x cell squares of a grid
     that covers the labels' bounding box; preds and labels are (n, 2).
 
@@ -162,24 +162,20 @@ def _score_fold(task) -> float:
 
 
 def cross_validate(
-    train_set: Dataset,
-    recipe,
-    configs: list[dict],
-    n_folds: int = 5,
-    seed: int = 0,
-):
-    """Grid selection by k-fold validation distance error.
+    train_set: Dataset, recipe, configs: list, n_folds: int, seed: int
+) -> list[float]:
+    """Each grid entry's mean validation mae_d over n_folds folds, in grid
+    order; the folds are make_folds(train_set, n_folds, seed).
 
-    recipe(train: Dataset, val: Dataset, config: dict) -> predictions for
-    val. Returns (best_config, results) where results is a list of
-    {**config, "val_mae_d": score} in grid order. Ties are broken by the
-    lexicographically smaller config (sorted key/value pairs).
+    recipe(train: Dataset, val: Dataset, config) -> predictions for val,
+    with config one entry of configs, passed as given. Picking the best
+    entry is the caller's (the cv command's tie rule is in rfloc.cli).
 
     The config x fold recipe calls are independent. They run in a fresh
     pool of min(configs x folds, networks.THREADS) forked processes, the
     CPUs this process may run on, and each worker's for_blocks gets
     max(1, THREADS // workers) threads of them. The scores come back in
-    grid order, so the results equal a serial run's.
+    grid order, so the result equals a serial run's.
     An exception raised by a recipe call reaches the caller with its type
     and message, the first in grid order, after the pool has shut down. A
     worker that dies (say, killed by the operating system) raises
@@ -187,7 +183,7 @@ def cross_validate(
     """
     if not train_set.labeled:
         raise DataError("fold selection requires a labeled target CSV")
-    folds = make_folds(train_set, n_folds=n_folds, seed=seed)
+    folds = make_folds(train_set, n_folds, seed)
     # Imported here, not at the top: every CLI verb imports this module, and
     # only cv needs the pool's modules (about 18 ms to import with Python
     # 3.11 on a 2-vCPU Xeon).
@@ -211,13 +207,4 @@ def cross_validate(
             scores = list(pool.map(_score_fold, tasks))
     except BrokenProcessPool as e:
         raise WorkerError(f"a fold selection worker process died: {e}") from e
-    results = [
-        {**config, "val_mae_d": float(np.mean(scores[ci * n_folds : (ci + 1) * n_folds]))}
-        for ci, config in enumerate(configs)
-    ]
-
-    def sort_key(r):
-        return (r["val_mae_d"], tuple(sorted((str(k), repr(r[k])) for k in r if k != "val_mae_d")))
-    best = min(results, key=sort_key)
-    best_config = {k: v for k, v in best.items() if k != "val_mae_d"}
-    return best_config, results
+    return [float(np.mean(scores[i : i + n_folds])) for i in range(0, len(scores), n_folds)]

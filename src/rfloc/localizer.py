@@ -63,6 +63,8 @@ class SourceStats:
     restores it bit for bit before construction ends, so a caller's
     writeable float64 array is held as given and must not be read by
     another thread meanwhile; a read-only array is copied first.
+    Once checked, all three arrays are marked read-only, a caller's own
+    arrays included, so no later edit can slip past the checks.
     """
 
     pred_mean: np.ndarray  # (2,)
@@ -105,13 +107,15 @@ class SourceStats:
         # compute_source_stats (feats.T @ feats) and load_model build one.
         if not np.array_equal(self.feat_cov, self.feat_cov.T):
             raise ConfigError("feature covariance is not exactly symmetric")
+        for a in (self.pred_mean, self.pred_var, self.feat_cov):
+            a.flags.writeable = False
 
 
 @dataclass
 class LocalizerModel:
     net: Localizer
     norm: NormStats
-    source_stats: SourceStats | None
+    source_stats: SourceStats
     meta: dict
 
     def __post_init__(self):

@@ -90,11 +90,11 @@ class ConfidenceConfig(MeanTeacherConfig):
 
 @dataclass
 class PseudoLabelSet:
-    """Per-sample pseudo labels with probe spreads and confidence flags."""
+    """Per-sample pseudo labels with their confidence flags, built whole
+    from _probe's labels and compute_thresholds' flags."""
 
     labels: np.ndarray  # (n, 2) teacher predictions on clean inputs
-    sigma: np.ndarray  # (n, 2) per-coordinate std over probes
-    confident: np.ndarray | None = None  # (n,) bool, set by compute_thresholds
+    confident: np.ndarray  # (n,) bool, False where the probe spread is over a threshold
 
 
 def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, epoch: int):
@@ -126,18 +126,15 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
     return labels, sigma
 
 
-def compute_thresholds(pls: PseudoLabelSet, c_x: float, c_y: float) -> tuple[float, float]:
-    """Set confidence flags in place and return the thresholds (t_x, t_y);
-    a sample is uncertain when either coordinate's spread exceeds its
-    threshold, mean + c * std of the spreads."""
-    mu = pls.sigma.mean(axis=0)
-    sd = pls.sigma.std(axis=0)
-    t = mu + np.array([c_x, c_y]) * sd
+def compute_thresholds(sigma: np.ndarray, c_x: float, c_y: float):
+    """(confident, t_x, t_y) for the (n, 2) per-coordinate probe spreads
+    sigma: the thresholds are mean + c * std of the spreads, and a sample
+    is confident unless either coordinate's spread exceeds its threshold."""
+    t = sigma.mean(axis=0) + np.array([c_x, c_y]) * sigma.std(axis=0)
     if not np.isfinite(t).all():
         raise NumericalError(f"uncertainty thresholds are non-finite ({t[0]}, {t[1]})")
-    uncertain = (pls.sigma[:, 0] > t[0]) | (pls.sigma[:, 1] > t[1])
-    pls.confident = ~uncertain
-    return float(t[0]), float(t[1])
+    confident = ~((sigma[:, 0] > t[0]) | (sigma[:, 1] > t[1]))
+    return confident, float(t[0]), float(t[1])
 
 
 # Cells per (uncertain rows x confident samples) distance block; bounds the
@@ -192,7 +189,6 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndar
     inverse-distance weighted average of the k nearest confident samples'
     labels (ties broken by lower sample index). pls is not changed.
 
-    pls must carry the confidence flags compute_thresholds sets, and
     features must be the (n, 8) normalized inputs the labels were computed
     from; k is at least 1. If there are fewer than k confident samples,
     all of them are used; if there are none, a copy of the labels is
@@ -279,10 +275,9 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
             pseudo = teacher.predict(z)
             return {}
         labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
-        pls = PseudoLabelSet(labels, sigma)
-        t_x, t_y = compute_thresholds(pls, cfg.c_x, cfg.c_y)
-        n_uncertain = int((~pls.confident).sum())
-        pseudo = correct_labels(pls, z, cfg.k)
+        confident, t_x, t_y = compute_thresholds(sigma, cfg.c_x, cfg.c_y)
+        pseudo = correct_labels(PseudoLabelSet(labels, confident), z, cfg.k)
+        n_uncertain = int((~confident).sum())
         return {"n_uncertain": n_uncertain, "t_x": t_x, "t_y": t_y}
 
     def step(epoch, bi, idx):

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, normalize_features
-from .errors import ArtifactError, ConfigError, UsageError
+from .errors import ConfigError, UsageError
 from .localizer import LocalizerModel, SourceStats, check_schedule, run_epochs, shuffled
 from .networks import FeatureExtractor, Localizer, Regressor
 from .nn import Adam, Rng, ema_blend
@@ -80,15 +80,12 @@ class ShotConfig:
         check_schedule(self)
 
 
-def augment_weak(z: np.ndarray, gen: np.random.Generator, noise_std: float = 0.01) -> np.ndarray:
+def augment_weak(z: np.ndarray, gen: np.random.Generator, noise_std: float) -> np.ndarray:
     return z + gen.normal(0.0, noise_std, size=z.shape)
 
 
 def augment_strong(
-    z: np.ndarray,
-    gen: np.random.Generator,
-    mask_prob: float = 0.10,
-    noise_std: float = 0.05,
+    z: np.ndarray, gen: np.random.Generator, mask_prob: float, noise_std: float
 ) -> np.ndarray:
     """Mask first, then add noise, so masked entries carry noise only."""
     keep = gen.random(z.shape) >= mask_prob
@@ -175,15 +172,12 @@ def _shot_step(
 def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig):
     """Adapt the extractor to unlabeled target data; the regressor is frozen.
 
-    Requires source statistics in the model artifact. Returns (adapted
-    model, per-epoch diagnostics); the diagnostics are run_epochs rows
-    {"epoch", "cons", "teach", "stat", "coral", "total"} of batch means.
+    The pred-stat and coral terms read the source statistics the model
+    carries. Returns (adapted model, per-epoch diagnostics); the
+    diagnostics are run_epochs rows {"epoch", "cons", "teach", "stat",
+    "coral", "total"} of batch means.
     """
     cfg.validate()
-    if model.source_stats is None:
-        raise ArtifactError(
-            "model artifact carries no source statistics; retrain the source model"
-        )
     if target.labeled:
         raise UsageError("adaptation target must be unlabeled; strip labels first")
     stats = model.source_stats

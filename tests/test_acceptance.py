@@ -241,7 +241,7 @@ def test_label_correction_matches_bruteforce(capsys):
     confident[0] = True
     ok = True
     for k in (1, 2, 3):
-        pls = PseudoLabelSet(labels.copy(), np.zeros((100, 2)), confident.copy())
+        pls = PseudoLabelSet(labels.copy(), confident.copy())
         out = correct_labels(pls, features, k=k)
         oracle = correct_labels_bruteforce(labels, None, confident, features, k)
         ok = ok and np.array_equal(out, oracle)

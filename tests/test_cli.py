@@ -37,6 +37,7 @@ from rfloc.evalmetrics import METRIC_NAMES, compute_metrics
 from rfloc.dann import DannConfig
 from rfloc.localizer import TrainConfig, predict
 from rfloc.meanteacher import ConfidenceConfig, MeanTeacherConfig
+from rfloc.networks import FEATURE_DIM
 from rfloc.shot import ShotConfig
 from util import cross_validate_serial, resealed
 
@@ -604,6 +605,24 @@ def test_cv_table_equals_serial_run(workdir, tmp_path, monkeypatch):
     assert pooled == (tmp_path / "serial" / "cv.csv").read_bytes()
 
 
+def test_cv_tie_goes_to_the_smaller_values_in_sorted_key_order(workdir, tmp_path, capsys):
+    # With no epoch every entry adapts to the source model, so both score
+    # the same; the tie goes to alpha=0.7, though it is listed second.
+    table = tmp_path / "cv.csv"
+    assert main([
+        "cv", "--method", "mtloc",
+        "--model", str(workdir / "source.model"),
+        "--target-csv", str(workdir / "data" / "target.csv"),
+        "--grid", "alpha=0.9,0.7", "--set", "epochs=0", "--folds", "2",
+        "--out", str(table),
+    ]) == 0
+    rows = [line.split(",") for line in table.read_text().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["0.9", "0.7"]
+    assert rows[0][1] == rows[1][1]
+    assert [r[2] for r in rows] == ["0", "1"]
+    assert "best config: alpha=0.7" in capsys.readouterr().out
+
+
 # Runs the CLI as `rfloc` does, then reports the worker processes left.
 _CLI_COUNTING_CHILDREN = (
     "import multiprocessing, sys\n"
@@ -875,11 +894,14 @@ def test_malformed_artifact_exits_3_without_traceback(workdir, tmp_path, corrupt
 
 def _edit_feat_cov(edit):
     def corrupt(src, dst):
-        model = load_model(src)
-        # SourceStats checks the covariance when built, not when changed,
-        # so the edited matrix reaches the file as written.
-        edit(model.source_stats.feat_cov)
-        save_model(model, dst)
+        # SourceStats refuses the edited matrix, and its arrays are
+        # read-only, so the edit is written into the file's covariance
+        # triangle, its last array, under a fresh checksum.
+        raw = src.read_bytes()[:-DIGEST_BYTES]
+        cov = load_model(src).source_stats.feat_cov.copy()
+        edit(cov)
+        triu = cov[np.triu_indices(cov.shape[0])].astype("<f8").tobytes()
+        dst.write_bytes(resealed(raw[: len(raw) - len(triu)] + triu))
     return corrupt
 
 
@@ -910,6 +932,34 @@ def test_bad_feature_covariance_exits_3_without_traceback(
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "bad.model" in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+def _without_source_stats(header):
+    # Every array but the three stats.* ones, the last in the payload;
+    # has_source_stats stays true, as in every format-2 file.
+    stats = [e for e in header["arrays"] if e["name"].startswith("stats.")]
+    assert header["arrays"][-len(stats):] == stats and len(stats) == 3
+    header["arrays"] = header["arrays"][: -len(stats)]
+    header["payload_bytes"] -= 8 * sum(int(np.prod(e["shape"])) for e in stats)
+    return header
+
+
+@pytest.mark.parametrize("verb", ["eval", "adapt-shot"])
+def test_artifact_without_source_statistics_exits_3(workdir, tmp_path, capsys, verb):
+    bad = tmp_path / "bad.model"
+    trim = 8 * (2 + 2 + FEATURE_DIM * (FEATURE_DIM + 1) // 2)
+    _rewrite_header(workdir / "source.model", bad, _without_source_stats, trim=trim)
+    target = str(workdir / "data" / "target.csv")
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--model", str(bad), "--csv", target, "--out-report", str(out)],
+        "adapt-shot": ["adapt", "--method", "shot", "--model", str(bad),
+                       "--target-csv", target, "--set", "epochs=1", "--out", str(out)],
+    }[verb]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "bad.model: artifact is missing array 'stats.pred_mean'" in err
     assert not out.exists()
 
 

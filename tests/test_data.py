@@ -290,6 +290,6 @@ def test_folds_partition_and_balance():
 def test_folds_errors():
     ds = make_dataset(4)
     with pytest.raises(ConfigError):
-        make_folds(ds, n_folds=1)
+        make_folds(ds, n_folds=1, seed=0)
     with pytest.raises(DataError):
-        make_folds(ds, n_folds=9)
+        make_folds(ds, n_folds=9, seed=0)

@@ -177,27 +177,15 @@ def test_cross_validate_picks_better_recipe():
             return np.tile(center, (len(val), 1))
         return np.zeros((len(val), 2))
 
-    best, results = cross_validate(ds, recipe, [{"mode": "mean"}, {"mode": "zeros"}], n_folds=3)
-    assert best == {"mode": "mean"}
-    assert len(results) == 2
-    by_mode = {r["mode"]: r["val_mae_d"] for r in results}
-    assert by_mode["mean"] < by_mode["zeros"]
-
-
-def test_cross_validate_tie_breaks_lexicographically():
-    ds = _grid_dataset()
-
-    def recipe(train, val, config):
-        return np.zeros((len(val), 2))  # identical score for every config
-
-    best, _ = cross_validate(ds, recipe, [{"alpha": 0.9}, {"alpha": 0.7}], n_folds=2)
-    assert best == {"alpha": 0.7}
+    scores = cross_validate(ds, recipe, [{"mode": "mean"}, {"mode": "zeros"}], n_folds=3, seed=0)
+    assert len(scores) == 2 and all(type(s) is float for s in scores)
+    assert scores[0] < scores[1]
 
 
 def test_cross_validate_validation():
     ds = _grid_dataset()
     with pytest.raises(DataError, match="fold selection requires a labeled target CSV"):
-        cross_validate(ds.without_labels(), lambda t, v, c: None, [{}])
+        cross_validate(ds.without_labels(), lambda t, v, c: None, [{}], n_folds=5, seed=0)
 
 
 def test_cross_validate_results_in_grid_order():
@@ -207,8 +195,10 @@ def test_cross_validate_results_in_grid_order():
         return np.full((len(val), 2), config["bias"])
 
     grid = [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}]
-    _, results = cross_validate(ds, recipe, grid, n_folds=2)
-    assert [r["bias"] for r in results] == [2.0, 0.5, 1.0]
+    scores = cross_validate(ds, recipe, grid, n_folds=2, seed=0)
+    # Each entry's score is the one it gets alone.
+    assert scores == [cross_validate(ds, recipe, [c], n_folds=2, seed=0)[0] for c in grid]
+    assert len(set(scores)) == 3
 
 
 def _mean_or_zeros(train, val, config):
@@ -242,9 +232,9 @@ def test_cross_validate_mtloc_conf_equals_serial_loop(monkeypatch, cpus, source_
         return predict(adapted, val)
 
     grid = [{"alpha": 0.7, "k": 2}, {"alpha": 0.8, "k": 8}]
-    expected = cross_validate_serial(small_target, recipe, grid, n_folds=3)
+    expected = cross_validate_serial(small_target, recipe, grid, n_folds=3, seed=0)
     monkeypatch.setattr(networks, "THREADS", cpus)
-    assert cross_validate(small_target, recipe, grid, n_folds=3) == expected
+    assert cross_validate(small_target, recipe, grid, n_folds=3, seed=0) == expected
 
 
 class _PoolSizes(concurrent.futures.ProcessPoolExecutor):
@@ -283,7 +273,7 @@ def test_cross_validate_worker_count(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSizes)
     _PoolSizes.sizes = []
     grid = [{"i": i} for i in range(n_configs)]
-    cross_validate(_grid_dataset(), recipe, grid, n_folds=n_folds)
+    cross_validate(_grid_dataset(), recipe, grid, n_folds=n_folds, seed=0)
     assert _PoolSizes.sizes == [workers]
     pids = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
     assert os.getpid() not in pids and 1 <= len(pids) <= workers
@@ -312,7 +302,7 @@ def test_cross_validate_error_leaves_no_workers():
 
     grid = [{"bad": False, "name": "a"}, {"bad": True, "name": "b"}, {"bad": True, "name": "c"}]
     with pytest.raises(ConfigError, match="bad config b"):
-        cross_validate(_grid_dataset(), recipe, grid, n_folds=3)
+        cross_validate(_grid_dataset(), recipe, grid, n_folds=3, seed=0)
     assert multiprocessing.active_children() == []
 
 
@@ -324,5 +314,5 @@ def test_cross_validate_dead_worker_raises_worker_error():
 
     grid = [{"die": False}, {"die": True}]
     with pytest.raises(WorkerError, match="worker process died"):
-        cross_validate(_grid_dataset(), recipe, grid, n_folds=2)
+        cross_validate(_grid_dataset(), recipe, grid, n_folds=2, seed=0)
     assert multiprocessing.active_children() == []

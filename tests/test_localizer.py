@@ -252,6 +252,21 @@ def test_source_stats_keep_a_callers_covariance_bit_for_bit(eigenbasis):
     assert cov.tobytes() == given.tobytes()
 
 
+def test_source_stats_freeze_what_they_checked():
+    # The caller's own arrays are held, not copied, and marked read-only,
+    # so an edit after construction cannot bypass the checks.
+    mean, var, cov = np.zeros(2), np.ones(2), np.eye(FEATURE_DIM)
+    s = SourceStats(mean, var, cov)
+    assert s.feat_cov is cov and s.pred_mean is mean and s.pred_var is var
+    with pytest.raises(ValueError, match="read-only"):
+        cov[0, 1] = 5.0
+    assert np.array_equal(s.feat_cov, s.feat_cov.T)
+    for a in (mean, var):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = -1.0
+    assert s.pred_var.tolist() == [1.0, 1.0] and s.pred_mean.tolist() == [0.0, 0.0]
+
+
 def test_source_stats_accept_a_read_only_covariance(eigenbasis):
     cov = _covariance_with_smallest_eigenvalue(eigenbasis, 0.0)
     cov.flags.writeable = False
@@ -410,14 +425,6 @@ def test_artifact_stores_the_covariance_as_its_upper_triangle(tmp_path, source_m
     cov = source_model.source_stats.feat_cov
     triu = np.frombuffer(raw, "<f8", count=TRIU_SIZE, offset=len(raw) - DIGEST_BYTES - 8 * TRIU_SIZE)
     assert np.array_equal(triu, cov[np.triu_indices(FEATURE_DIM)])
-
-
-def test_artifact_without_source_stats(tmp_path, source_model):
-    stripped = LocalizerModel(source_model.net, source_model.norm, None, {"kind": "bare"})
-    path = tmp_path / "m.rfm"
-    save_model(stripped, path)
-    back = load_model(path)
-    assert back.source_stats is None
 
 
 def test_artifact_bad_magic(tmp_path, source_model):

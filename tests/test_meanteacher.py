@@ -157,38 +157,34 @@ def test_thresholds_hand_case():
     # Spreads {1, 1, 1, 3}: mean 1.5, population std sqrt(0.75) = 0.866...
     # With c = 1 the threshold is 2.366; only the 3 is flagged.
     sigma = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-    pls = PseudoLabelSet(np.zeros((4, 2)), sigma)
-    t_x, t_y = compute_thresholds(pls, 1.0, 1.0)
+    confident, t_x, t_y = compute_thresholds(sigma, 1.0, 1.0)
     expected = 1.5 + np.sqrt(0.75)
     assert t_x == pytest.approx(expected)
     assert t_y == pytest.approx(expected)
-    assert pls.confident.tolist() == [True, True, True, False]
+    assert confident.tolist() == [True, True, True, False]
 
 
 def test_thresholds_flag_either_coordinate():
     sigma = np.array([[0.1, 5.0], [0.1, 0.1], [5.0, 0.1], [0.1, 0.1]])
-    pls = PseudoLabelSet(np.zeros((4, 2)), sigma)
-    compute_thresholds(pls, 0.5, 0.5)
+    confident, _, _ = compute_thresholds(sigma, 0.5, 0.5)
     # Samples 0 and 2 are extreme in one coordinate each.
-    assert pls.confident.tolist() == [False, True, False, True]
+    assert confident.tolist() == [False, True, False, True]
 
 
 def test_thresholds_c_zero_flags_above_mean():
     sigma = np.array([[1.0, 1.0], [2.0, 2.0]])
-    pls = PseudoLabelSet(np.zeros((2, 2)), sigma)
-    t_x, _ = compute_thresholds(pls, 0.0, 0.0)
+    confident, t_x, _ = compute_thresholds(sigma, 0.0, 0.0)
     assert t_x == pytest.approx(1.5)
-    assert pls.confident.tolist() == [True, False]
+    assert confident.tolist() == [True, False]
 
 
 def test_thresholds_refuse_non_finite_spreads():
     # Overflowed probes give infinite spreads, whose std is NaN; every
     # comparison with a NaN threshold is false, so no row was flagged.
     sigma = np.array([[np.inf, 1.0], [1.0, 1.0]])
-    pls = PseudoLabelSet(np.zeros((2, 2)), sigma)
     with pytest.raises(NumericalError, match="uncertainty thresholds are non-finite"):
         with np.errstate(invalid="ignore"):
-            compute_thresholds(pls, 1.0, 1.0)
+            compute_thresholds(sigma, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------- correction
@@ -198,7 +194,7 @@ def test_correction_hand_case_inverse_distance():
     # normalized input space: correction = (1*(0,0) + 1/3*(2,2)) / (4/3).
     features = np.stack([unit_row(0.0), unit_row(4.0), unit_row(1.0)])
     labels = np.array([[0.0, 0.0], [2.0, 2.0], [50.0, 50.0]])
-    pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(labels, np.array([True, True, False]))
     out = correct_labels(pls, features, k=2)
     assert np.allclose(out[2], [0.5, 0.5])
     assert np.array_equal(out[:2], labels[:2])  # confident untouched
@@ -207,7 +203,7 @@ def test_correction_hand_case_inverse_distance():
 def test_correction_k1_uses_nearest():
     features = np.stack([unit_row(0.0), unit_row(4.0), unit_row(3.0)])
     labels = np.array([[1.0, 5.0], [9.0, 9.0], [0.0, 0.0]])
-    pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(labels, np.array([True, True, False]))
     out = correct_labels(pls, features, k=1)
     assert np.array_equal(out[2], [9.0, 9.0])
 
@@ -216,7 +212,7 @@ def test_correction_tie_broken_by_lower_index():
     # Two confident samples equidistant from the uncertain one.
     features = np.stack([unit_row(-1.0), unit_row(1.0), unit_row(0.0)])
     labels = np.array([[3.0, 3.0], [7.0, 7.0], [0.0, 0.0]])
-    pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(labels, np.array([True, True, False]))
     out = correct_labels(pls, features, k=1)
     assert np.array_equal(out[2], [3.0, 3.0])
 
@@ -224,7 +220,7 @@ def test_correction_tie_broken_by_lower_index():
 def test_correction_zero_distance_floored():
     features = np.stack([unit_row(0.0), unit_row(2.0), unit_row(0.0)])
     labels = np.array([[1.0, 2.0], [9.0, 9.0], [0.0, 0.0]])
-    pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(labels, np.array([True, True, False]))
     out = correct_labels(pls, features, k=2)
     assert np.isfinite(out).all()
     # The co-located confident sample dominates the weighted average.
@@ -234,7 +230,7 @@ def test_correction_zero_distance_floored():
 def test_correction_k_exceeding_confident_degrades():
     features = np.stack([unit_row(0.0), unit_row(1.0), unit_row(0.4)])
     labels = np.array([[0.0, 0.0], [4.0, 4.0], [99.0, 99.0]])
-    pls = PseudoLabelSet(labels, np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(labels, np.array([True, True, False]))
     out5 = correct_labels(pls, features, k=5)
     out2 = correct_labels(pls, features, k=2)
     assert np.array_equal(out5, out2)
@@ -246,7 +242,7 @@ def test_correction_result_in_convex_hull_of_confident():
     labels = gen.uniform(0, 10, size=(30, 2))
     confident = gen.random(30) > 0.4
     confident[:2] = True  # ensure some anchors
-    pls = PseudoLabelSet(labels.copy(), np.zeros((30, 2)), confident)
+    pls = PseudoLabelSet(labels.copy(), confident)
     out = correct_labels(pls, features, k=3)
     lo = labels[confident].min(axis=0)
     hi = labels[confident].max(axis=0)
@@ -258,7 +254,6 @@ def test_correction_result_in_convex_hull_of_confident():
 def test_correction_no_confident_warns_and_keeps(caplog):
     pls = PseudoLabelSet(
         np.array([[1.0, 1.0], [2.0, 2.0]]),
-        np.zeros((2, 2)),
         np.array([False, False]),
     )
     with caplog.at_level("WARNING"):
@@ -274,7 +269,7 @@ def test_correction_matches_bruteforce_bitwise():
         labels = gen.uniform(0, 10, size=(40, 2))
         confident = gen.random(40) > 0.35
         confident[0] = True
-        pls = PseudoLabelSet(labels.copy(), np.zeros((40, 2)), confident.copy())
+        pls = PseudoLabelSet(labels.copy(), confident.copy())
         out = correct_labels(pls, features, k=k)
         oracle = correct_labels_bruteforce(labels, None, confident, features, k)
         assert np.array_equal(out, oracle)
@@ -295,7 +290,7 @@ def test_correction_k8_with_ties_matches_oracles_bitwise(monkeypatch):
     )
     for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
         monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
-        pls = PseudoLabelSet(labels.copy(), np.zeros((300, 2)), confident.copy())
+        pls = PseudoLabelSet(labels.copy(), confident.copy())
         assert np.array_equal(correct_labels(pls, features, k=8), per_row)
 
 
@@ -313,7 +308,7 @@ def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
     )
     for block_cells in (1, 1000, meanteacher._BLOCK_CELLS):
         monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
-        pls = PseudoLabelSet(labels.copy(), np.zeros((400, 2)), confident.copy())
+        pls = PseudoLabelSet(labels.copy(), confident.copy())
         assert np.array_equal(correct_labels(pls, features, k=1), per_row)
 
 
@@ -323,9 +318,7 @@ def test_correction_memory_is_bounded_by_the_block(monkeypatch):
     # was 43.8 MB; one buffer per stack slot of 2^16 cells needs about 3 MB.
     gen = np.random.default_rng(3)
     features = gen.normal(size=(10050, 8))
-    pls = PseudoLabelSet(
-        gen.uniform(0, 10, size=(10050, 2)), np.zeros((10050, 2)), gen.random(10050) > 0.3
-    )
+    pls = PseudoLabelSet(gen.uniform(0, 10, size=(10050, 2)), gen.random(10050) > 0.3)
 
     def peak(threads):
         monkeypatch.setattr(networks, "THREADS", threads)
@@ -366,7 +359,7 @@ def test_tree_sum_matches_numpy_row_sum():
 def test_correction_rejects_nonfinite_features():
     features = np.zeros((3, 8))
     features[1, 2] = np.nan
-    pls = PseudoLabelSet(np.zeros((3, 2)), np.zeros((3, 2)), np.array([True, True, False]))
+    pls = PseudoLabelSet(np.zeros((3, 2)), np.array([True, True, False]))
     with pytest.raises(ConfigError):
         correct_labels(pls, features, k=1)
 

@@ -225,7 +225,8 @@ def test_forward_rejects_bad_input_shape():
     # The network takes its input unchecked; localizer.predict, the entry
     # point for outside features, checks their width.
     net = Localizer.init(Rng(7).stream("init"))
-    model = LocalizerModel(net, NormStats(np.zeros(8), np.ones(8)), None, {})
+    stats = compute_source_stats(net, np.random.default_rng(7).normal(size=(10, 8)))
+    model = LocalizerModel(net, NormStats(np.zeros(8), np.ones(8)), stats, {})
     with pytest.raises(ConfigError, match=r"expected \(n, 8\) features, got \(3, 5\)"):
         predict(model, np.zeros((3, 5)))
 

@@ -134,7 +134,7 @@ def test_correct_labels_bits_do_not_depend_on_threads(monkeypatch, uncertain_sha
     gen = np.random.default_rng(7)
     features = gen.normal(size=(2000, 8))
     confident = gen.random(2000) >= uncertain_share
-    pls = PseudoLabelSet(gen.uniform(0, 10, size=(2000, 2)), np.zeros((2000, 2)), confident)
+    pls = PseudoLabelSet(gen.uniform(0, 10, size=(2000, 2)), confident)
     results = under_each_thread_count(monkeypatch, lambda: correct_labels(pls, features, k=3))
     assert_same_bits(results)
     assert np.array_equal(results[0][confident], pls.labels[confident])
@@ -161,7 +161,7 @@ def test_overflow_in_a_threaded_block_warns_nowhere(monkeypatch, source_model):
     net = source_model.net.clone()
     for name, p in net.params.items():
         p.value = params[name]
-    model = LocalizerModel(net, source_model.norm, None, {})
+    model = LocalizerModel(net, source_model.norm, source_model.source_stats, {})
     x = np.random.default_rng(9).normal(size=(3 * B + 7, 8))
 
     def run():

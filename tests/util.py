@@ -227,13 +227,13 @@ def correct_labels_bruteforce(labels, sigma, confident, features, k, eps=1e-8):
     return labels
 
 
-def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
+def cross_validate_serial(train_set, recipe, configs, n_folds, seed):
     """The one-process config x fold loop that cross_validate ran before
-    its fold pool; the oracle the pooled results must equal exactly."""
+    its fold pool; the oracle its scores must equal exactly."""
     if not train_set.labeled:
         raise DataError("fold selection requires a labeled target CSV")
-    folds = make_folds(train_set, n_folds=n_folds, seed=seed)
-    results = []
+    folds = make_folds(train_set, n_folds, seed)
+    scores = []
     for config in configs:
         fold_scores = []
         for fold in range(n_folds):
@@ -241,13 +241,8 @@ def cross_validate_serial(train_set, recipe, configs, n_folds=5, seed=0):
             va = train_set.subset(np.flatnonzero(folds == fold))
             preds = recipe(tr, va, config)
             fold_scores.append(compute_metrics(preds, va.labels)["mae_d"])
-        results.append({**config, "val_mae_d": float(np.mean(fold_scores))})
-
-    def sort_key(r):
-        return (r["val_mae_d"], tuple(sorted((str(k), repr(r[k])) for k in r if k != "val_mae_d")))
-    best = min(results, key=sort_key)
-    best_config = {k: v for k, v in best.items() if k != "val_mae_d"}
-    return best_config, results
+        scores.append(float(np.mean(fold_scores)))
+    return scores
 
 
 class AdamAllocating:
