@@ -60,7 +60,7 @@ from .evalmetrics import (
 from .localizer import TrainConfig, finetune_oracle, predict, train_source
 from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt
 from .shot import ShotConfig, run_shot
-from .synthetic import SynthConfig, generate_synthetic
+from .synthetic import Site, SynthConfig, generate_synthetic
 
 log = logging.getLogger(__name__)
 
@@ -74,29 +74,20 @@ MAX_GRID_CONFIGS = 10_000
 # ---------------------------------------------------------------- scenario
 
 @dataclass
-class SynthScenario:
+class SynthScenario(Site):
     """Source/target pair sharing a room but differing in receiver layout
     (and optionally in shadowing), which is what creates the domain shift."""
 
-    room: tuple[float, float] = (10.0, 10.0)
     source_rx: tuple = ((5.0, 1.0), (0.5, 6.0), (5.0, 9.5), (9.5, 6.2))
     target_rx: tuple = ((1.5, 1.5), (1.5, 8.5), (8.5, 8.5), (8.5, 1.5))
-    path_loss_exponent: float = 2.0
-    ref_power_dbm: float = -30.0
     source_shadowing_std_db: float = 0.5
     target_shadowing_std_db: float = 3.0
-    pol_gain_db: tuple[float, float] = (0.0, -1.5)
-    line_spacing: float = 1.0
-    speed: float = 0.28
-    sample_interval: float = 0.5
-    seed: int = 0
 
     DATASETS = ("source", "target")
 
     def dataset_config(self, name: str) -> SynthConfig:
         """The config of dataset "source" (seed) or "target" (seed + 1)."""
-        shared = {f.name: getattr(self, f.name) for f in fields(SynthConfig)
-                  if hasattr(self, f.name)}
+        shared = {f.name: getattr(self, f.name) for f in fields(Site)}
         return SynthConfig(**{
             **shared,
             "rx": getattr(self, f"{name}_rx"),
@@ -475,8 +466,8 @@ def _parse_cv(config_kv):
 
 def _run_cv(parsed, inputs, outputs, run_id) -> None:
     """Score each grid entry by k-fold validation and mark the best: the
-    lowest score, a tie going to the entry whose values, as given and in
-    sorted key order, come first."""
+    lowest score, a tie going to the entry whose parsed values, in sorted
+    key order, are smallest (numeric order: k=8 before k=10)."""
     method, grid, configs, n_folds, fold_seed = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
@@ -488,7 +479,9 @@ def _run_cv(parsed, inputs, outputs, run_id) -> None:
     scores = cross_validate(target, recipe, configs, n_folds=n_folds, seed=fold_seed)
     vary_keys = sorted(grid[0])
     rows = [[entry[k] for k in vary_keys] for entry in grid]
-    best = min(range(len(rows)), key=lambda i: (scores[i], rows[i]))
+    best = min(
+        range(len(rows)), key=lambda i: (scores[i], [getattr(configs[i], k) for k in vary_keys])
+    )
     with open(outputs["table"], "w") as fh:
         fh.write(f"# run: {run_id}\n")
         fh.write(",".join(vary_keys) + ",val_mae_d,best\n")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, normalize_features
 from .errors import DataError, ResourceError
-from .localizer import LocalizerModel, check_schedule, run_epochs
+from .localizer import LocalizerModel, Schedule, run_epochs
 from .networks import Discriminator
 from .nn import Adam, Rng, l1_loss
 
@@ -33,14 +33,8 @@ LOG_CLAMP = 1e-12
 
 
 @dataclass
-class DannConfig:
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
-
-    def validate(self) -> None:
-        check_schedule(self)
+class DannConfig(Schedule):
+    """DANN reads the schedule alone."""
 
 
 def disc_loss(p_s: np.ndarray, p_t: np.ndarray):
@@ -146,8 +140,4 @@ def run_dann(source_model: LocalizerModel, source: Dataset, target: Dataset, cfg
     diagnostics = run_epochs(cfg.epochs, batches, step, adam_d.step, "adaptation")
     for row in diagnostics:
         row["feat_loss"] = row["reg_loss"] - row["disc_loss"]
-    meta = {**source_model.meta, "kind": "dann", "adapt_config": asdict(cfg)}
-    return (
-        LocalizerModel(net, source_model.norm, source_model.source_stats, meta),
-        diagnostics,
-    )
+    return source_model.adapted(net, kind="dann", adapt_config=asdict(cfg)), diagnostics

@@ -26,27 +26,33 @@ from .nn import Adam, Rng, clone_params, l1_loss
 log = logging.getLogger(__name__)
 
 
-def check_schedule(cfg) -> None:
-    """Check the epochs, batch_size and lr every trainer's config holds."""
-    if cfg.epochs < 0:
-        raise ConfigError("epochs must be non-negative")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch size must be at least 1")
-    if cfg.lr <= 0.0:
-        raise ConfigError("learning rate must be positive")
-
-
 @dataclass
-class TrainConfig:
-    lr: float = 1e-3
+class Schedule:
+    """The schedule every trainer's config holds: its fields come first in
+    each subclass, and each subclass's validate() calls this one."""
+
+    epochs: int = 30
     batch_size: int = 32
-    epochs: int = 100
-    val_fraction: float = 0.1  # slice held out for early stopping
-    patience: int = 10  # epochs without improvement before stopping
+    lr: float = 1e-3
     seed: int = 0
 
     def validate(self) -> None:
-        check_schedule(self)
+        if self.epochs < 0:
+            raise ConfigError("epochs must be non-negative")
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be at least 1")
+        if self.lr <= 0.0:
+            raise ConfigError("learning rate must be positive")
+
+
+@dataclass
+class TrainConfig(Schedule):
+    epochs: int = 100
+    val_fraction: float = 0.1  # slice held out for early stopping
+    patience: int = 10  # epochs without improvement before stopping
+
+    def validate(self) -> None:
+        super().validate()
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("validation fraction must lie in [0, 1)")
         if self.patience < 1:
@@ -124,6 +130,11 @@ class LocalizerModel:
         for name, p in self.net.params.items():
             if not np.isfinite(p.value).all():
                 raise NumericalError(f"model parameter {name!r} holds non-finite values")
+
+    def adapted(self, net: Localizer, **meta) -> LocalizerModel:
+        """The model an adapter returns: net, with this model's normalization
+        and source statistics, and its meta updated by meta."""
+        return LocalizerModel(net, self.norm, self.source_stats, {**self.meta, **meta})
 
 
 # Under _CHECKED, numpy's overflow and invalid-value warnings are off: each
@@ -280,5 +291,4 @@ def finetune_oracle(
     net = model.net.clone()
     z = normalize_features(labeled_target.features, model.norm)
     fit_meta = _fit(net, z, labeled_target.labels, cfg, Rng(cfg.seed))
-    meta = {**model.meta, "kind": "oracle", "oracle_config": asdict(cfg), **fit_meta}
-    return LocalizerModel(net, model.norm, model.source_stats, meta)
+    return model.adapted(net, kind="oracle", oracle_config=asdict(cfg), **fit_meta)

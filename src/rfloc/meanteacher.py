@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel, check_schedule, run_epochs, shuffled
+from .localizer import LocalizerModel, Schedule, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS, for_blocks
 from .nn import Adam, Rng, ema_blend, l1_loss
 
@@ -39,27 +39,25 @@ log = logging.getLogger(__name__)
 DISTANCE_EPS = 1e-8
 
 # Probing holds one block's noise and noisy predictions at a time on each
-# thread, PREDICT_BLOCK_ROWS * n_probe * (NUM_FEATURES + 2) floats, on only
-# as many threads as keep the blocks in flight within this cap. An n_probe
-# whose single block exceeds it (above 13,107) is refused.
+# thread, n_probe * PROBE_BLOCK_FLOATS floats, on only as many threads as
+# keep the blocks in flight within this cap. An n_probe whose single block
+# exceeds it (above 13,107) is refused.
 MAX_PROBE_FLOATS = 1 << 25
+# Floats of one probe of one block: its noise and its noisy predictions.
+PROBE_BLOCK_FLOATS = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
 
 
 @dataclass
-class MeanTeacherConfig:
+class MeanTeacherConfig(Schedule):
     alpha: float = 0.8  # EMA coefficient, applied to the student
     noise_variance: float = 0.1  # variance of input noise (normalized units)
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.noise_variance < 0.0:
             raise ConfigError("noise variance must be non-negative")
-        check_schedule(self)
+        super().validate()
 
 
 @dataclass
@@ -79,12 +77,11 @@ class ConfidenceConfig(MeanTeacherConfig):
             raise ConfigError("threshold coefficients must be non-negative")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
-        per_probe = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
-        if self.n_probe * per_probe > MAX_PROBE_FLOATS:
+        if self.n_probe * PROBE_BLOCK_FLOATS > MAX_PROBE_FLOATS:
             raise ConfigError(
-                f"n_probe={self.n_probe} needs {self.n_probe * per_probe:.3g} floats of"
-                f" probe buffers, over the cap of {MAX_PROBE_FLOATS:.3g}; n_probe may be"
-                f" at most {MAX_PROBE_FLOATS // per_probe}"
+                f"n_probe={self.n_probe} needs {self.n_probe * PROBE_BLOCK_FLOATS:.3g} floats"
+                f" of probe buffers, over the cap of {MAX_PROBE_FLOATS:.3g}; n_probe may be"
+                f" at most {MAX_PROBE_FLOATS // PROBE_BLOCK_FLOATS}"
             )
 
 
@@ -121,8 +118,8 @@ def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, 
         del noise  # freed before std's temporaries: a block holds at most its two buffers
         sigma[start:stop] = preds.std(axis=0)
 
-    block_floats = n_probe * PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
-    for_blocks(n, noisy_passes, max_threads=max(1, MAX_PROBE_FLOATS // block_floats))
+    max_threads = max(1, MAX_PROBE_FLOATS // (n_probe * PROBE_BLOCK_FLOATS))
+    for_blocks(n, noisy_passes, max_threads=max_threads)
     return labels, sigma
 
 
@@ -295,9 +292,5 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
         cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update,
         "adaptation", start=start,
     )
-    meta = {
-        **model.meta,
-        "kind": "mean-teacher-confidence" if gated else "mean-teacher",
-        "adapt_config": asdict(cfg),
-    }
-    return LocalizerModel(student, model.norm, model.source_stats, meta), diagnostics
+    kind = "mean-teacher-confidence" if gated else "mean-teacher"
+    return model.adapted(student, kind=kind, adapt_config=asdict(cfg)), diagnostics

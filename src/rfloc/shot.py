@@ -45,7 +45,7 @@ import numpy as np
 
 from .data import Dataset, normalize_features
 from .errors import ConfigError, UsageError
-from .localizer import LocalizerModel, SourceStats, check_schedule, run_epochs, shuffled
+from .localizer import LocalizerModel, Schedule, SourceStats, run_epochs, shuffled
 from .networks import FeatureExtractor, Localizer, Regressor
 from .nn import Adam, Rng, ema_blend
 
@@ -53,7 +53,7 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class ShotConfig:
+class ShotConfig(Schedule):
     lambda_cons: float = 1.0
     lambda_teach: float = 0.5
     lambda_stat: float = 0.10
@@ -62,10 +62,6 @@ class ShotConfig:
     strong_mask_prob: float = 0.10
     strong_noise_std: float = 0.05
     teacher_ema: float = 0.995  # coefficient on the teacher (conventional EMA)
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("lambda_cons", "lambda_teach", "lambda_stat", "lambda_coral"):
@@ -77,7 +73,7 @@ class ShotConfig:
             raise ConfigError("mask probability must lie in [0, 1)")
         if not 0.0 <= self.teacher_ema <= 1.0:
             raise ConfigError("teacher EMA coefficient must lie in [0, 1]")
-        check_schedule(self)
+        super().validate()
 
 
 def augment_weak(z: np.ndarray, gen: np.random.Generator, noise_std: float) -> np.ndarray:
@@ -207,6 +203,5 @@ def run_shot(model: LocalizerModel, target: Dataset, cfg: ShotConfig):
     diagnostics = run_epochs(
         cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update, "adaptation"
     )
-    meta = {**model.meta, "kind": "shot", "adapt_config": asdict(cfg)}
     net = Localizer(student_ext, regressor)
-    return LocalizerModel(net, model.norm, stats, meta), diagnostics
+    return model.adapted(net, kind="shot", adapt_config=asdict(cfg)), diagnostics

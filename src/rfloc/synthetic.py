@@ -40,22 +40,29 @@ def _arange_length(start: float, stop: float, step: float) -> float:
 
 
 @dataclass
-class SynthConfig:
+class Site:
+    """The room, propagation and trajectory that a scenario's datasets
+    share (cli.SynthScenario); each dataset's own fields are SynthConfig's."""
+
     room: tuple[float, float] = (10.0, 10.0)  # width, height in meters
+    path_loss_exponent: float = 2.0
+    ref_power_dbm: float = -30.0
+    pol_gain_db: tuple[float, float] = (0.0, -1.5)
+    line_spacing: float = 1.0  # meters between trajectory lines
+    speed: float = 0.28  # m/s
+    sample_interval: float = 0.5  # s between readings
+    seed: int = 0
+
+
+@dataclass
+class SynthConfig(Site):
     rx: tuple[tuple[float, float], ...] = (
         (5.0, 1.0),
         (0.5, 6.0),
         (5.0, 9.5),
         (9.5, 6.2),
     )
-    path_loss_exponent: float = 2.0
-    ref_power_dbm: float = -30.0
     shadowing_std_db: float = 0.5
-    pol_gain_db: tuple[float, float] = (0.0, -1.5)
-    line_spacing: float = 1.0  # meters between trajectory lines
-    speed: float = 0.28  # m/s
-    sample_interval: float = 0.5  # s between readings
-    seed: int = 0
     name: str = "synthetic"
 
     def validate(self) -> None:

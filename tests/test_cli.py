@@ -623,6 +623,23 @@ def test_cv_tie_goes_to_the_smaller_values_in_sorted_key_order(workdir, tmp_path
     assert "best config: alpha=0.7" in capsys.readouterr().out
 
 
+def test_cv_tie_goes_by_numeric_not_text_order(workdir, tmp_path, capsys):
+    # As text "10" comes before "8"; as numbers k=8 is the smaller value.
+    table = tmp_path / "cv.csv"
+    assert main([
+        "cv", "--method", "mtloc-conf",
+        "--model", str(workdir / "source.model"),
+        "--target-csv", str(workdir / "data" / "target.csv"),
+        "--grid", "k=8,10", "--set", "epochs=0", "--folds", "2",
+        "--out", str(table),
+    ]) == 0
+    rows = [line.split(",") for line in table.read_text().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["8", "10"]
+    assert rows[0][1] == rows[1][1]
+    assert [r[2] for r in rows] == ["1", "0"]
+    assert "best config: k=8" in capsys.readouterr().out
+
+
 # Runs the CLI as `rfloc` does, then reports the worker processes left.
 _CLI_COUNTING_CHILDREN = (
     "import multiprocessing, sys\n"

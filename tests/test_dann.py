@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rfloc.dann import DannConfig, cycled, disc_loss, run_dann
-from rfloc.errors import ConfigError, DataError, ResourceError
+from rfloc.errors import DataError, ResourceError
 from rfloc.nn import Rng
 
 from util import max_rel_error
@@ -124,12 +124,3 @@ def test_source_model_untouched(source_model, small_source, small_target):
     run_dann(source_model, small_source, small_target, DannConfig(epochs=1, seed=0))
     for name, v in before.items():
         assert np.array_equal(source_model.net.params[name].value, v)
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        DannConfig(epochs=-1).validate()
-    with pytest.raises(ConfigError):
-        DannConfig(batch_size=0).validate()
-    with pytest.raises(ConfigError):
-        DannConfig(lr=0.0).validate()

@@ -1,5 +1,6 @@
 """Source training, prediction, oracle fine-tuning, artifact round trips."""
 
+import inspect
 import json
 import os
 import struct
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,13 @@ import pytest
 import rfloc
 from rfloc import localizer
 from rfloc.artifact import DIGEST_BYTES, FORMAT_VERSION, MAGIC, load_model, save_model
+from rfloc.cli import METHODS
+from rfloc.dann import DannConfig, run_dann
 from rfloc.data import Dataset, normalize_features
 from rfloc.errors import ArtifactError, ConfigError, DataError, NumericalError
 from rfloc.localizer import (
     LocalizerModel,
+    Schedule,
     SourceStats,
     TrainConfig,
     compute_source_stats,
@@ -28,8 +33,10 @@ from rfloc.localizer import (
     shuffled,
     train_source,
 )
+from rfloc.meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt
 from rfloc.networks import FEATURE_DIM
 from rfloc.nn import Rng, l1_loss
+from rfloc.shot import ShotConfig, run_shot
 
 from util import AdamAllocating
 
@@ -139,6 +146,42 @@ def test_train_config_validation():
         TrainConfig(lr=0.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(val_fraction=1.0).validate()
+
+
+# The config of train and of each adapt method, each class once.
+CONFIG_CLASSES = tuple(dict.fromkeys([TrainConfig, *(type(m.defaults) for m in METHODS.values())]))
+SCHEDULE_ERRORS = {
+    "epochs": (-1, "epochs must be non-negative"),
+    "batch_size": (0, "batch size must be at least 1"),
+    "lr": (0.0, "learning rate must be positive"),
+}
+
+
+@pytest.mark.parametrize("key", SCHEDULE_ERRORS)
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_config_checks_the_schedule(cls, key):
+    value, message = SCHEDULE_ERRORS[key]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cls(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_only_the_schedule_declares_its_fields(cls):
+    assert issubclass(cls, Schedule)
+    assert not {"batch_size", "lr", "seed"} & set(inspect.get_annotations(cls))
+
+
+def test_the_schedule_is_checked_where_it_always_was():
+    # With several bad values, the first error is the one each config
+    # raised when it checked its schedule itself.
+    with pytest.raises(ConfigError, match="learning rate"):
+        TrainConfig(lr=0.0, val_fraction=1.0).validate()
+    with pytest.raises(ConfigError, match="alpha"):
+        MeanTeacherConfig(alpha=0.0, lr=0.0).validate()
+    with pytest.raises(ConfigError, match="learning rate"):
+        ConfidenceConfig(lr=0.0, n_probe=1).validate()
+    with pytest.raises(ConfigError, match="teacher EMA"):
+        ShotConfig(teacher_ema=2.0, lr=0.0).validate()
 
 
 def test_predict_accepts_array_and_dataset(source_model, small_source):
@@ -313,6 +356,34 @@ def test_oracle_zero_epochs_identity(source_model, small_target):
             out.net.params[name].value, source_model.net.params[name].value
         )
     assert out.norm is source_model.norm
+
+
+# kind -> (config class, config key, adapter(model, source, target, cfg)).
+ADAPTERS = {
+    "mean-teacher": (MeanTeacherConfig, "adapt_config",
+                     lambda m, s, t, cfg: adapt(m, t.without_labels(), cfg)[0]),
+    "mean-teacher-confidence": (ConfidenceConfig, "adapt_config",
+                                lambda m, s, t, cfg: adapt(m, t.without_labels(), cfg)[0]),
+    "shot": (ShotConfig, "adapt_config",
+             lambda m, s, t, cfg: run_shot(m, t.without_labels(), cfg)[0]),
+    "dann": (DannConfig, "adapt_config",
+             lambda m, s, t, cfg: run_dann(m, s, t.without_labels(), cfg)[0]),
+    "oracle": (TrainConfig, "oracle_config", lambda m, s, t, cfg: finetune_oracle(m, t, cfg)),
+}
+
+
+@pytest.mark.parametrize("kind", ADAPTERS)
+def test_each_adapter_hands_on_the_source_facts(kind, source_model, small_source, small_target):
+    cls, config_key, run = ADAPTERS[kind]
+    cfg = cls(epochs=1)
+    out = run(source_model, small_source, small_target, cfg)
+    assert out.norm is source_model.norm
+    assert out.source_stats is source_model.source_stats
+    assert list(out.meta) == [*source_model.meta, config_key]
+    assert out.meta["kind"] == kind
+    assert out.meta["config"] == source_model.meta["config"]
+    assert out.meta[config_key] == asdict(cfg)
+    assert source_model.meta["kind"] == "source"
 
 
 def test_oracle_improves_on_target(source_model, small_target):

@@ -1,14 +1,20 @@
 """Row blocks on threads (networks.for_blocks): every result is the same
 for any THREADS, no thread outlives a call, and a block's exception and
-the caller's numpy error state cross between the threads."""
+the caller's numpy error state cross between the threads. Importing rfloc
+pins BLAS to one thread."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfloc
 from rfloc import cli, meanteacher, networks
 from rfloc.artifact import save_model
 from rfloc.data import NUM_FEATURES, Dataset, write_csv
@@ -201,3 +207,23 @@ def test_memory_error_in_a_block_thread_exits_6(
     assert "error: out of memory\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "a.model").exists()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Imports rfloc alone, then prints each BLAS variable and whether numpy loaded.
+_IMPORT_RFLOC = (
+    "import os, sys\n"
+    "import rfloc\n"
+    f"print(*[os.environ.get(v) for v in {BLAS_VARIABLES!r}], 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "3"}])
+def test_import_rfloc_pins_blas_without_loading_numpy(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(preset, PYTHONPATH=str(Path(rfloc.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_RFLOC], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    ).stdout.split()
+    assert out == [preset.get(v, "1") for v in BLAS_VARIABLES] + ["False"]
