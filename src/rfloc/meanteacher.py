@@ -43,7 +43,8 @@ DISTANCE_EPS = 1e-8
 # keep the blocks in flight within this cap. An n_probe whose single block
 # exceeds it (above 13,107) is refused.
 MAX_PROBE_FLOATS = 1 << 25
-# Floats of one probe of one block: its noise and its noisy predictions.
+# Floats of one probe of the largest block: its noise and its noisy
+# predictions.
 PROBE_BLOCK_FLOATS = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
 
 
@@ -97,12 +98,15 @@ class PseudoLabelSet:
 def _probe(predict_fn, z: np.ndarray, noise_std: float, n_probe: int, rng: Rng, epoch: int):
     """Clean predictions plus per-coordinate spread under input noise.
 
-    Noise comes from per-sample streams, so results do not depend on how
-    probing is batched or scheduled. The noise draws and noisy passes run
-    over blocks of PREDICT_BLOCK_ROWS rows (for_blocks), the blocks
-    predict_fn's in_blocks forms, so only the outputs grow with the number
-    of rows; they run on as many threads as keep the blocks in flight
-    within MAX_PROBE_FLOATS, at least one.
+    Noise comes from per-sample streams, so the noise does not depend on
+    how probing is batched or scheduled. The noise draws and noisy passes
+    run over the blocks row_blocks(n) of at most PREDICT_BLOCK_ROWS rows
+    (for_blocks), exactly the blocks predict_fn's in_blocks forms, so each
+    noisy pass computes the bits that predict would and only the outputs
+    grow with the number of rows. The blocks run on as many threads as
+    keep them in flight within MAX_PROBE_FLOATS, at least one; the
+    partition does not depend on the thread count, so neither do the
+    results.
     """
     n, dim = z.shape
     labels = predict_fn(z)
@@ -191,9 +195,10 @@ def correct_labels(pls: PseudoLabelSet, features: np.ndarray, k: int) -> np.ndar
     all of them are used; if there are none, a copy of the labels is
     returned with a warning.
 
-    Uncertain rows are processed in blocks, on up to THREADS threads
-    (for_blocks); every distance and sum is formed in the same
-    floating-point order as a per-row
+    Uncertain rows are processed in blocks of at most
+    _BLOCK_CELLS // n_confident rows, the rows of each thread's buffers, on
+    up to THREADS threads (for_blocks); every distance and sum is formed in
+    the same floating-point order as a per-row
     ``sqrt(((conf - x) ** 2).sum(axis=1))``, so the result does not depend
     on the blocking or the thread count.
     """

@@ -17,6 +17,14 @@ module at call time, and ``FeatureExtractor``, ``Regressor`` and
 body. The benchmark tracer times layers by patching exactly these names,
 so binding the kernels elsewhere or inheriting the two methods would hide
 them from it.
+
+Bulk passes (``predict``, the source-statistics extractor pass, probing,
+label correction) split their rows with :func:`row_blocks`, a function of
+the row count and the block cap alone, and run the blocks on threads with
+:func:`for_blocks`. Each block is computed as it would be alone, so the
+results do not depend on the thread count; they do depend on the
+partition, since OpenBLAS may give a row other last bits in a block of
+another size.
 """
 
 from __future__ import annotations
@@ -54,10 +62,13 @@ HIDDEN1 = 128
 HIDDEN2 = 64
 OUTPUT_DIM = 2
 SIGMOID_CLIP = 1e-12
-# Rows per inference block. At 256 rows conv2's im2col matrix and its
-# output are about 1.5 MB each, near L2 size; 128 rows measured the same,
-# 512 rows slower on 650-row inputs.
+# The cap on rows per inference block. At 256 rows conv2's im2col matrix
+# and its output are about 1.5 MB each, near L2 size; 128 rows measured the
+# same, 512 rows slower on 650-row inputs.
 PREDICT_BLOCK_ROWS = 256
+# Every block boundary but the last falls on a multiple of this many rows
+# (when the cap holds at least two such units).
+ALIGN_ROWS = 16
 
 
 def _cpus() -> int:
@@ -72,9 +83,29 @@ def _cpus() -> int:
 THREADS = _cpus()
 
 
-def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS, max_threads: int = 0) -> None:
-    """work(start, stop) over the blocks [0, block), [block, 2 block), ...
-    of n rows, the last one cut at n.
+def row_blocks(n: int, cap: int = PREDICT_BLOCK_ROWS) -> list[tuple[int, int]]:
+    """The (start, stop) blocks that cover rows 0..n in order, none longer
+    than cap rows: the fewest blocks that fit the cap, rounded up to an
+    even count so that two threads get near-equal shares, and made
+    near-equal. With cap >= 2 * ALIGN_ROWS every boundary but n lies on a
+    multiple of ALIGN_ROWS, and the blocks differ by at most one such unit
+    (the last one may be cut shorter at n). The count is even whenever it
+    is above one, but for cap 1, where n rows make n blocks. 650 rows make
+    blocks of 176, 160, 160 and 154; 10,050 rows make 40 blocks of 256 or
+    240 rows, the last of 226. The partition never depends on THREADS.
+    """
+    unit = ALIGN_ROWS if cap >= 2 * ALIGN_ROWS else 1
+    units = -(-n // unit)
+    count = -(-units // (cap // unit))
+    if count > 1:
+        count = min(count + count % 2, units)
+    size, extra = divmod(units, max(count, 1))  # the first `extra` blocks get one unit more
+    stops = [min(n, unit * (i * size + min(i, extra))) for i in range(1, count + 1)]
+    return list(zip([0] + stops[:-1], stops))
+
+
+def for_blocks(n: int, work, cap: int = PREDICT_BLOCK_ROWS, max_threads: int = 0) -> None:
+    """work(start, stop) over the blocks row_blocks(n, cap) of n rows.
 
     The blocks are dealt round-robin to up to THREADS threads (and to no
     more than max_threads, if positive), the caller's own thread included,
@@ -87,16 +118,16 @@ def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS, max_threads: int =
     workers from a single-threaded process); then the first exception, in
     thread order, is raised. Zero rows do no work.
     """
-    starts = range(0, n, block)
-    share = max(1, min(THREADS, max_threads or THREADS, len(starts)))
+    blocks = row_blocks(n, cap)
+    share = max(1, min(THREADS, max_threads or THREADS, len(blocks)))
     errstate = np.geterr()
     errors = [None] * share
 
     def run(t):
         try:
             with np.errstate(**errstate):
-                for start in starts[t::share]:
-                    work(start, min(start + block, n))
+                for start, stop in blocks[t::share]:
+                    work(start, stop)
         except BaseException as e:  # re-raised in the caller, after the joins
             errors[t] = e
 
@@ -112,7 +143,7 @@ def for_blocks(n: int, work, block: int = PREDICT_BLOCK_ROWS, max_threads: int =
 
 
 def in_blocks(fn, x: np.ndarray, row_shape: tuple) -> np.ndarray:
-    """fn(x) computed over blocks of PREDICT_BLOCK_ROWS rows (for_blocks).
+    """fn(x) computed over the blocks row_blocks(len(x)) (for_blocks).
 
     fn must map each row on its own to a float64 row of row_shape, so that
     its outputs for a block are the rows of its output for the whole
@@ -352,9 +383,10 @@ class Localizer:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference pass: dropout inert.
 
-        Runs forward over blocks of PREDICT_BLOCK_ROWS rows (in_blocks),
-        on up to THREADS threads, so the conv and dense intermediates stay
-        cache-sized and memory does not grow with the number of rows.
+        Runs forward over blocks of at most PREDICT_BLOCK_ROWS rows
+        (in_blocks), on up to THREADS threads, so the conv and dense
+        intermediates stay cache-sized and memory does not grow with the
+        number of rows.
         """
         return in_blocks(lambda rows: self.forward(rows)[0], x, (OUTPUT_DIM,))
 

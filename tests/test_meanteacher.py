@@ -21,7 +21,7 @@ from rfloc.meanteacher import (
     correct_labels,
     ema_update,
 )
-from rfloc.networks import PREDICT_BLOCK_ROWS
+from rfloc.networks import PREDICT_BLOCK_ROWS, in_blocks
 from rfloc.nn import Param, Rng, clone_params
 
 from util import (
@@ -123,9 +123,12 @@ def test_probe_passes_run_on_the_blocks_of_in_blocks():
     z = np.zeros((700, 8))
     z[:, 0] = 10.0 * np.arange(700)
     _probe(record, z, 0.1, 3, Rng(0), 0)
-    b = PREDICT_BLOCK_ROWS
     assert calls[0] == (0, 700)  # the clean pass, before any noisy one
-    assert sorted(calls[1:]) == [(0, b)] * 3 + [(b, b)] * 3 + [(2 * b, 700 - 2 * b)] * 3
+    noisy = sorted(calls[1:])
+    calls.clear()
+    in_blocks(record, z, (2,))
+    assert len(calls) > 1
+    assert noisy == sorted(calls * 3)
 
 
 def test_probe_memory_grows_only_by_its_outputs(monkeypatch, source_model):
@@ -310,6 +313,21 @@ def test_correction_k1_with_ties_matches_oracles_bitwise(monkeypatch):
         monkeypatch.setattr(meanteacher, "_BLOCK_CELLS", block_cells)
         pls = PseudoLabelSet(labels.copy(), confident.copy())
         assert np.array_equal(correct_labels(pls, features, k=1), per_row)
+
+
+def test_correction_under_a_16_row_block_cap_matches_oracles_bitwise():
+    # 7,311 confident rows, as in large-target, leave 2^16 // 7,311 = 8
+    # rows per block buffer; 21 uncertain rows make 4 blocks of 5-6 rows.
+    gen = np.random.default_rng(23)
+    confident = np.ones(7_332, dtype=bool)
+    confident[gen.choice(7_332, size=21, replace=False)] = False
+    assert meanteacher._BLOCK_CELLS // confident.sum() == 8
+    features = np.round(gen.normal(size=(7_332, 8)), 2)
+    labels = gen.uniform(0, 10, size=(7_332, 2))
+    pls = PseudoLabelSet(labels.copy(), confident.copy())
+    out = correct_labels(pls, features, k=8)
+    assert np.array_equal(out, correct_labels_per_row(labels, confident, features, 8))
+    assert np.array_equal(out, correct_labels_bruteforce(labels, None, confident, features, 8))
 
 
 def test_correction_memory_is_bounded_by_the_block(monkeypatch):

@@ -17,6 +17,7 @@ from rfloc.networks import (
     FeatureExtractor,
     Localizer,
     Regressor,
+    row_blocks,
 )
 from rfloc.nn import Param, Rng, clone_params, l1_loss
 
@@ -105,8 +106,8 @@ def test_predict_blocks_are_independent():
     net = Localizer.init(Rng(12).stream("init"))
     x = np.random.default_rng(7).normal(size=(3 * B + 7, 8))
     preds = net.predict(x)
-    for a in range(0, len(x), B):
-        assert np.array_equal(preds[a : a + B], net.predict(x[a : a + B])), a
+    for a, b in row_blocks(len(x)):
+        assert np.array_equal(preds[a:b], net.predict(x[a:b])), a
 
 
 @pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
@@ -148,8 +149,8 @@ def test_predict_is_the_unrolled_forward_block_by_block(n):
     x = np.random.default_rng(10).normal(size=(n, 8))
     p = net.params
     ref = np.vstack([
-        regressor_forward_unrolled(p, extractor_forward_unrolled(p, x[a : a + B])[0])[0]
-        for a in range(0, n, B)
+        regressor_forward_unrolled(p, extractor_forward_unrolled(p, x[a:b])[0])[0]
+        for a, b in row_blocks(n)
     ])
     assert same_bits(net.predict(x), ref)
 

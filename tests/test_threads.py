@@ -1,4 +1,5 @@
-"""Row blocks on threads (networks.for_blocks): every result is the same
+"""Row blocks on threads (networks.row_blocks, networks.for_blocks): the
+partition depends on the row count and cap alone, every result is the same
 for any THREADS, no thread outlives a call, and a block's exception and
 the caller's numpy error state cross between the threads. Importing rfloc
 pins BLAS to one thread."""
@@ -21,7 +22,7 @@ from rfloc.data import NUM_FEATURES, Dataset, write_csv
 from rfloc.errors import NumericalError, ResourceError
 from rfloc.localizer import LocalizerModel, compute_source_stats, predict
 from rfloc.meanteacher import PseudoLabelSet, _probe, correct_labels
-from rfloc.networks import PREDICT_BLOCK_ROWS, Localizer, for_blocks
+from rfloc.networks import ALIGN_ROWS, PREDICT_BLOCK_ROWS, Localizer, for_blocks, row_blocks
 from rfloc.nn import Rng
 
 B = PREDICT_BLOCK_ROWS
@@ -47,9 +48,51 @@ def assert_same_bits(results) -> None:
         assert other.tobytes() == first.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 255, 256, 257, 520, 650, 775, 10_050])
+@pytest.mark.parametrize("cap", [1, 8, 142, B])
+def test_row_blocks_cover_the_rows_in_near_equal_aligned_blocks(monkeypatch, n, cap):
+    def dealt():
+        seen = []
+        for_blocks(n, lambda start, stop: seen.append((start, stop)), cap)
+        return sorted(seen)
+
+    blocks = row_blocks(n, cap)
+    # for_blocks runs exactly these blocks under any THREADS.
+    assert under_each_thread_count(monkeypatch, dealt) == [blocks] * len(THREAD_COUNTS)
+    # Every row once, in order, and no block over the cap.
+    assert [row for start, stop in blocks for row in range(start, stop)] == list(range(n))
+    sizes = [stop - start for start, stop in blocks]
+    assert all(0 < size <= cap for size in sizes)
+    # Aligned where the cap holds two alignment units.
+    unit = ALIGN_ROWS if cap >= 2 * ALIGN_ROWS else 1
+    assert all(stop % unit == 0 for _, stop in blocks[:-1])
+    # The fewest aligned blocks that fit the cap, made even when above one;
+    # with a cap of 1 each row is its own block, so n rows make n blocks.
+    fewest = -(-n // (cap - cap % unit))
+    if cap == 1:
+        assert len(blocks) == n
+    elif fewest > 1:
+        assert len(blocks) in (fewest, fewest + 1) and len(blocks) % 2 == 0
+    else:
+        assert len(blocks) == fewest
+    # Near-equal: no block is longer than another by more than one unit,
+    # but the last one, which is cut at n.
+    if sizes:
+        assert max(sizes) - min(sizes[:-1] or sizes) <= unit
+        assert sizes[-1] <= max(sizes)
+
+
+def test_row_blocks_split_acceptance_and_large_target_sizes():
+    # Two threads get 336 and 314 of 650 rows; 10,050 rows keep 40 blocks.
+    assert [stop - start for start, stop in row_blocks(650)] == [176, 160, 160, 154]
+    assert len(row_blocks(10_050)) == 40
+    assert row_blocks(B) == [(0, B)]
+    assert row_blocks(0) == []
+
+
 @pytest.mark.parametrize("n", [0, 1, B, B + 1, 3 * B + 7])
-@pytest.mark.parametrize("block", [B, 5])
-def test_for_blocks_runs_each_block_once(monkeypatch, n, block):
+@pytest.mark.parametrize("cap", [B, 5])
+def test_for_blocks_runs_each_block_once(monkeypatch, n, cap):
     def blocks():
         seen, threads = [], set()
 
@@ -57,11 +100,11 @@ def test_for_blocks_runs_each_block_once(monkeypatch, n, block):
             seen.append((start, stop))
             threads.add(threading.get_ident())
 
-        for_blocks(n, work, block)
+        for_blocks(n, work, cap)
         assert len(threads) <= networks.THREADS
         return sorted(seen)
 
-    want = [(a, min(a + block, n)) for a in range(0, n, block)]
+    want = row_blocks(n, cap)
     assert under_each_thread_count(monkeypatch, blocks) == [want] * len(THREAD_COUNTS)
 
 
@@ -85,7 +128,7 @@ def test_for_blocks_raises_a_blocks_exception_after_every_thread_joined(monkeypa
     assert under_each_thread_count(monkeypatch, run) == [ran[t] for t in THREAD_COUNTS]
 
 
-@pytest.mark.parametrize("n", [1, B, B + 1, 3 * B + 7, 10_050])
+@pytest.mark.parametrize("n", [1, B, B + 1, 520, 650, 3 * B + 7, 10_050])
 def test_predict_bits_do_not_depend_on_threads(monkeypatch, n):
     net = Localizer.init(Rng(21).stream("init"))
     x = np.random.default_rng(n).normal(size=(n, 8))
@@ -93,13 +136,14 @@ def test_predict_bits_do_not_depend_on_threads(monkeypatch, n):
 
 
 def test_probe_bits_do_not_depend_on_threads(monkeypatch, source_model):
-    z = np.random.default_rng(5).normal(size=(3 * B + 7, 8))
+    for n in (520, 650, 3 * B + 7):
+        z = np.random.default_rng(5).normal(size=(n, 8))
 
-    def probe():
-        labels, sigma = _probe(source_model.net.predict, z, 0.5, 4, Rng(2), epoch=1)
-        return np.hstack([labels, sigma])
+        def probe():
+            labels, sigma = _probe(source_model.net.predict, z, 0.5, 4, Rng(2), epoch=1)
+            return np.hstack([labels, sigma])
 
-    assert_same_bits(under_each_thread_count(monkeypatch, probe))
+        assert_same_bits(under_each_thread_count(monkeypatch, probe))
 
 
 def test_probe_keeps_its_buffers_in_flight_within_the_cap(monkeypatch):
@@ -148,13 +192,14 @@ def test_correct_labels_bits_do_not_depend_on_threads(monkeypatch, uncertain_sha
 
 def test_source_stats_bits_do_not_depend_on_threads(monkeypatch):
     net = Localizer.init(Rng(22).stream("init"))
-    x = np.random.default_rng(8).normal(size=(3 * B + 7, 8))
+    for n in (520, 650, 3 * B + 7):
+        x = np.random.default_rng(8).normal(size=(n, 8))
 
-    def stats():
-        s = compute_source_stats(net, x)
-        return np.concatenate([s.pred_mean, s.pred_var, s.feat_cov.ravel()])
+        def stats():
+            s = compute_source_stats(net, x)
+            return np.concatenate([s.pred_mean, s.pred_var, s.feat_cov.ravel()])
 
-    assert_same_bits(under_each_thread_count(monkeypatch, stats))
+        assert_same_bits(under_each_thread_count(monkeypatch, stats))
 
 
 def test_overflow_in_a_threaded_block_warns_nowhere(monkeypatch, source_model):
