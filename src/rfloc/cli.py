@@ -58,7 +58,7 @@ from .evalmetrics import (
     write_heatmap_pgm,
 )
 from .localizer import TrainConfig, finetune_oracle, predict, train_source
-from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt
+from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt, first_pass
 from .shot import ShotConfig, run_shot
 from .synthetic import Site, SynthConfig, generate_synthetic
 
@@ -461,20 +461,44 @@ def _parse_cv(config_kv):
     fold_seed = _config_value(config_kv, "fold_seed", "0", parse_int)
     grid = _parse_grid(config_kv.get("grid", ""), type(method.defaults))
     configs = [_checked(type(method.defaults), {**base_kv, **entry}) for entry in grid]
-    return method, grid, configs, n_folds, fold_seed
+    return grid, configs, n_folds, fold_seed
+
+
+def _pass_settings(cfg) -> tuple:
+    """The config values first_pass may read besides the model and rows."""
+    return cfg.noise_variance, getattr(cfg, "n_probe", None), cfg.seed
 
 
 def _run_cv(parsed, inputs, outputs, run_id) -> None:
     """Score each grid entry by k-fold validation and mark the best: the
     lowest score, a tie going to the entry whose parsed values, in sorted
     key order, are smallest (numeric order: k=8 before k=10)."""
-    method, grid, configs, n_folds, fold_seed = parsed
+    grid, configs, n_folds, fold_seed = parsed
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
 
-    def recipe(train, val, cfg):
-        adapted, _ = method.run(cfg, model, train, inputs)
-        return predict(adapted, val)
+    # The entries that run a first epoch, by the settings of its teacher
+    # pass. A pass that two or more entries share is computed once per
+    # fold, in this process; an entry with settings of its own computes its
+    # pass in its worker, so a one-entry grid keeps both stages in the
+    # workers, where the folds run side by side.
+    users = {}
+    for cfg in configs:
+        if cfg.epochs >= 1:
+            users.setdefault(_pass_settings(cfg), []).append(cfg)
+
+    def recipe(train):
+        train = train.without_labels()
+        passes = {
+            settings: first_pass(model, train, cfgs[0])
+            for settings, cfgs in users.items() if len(cfgs) > 1
+        }
+
+        def fit(val, cfg):
+            adapted, _ = adapt(model, train, cfg, passes.get(_pass_settings(cfg)))
+            return predict(adapted, val)
+
+        return fit
 
     scores = cross_validate(target, recipe, configs, n_folds=n_folds, seed=fold_seed)
     vary_keys = sorted(grid[0])

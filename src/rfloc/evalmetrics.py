@@ -145,19 +145,18 @@ def write_heatmap_pgm(grid: HeatmapGrid, pgm_path, scale_path) -> None:
 _fold_job = None  # set only inside fold workers, by _init_fold_worker
 
 
-def _init_fold_worker(train_set, recipe, configs, folds, threads) -> None:
+def _init_fold_worker(train_set, fits, configs, folds, threads) -> None:
     global _fold_job
-    _fold_job = (train_set, recipe, configs, folds)
+    _fold_job = (train_set, fits, configs, folds)
     networks.THREADS = threads
 
 
 def _score_fold(task) -> float:
     """Validation mae_d of grid entry config_index on one fold."""
     config_index, fold = task
-    train_set, recipe, configs, folds = _fold_job
-    tr = train_set.subset(np.flatnonzero(folds != fold))
+    train_set, fits, configs, folds = _fold_job
     va = train_set.subset(np.flatnonzero(folds == fold))
-    preds = recipe(tr, va, configs[config_index])
+    preds = fits[fold](va, configs[config_index])
     return compute_metrics(preds, va.labels)["mae_d"]
 
 
@@ -167,16 +166,25 @@ def cross_validate(
     """Each grid entry's mean validation mae_d over n_folds folds, in grid
     order; the folds are make_folds(train_set, n_folds, seed).
 
-    recipe(train: Dataset, val: Dataset, config) -> predictions for val,
-    with config one entry of configs, passed as given. Picking the best
-    entry is the caller's (the cv command's tie rule is in rfloc.cli).
+    The recipe has two stages. recipe(train: Dataset) is the per-fold
+    stage: it runs once per fold, in this process, on the fold's training
+    rows, and returns fit. fit(val: Dataset, config) -> predictions for
+    val, with config one entry of configs, passed as given, is the
+    per-entry stage: the worker processes run it once per grid entry and
+    fold. Work that every entry of a fold shares belongs in the first
+    stage. Picking the best entry is the caller's (the cv command's tie
+    rule is in rfloc.cli).
 
-    The config x fold recipe calls are independent. They run in a fresh
-    pool of min(configs x folds, networks.THREADS) forked processes, the
-    CPUs this process may run on, and each worker's for_blocks gets
+    Every per-fold stage runs, in fold order, before the pool starts, so
+    an exception raised by one reaches the caller before any worker
+    starts; any threads it starts must be joined when it returns (as
+    for_blocks joins its own), since the workers are forked. The
+    config x fold fit calls are independent. They run in a fresh pool of
+    min(configs x folds, networks.THREADS) forked processes, the CPUs
+    this process may run on, and each worker's for_blocks gets
     max(1, THREADS // workers) threads of them. The scores come back in
     grid order, so the result equals a serial run's.
-    An exception raised by a recipe call reaches the caller with its type
+    An exception raised by a fit call reaches the caller with its type
     and message, the first in grid order, after the pool has shut down. A
     worker that dies (say, killed by the operating system) raises
     WorkerError, also after the shutdown.
@@ -184,6 +192,7 @@ def cross_validate(
     if not train_set.labeled:
         raise DataError("fold selection requires a labeled target CSV")
     folds = make_folds(train_set, n_folds, seed)
+    fits = [recipe(train_set.subset(np.flatnonzero(folds != fold))) for fold in range(n_folds)]
     # Imported here, not at the top: every CLI verb imports this module, and
     # only cv needs the pool's modules (about 18 ms to import with Python
     # 3.11 on a 2-vCPU Xeon).
@@ -193,16 +202,16 @@ def cross_validate(
 
     tasks = [(ci, fold) for ci in range(len(configs)) for fold in range(n_folds)]
     # Workers are forked, so they inherit the dataset, folds, configs and
-    # recipe (closures and lambdas included) instead of receiving them
-    # pickled. The method is named because Python 3.14 makes forkserver the
-    # Linux default.
+    # fits (closures and lambdas included, with whatever the per-fold
+    # stages computed) instead of receiving them pickled. The method is
+    # named because Python 3.14 makes forkserver the Linux default.
     workers = min(len(tasks), networks.THREADS)
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_fold_worker,
-            initargs=(train_set, recipe, configs, folds, max(1, networks.THREADS // workers)),
+            initargs=(train_set, fits, configs, folds, max(1, networks.THREADS // workers)),
         ) as pool:
             scores = list(pool.map(_score_fold, tasks))
     except BrokenProcessPool as e:

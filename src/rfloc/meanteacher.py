@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
-from .localizer import LocalizerModel, Schedule, run_epochs, shuffled
+from .localizer import _CHECKED, LocalizerModel, Schedule, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS, for_blocks
 from .nn import Adam, Rng, ema_blend, l1_loss
 
@@ -250,10 +250,36 @@ def ema_update(teacher: dict, student: dict, alpha: float) -> None:
     ema_blend(teacher, student, alpha, 1.0 - alpha)
 
 
-def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
+def _teacher_pass(predict_fn, z: np.ndarray, cfg: MeanTeacherConfig, rng: Rng, epoch: int):
+    """One epoch's teacher pass over the normalized target z: _probe's
+    (labels, sigma) when cfg is a ConfidenceConfig, else (predictions, None)."""
+    if isinstance(cfg, ConfidenceConfig):
+        noise_std = float(np.sqrt(cfg.noise_variance))
+        return _probe(predict_fn, z, noise_std, cfg.n_probe, rng, epoch)
+    return predict_fn(z), None
+
+
+@_CHECKED
+def first_pass(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
+    """The teacher pass of adapt(model, target, cfg)'s first epoch, where
+    the teacher is still the source model: (labels, sigma) for a
+    ConfidenceConfig, (predictions, None) otherwise.
+
+    It reads only the model, the target's features and, when gated,
+    cfg's noise_variance, n_probe and seed, so configs that agree on those
+    may share one pass (cv computes a shared pass once per fold).
+    """
+    cfg.validate()
+    z = normalize_features(target.features, model.norm)
+    return _teacher_pass(model.net.predict, z, cfg, Rng(cfg.seed), 0)
+
+
+def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig, first=None):
     """Adapt the source localizer to unlabeled target data.
 
     Pseudo labels are gated exactly when cfg is a ConfidenceConfig.
+    first is the first epoch's teacher pass, first_pass(model, target,
+    cfg); it is computed here when not given, with the same bits.
     Returns (student model, per-epoch diagnostics). The diagnostics are
     run_epochs rows {"epoch", "kd_loss"}, plus "n_uncertain", "t_x" and
     "t_y" when gated. Source data is never touched; only the model
@@ -268,15 +294,19 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     z = normalize_features(target.features, model.norm)
     adam = Adam(student.params, lr=cfg.lr)
     noise_std = float(np.sqrt(cfg.noise_variance))
-    gated = isinstance(cfg, ConfidenceConfig)
     pseudo = None
 
     def start(epoch):
         nonlocal pseudo
-        if not gated:
-            pseudo = teacher.predict(z)
+        if epoch > 0:
+            labels, sigma = _teacher_pass(teacher.predict, z, cfg, rng, epoch)
+        elif first is None:
+            labels, sigma = first_pass(model, target, cfg)
+        else:
+            labels, sigma = first
+        if sigma is None:
+            pseudo = labels
             return {}
-        labels, sigma = _probe(teacher.predict, z, noise_std, cfg.n_probe, rng, epoch)
         confident, t_x, t_y = compute_thresholds(sigma, cfg.c_x, cfg.c_y)
         pseudo = correct_labels(PseudoLabelSet(labels, confident), z, cfg.k)
         n_uncertain = int((~confident).sum())
@@ -297,5 +327,5 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
         cfg.epochs, shuffled(np.arange(len(z)), cfg.batch_size, rng), step, update,
         "adaptation", start=start,
     )
-    kind = "mean-teacher-confidence" if gated else "mean-teacher"
+    kind = "mean-teacher-confidence" if isinstance(cfg, ConfidenceConfig) else "mean-teacher"
     return model.adapted(student, kind=kind, adapt_config=asdict(cfg)), diagnostics

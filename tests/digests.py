@@ -8,8 +8,11 @@ with each method (mtloc and mtloc-conf with the acceptance-2 settings)
 and its diagnostics CSV, eval of the source and the five adapted models,
 and a mtloc-conf cv over ``alpha=0.7,0.8;k=2,8`` with 5 folds of 2 epochs.
 After those come the CLI's own gen-synth pair (default scenario, in a
-``synth`` subdirectory) and a heatmap of the mtloc-conf model on the target
-(its ``.csv``, ``.pgm`` and ``.scale.txt``).
+``synth`` subdirectory), a heatmap of the mtloc-conf model on the target
+(its ``.csv``, ``.pgm`` and ``.scale.txt``) and two more 2-epoch cv runs
+with 3 folds: mtloc-conf over ``noise_variance=0.1,0.3;k=2,8``, whose
+entries need two first-epoch teacher passes per fold, and mtloc over
+``alpha=0.7,0.8``.
 A change that claims to leave the bits alone must leave every line of the
 output unchanged; CHANGES.md records the set of the current code.
 
@@ -50,6 +53,11 @@ METHOD_SETTINGS = {
     "mtloc-conf": ("noise_variance=0.3", "c_x=1.0", "c_y=1.0", "k=8"),
 }
 CV_SETTINGS = ("epochs=2", "noise_variance=0.3", "c_x=1.0", "c_y=1.0", "k=8")
+# The later cv runs: (table suffix, method, grid, settings), 3 folds each.
+MORE_CVS = (
+    ("noise", "mtloc-conf", "noise_variance=0.1,0.3;k=2,8", ("epochs=2", "c_x=1.0", "c_y=1.0")),
+    ("mtloc", "mtloc", "alpha=0.7,0.8", ("epochs=2", "noise_variance=0.3")),
+)
 
 
 def _run(argv) -> None:
@@ -98,9 +106,13 @@ def produce(work: Path) -> list[Path]:
     heatmap = work / "target.heatmap"
     _run(["heatmap", "--model", work / "target.mtloc-conf.model", "--csv", target,
           "--receivers", ";".join(f"{x},{y}" for x, y in TARGET_RX), "--out-prefix", heatmap])
+    more_grids = [work / f"target.grid-{suffix}.csv" for suffix, *_ in MORE_CVS]
+    for out, (_, method, axes, settings) in zip(more_grids, MORE_CVS):
+        _run(["cv", "--method", method, "--model", model, "--target-csv", target,
+              "--grid", axes, "--folds", "3", *_settings(settings), "--out", out])
     return files + [report, grid, synth / "source.csv", synth / "target.csv"] + [
         work / f"target.heatmap{suffix}" for suffix in (".csv", ".pgm", ".scale.txt")
-    ]
+    ] + more_grids
 
 
 def params_digest(path: Path) -> str:

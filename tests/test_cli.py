@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import rfloc
-from rfloc import cli
+from rfloc import cli, meanteacher
 from rfloc.artifact import DIGEST_BYTES, FORMAT_VERSION, MAGIC, load_model, save_model
 from rfloc.cli import main, read_manifest
 from rfloc.configio import dataclass_to_kv, kv_to_dataclass, read_kv, write_kv
@@ -630,6 +631,43 @@ def test_cv_table_equals_serial_run(workdir, tmp_path, monkeypatch):
     pooled = (tmp_path / "pool" / "cv.csv").read_bytes()
     assert len(pooled.splitlines()) == 2 + 4
     assert pooled == (tmp_path / "serial" / "cv.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, epochs, parent_epochs, worker_epochs",
+    [("alpha=0.7,0.8;k=2,8", 2, [0] * 3, [1] * 12),
+     ("noise_variance=0.1,0.3;k=2,8", 2, [0] * 6, [1] * 12),
+     ("noise_variance=0.1,0.3", 2, [], [0] * 6 + [1] * 6),
+     ("alpha=0.7,0.8;k=2,8", 0, [], [])],
+    ids=["one-setting", "two-settings", "unshared", "no-epoch"],
+)
+def test_cv_probes_the_first_epoch_once_per_fold_and_setting(
+    workdir, tmp_path, monkeypatch, grid, epochs, parent_epochs, worker_epochs
+):
+    # Each _probe call, in this process or a forked worker, leaves a file
+    # named after its process and epoch. The entries that agree on
+    # (noise_variance, n_probe, seed) share their fold's epoch-0 probe,
+    # made here; an entry alone with its settings probes epoch 0 in its
+    # worker, and later epochs always probe there.
+    probes = tmp_path / "probes"
+    probes.mkdir()
+    real_probe = meanteacher._probe
+
+    def counting_probe(*args):
+        os.close(tempfile.mkstemp(prefix=f"{os.getpid()}-{args[5]}-", dir=probes)[0])
+        return real_probe(*args)
+
+    monkeypatch.setattr(meanteacher, "_probe", counting_probe)
+    assert main([
+        "cv", "--method", "mtloc-conf",
+        "--model", str(workdir / "source.model"),
+        "--target-csv", str(workdir / "data" / "target.csv"),
+        "--grid", grid, "--folds", "3", "--set", f"epochs={epochs}",
+        "--out", str(tmp_path / "cv.csv"),
+    ]) == 0
+    calls = [tuple(map(int, p.name.split("-")[:2])) for p in probes.iterdir()]
+    assert sorted(epoch for pid, epoch in calls if pid == os.getpid()) == parent_epochs
+    assert sorted(epoch for pid, epoch in calls if pid != os.getpid()) == worker_epochs
 
 
 def test_cv_tie_goes_to_the_smaller_values_in_sorted_key_order(workdir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rfloc.evalmetrics import (
     write_heatmap_pgm,
 )
 from rfloc.localizer import predict
-from rfloc.meanteacher import ConfidenceConfig, adapt
+from rfloc.meanteacher import ConfidenceConfig, adapt, first_pass
 from util import cross_validate_serial, overall_mae_d
 
 
@@ -171,11 +172,15 @@ def _grid_dataset() -> Dataset:
 def test_cross_validate_picks_better_recipe():
     ds = _grid_dataset()
 
-    def recipe(train, val, config):
-        if config["mode"] == "mean":
-            center = train.labels.mean(axis=0)
-            return np.tile(center, (len(val), 1))
-        return np.zeros((len(val), 2))
+    def recipe(train):
+        center = train.labels.mean(axis=0)
+
+        def fit(val, config):
+            if config["mode"] == "mean":
+                return np.tile(center, (len(val), 1))
+            return np.zeros((len(val), 2))
+
+        return fit
 
     scores = cross_validate(ds, recipe, [{"mode": "mean"}, {"mode": "zeros"}], n_folds=3, seed=0)
     assert len(scores) == 2 and all(type(s) is float for s in scores)
@@ -185,14 +190,14 @@ def test_cross_validate_picks_better_recipe():
 def test_cross_validate_validation():
     ds = _grid_dataset()
     with pytest.raises(DataError, match="fold selection requires a labeled target CSV"):
-        cross_validate(ds.without_labels(), lambda t, v, c: None, [{}], n_folds=5, seed=0)
+        cross_validate(ds.without_labels(), lambda t: lambda v, c: None, [{}], n_folds=5, seed=0)
 
 
 def test_cross_validate_results_in_grid_order():
     ds = _grid_dataset()
 
-    def recipe(train, val, config):
-        return np.full((len(val), 2), config["bias"])
+    def recipe(train):
+        return lambda val, config: np.full((len(val), 2), config["bias"])
 
     grid = [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}]
     scores = cross_validate(ds, recipe, grid, n_folds=2, seed=0)
@@ -201,16 +206,22 @@ def test_cross_validate_results_in_grid_order():
     assert len(set(scores)) == 3
 
 
-def _mean_or_zeros(train, val, config):
-    if config["mode"] == "mean":
-        return np.tile(train.labels.mean(axis=0), (len(val), 1))
-    return np.zeros((len(val), 2))
+def _mean_or_zeros(train):
+    center = train.labels.mean(axis=0)
+
+    def fit(val, config):
+        if config["mode"] == "mean":
+            return np.tile(center, (len(val), 1))
+        return np.zeros((len(val), 2))
+
+    return fit
 
 
 LAMBDA_GRIDS = [
     (_mean_or_zeros, [{"mode": "mean"}, {"mode": "zeros"}], 3),
-    (lambda t, v, c: np.zeros((len(v), 2)), [{"alpha": 0.9}, {"alpha": 0.7}], 2),
-    (lambda t, v, c: np.full((len(v), 2), c["bias"]), [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}], 2),
+    (lambda t: lambda v, c: np.zeros((len(v), 2)), [{"alpha": 0.9}, {"alpha": 0.7}], 2),
+    (lambda t: lambda v, c: np.full((len(v), 2), c["bias"]),
+     [{"bias": 2.0}, {"bias": 0.5}, {"bias": 1.0}], 2),
 ]
 
 
@@ -226,10 +237,18 @@ def test_cross_validate_equals_serial_loop(monkeypatch, cpus, case):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_cross_validate_mtloc_conf_equals_serial_loop(monkeypatch, cpus, source_model, small_target):
-    def recipe(train, val, config):
-        cfg = ConfidenceConfig(epochs=1, noise_variance=0.3, **config)
-        adapted, _ = adapt(source_model, train.without_labels(), cfg)
-        return predict(adapted, val)
+    # The grid varies alpha and k only, so one first-epoch pass per fold
+    # serves every entry.
+    def recipe(train):
+        target = train.without_labels()
+        first = first_pass(source_model, target, ConfidenceConfig(noise_variance=0.3))
+
+        def fit(val, config):
+            cfg = ConfidenceConfig(epochs=1, noise_variance=0.3, **config)
+            adapted, _ = adapt(source_model, target, cfg, first)
+            return predict(adapted, val)
+
+        return fit
 
     grid = [{"alpha": 0.7, "k": 2}, {"alpha": 0.8, "k": 8}]
     expected = cross_validate_serial(small_target, recipe, grid, n_folds=3, seed=0)
@@ -259,7 +278,7 @@ def test_cross_validate_worker_count(
 ):
     # Each task leaves a file named after the process that ran it and the
     # THREADS that process's for_blocks uses.
-    def recipe(train, val, config):
+    def fit(val, config):
         prefix = f"{os.getpid()}-{networks.THREADS}-"
         os.close(tempfile.mkstemp(prefix=prefix, dir=tmp_path)[0])
         return np.zeros((len(val), 2))
@@ -273,7 +292,7 @@ def test_cross_validate_worker_count(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSizes)
     _PoolSizes.sizes = []
     grid = [{"i": i} for i in range(n_configs)]
-    cross_validate(_grid_dataset(), recipe, grid, n_folds=n_folds, seed=0)
+    cross_validate(_grid_dataset(), lambda train: fit, grid, n_folds=n_folds, seed=0)
     assert _PoolSizes.sizes == [workers]
     pids = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
     assert os.getpid() not in pids and 1 <= len(pids) <= workers
@@ -295,24 +314,75 @@ def test_threads_count_the_cpus_this_process_may_run_on(monkeypatch):
 
 def test_cross_validate_error_leaves_no_workers():
     # The first failing task in grid order raises, as in the serial loop.
-    def recipe(train, val, config):
+    def fit(val, config):
         if config["bad"]:
             raise ConfigError(f"bad config {config['name']}")
         return np.zeros((len(val), 2))
 
     grid = [{"bad": False, "name": "a"}, {"bad": True, "name": "b"}, {"bad": True, "name": "c"}]
     with pytest.raises(ConfigError, match="bad config b"):
-        cross_validate(_grid_dataset(), recipe, grid, n_folds=3, seed=0)
+        cross_validate(_grid_dataset(), lambda train: fit, grid, n_folds=3, seed=0)
     assert multiprocessing.active_children() == []
 
 
+def test_cross_validate_per_fold_error_is_raised_before_any_worker(monkeypatch):
+    # The second fold's stage fails: the first fold's ran, no pool was made.
+    stages = []
+
+    def recipe(train):
+        stages.append(len(train))
+        if len(stages) == 2:
+            raise ConfigError("bad fold")
+        return lambda val, config: np.zeros((len(val), 2))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolSizes)
+    _PoolSizes.sizes = []
+    with pytest.raises(ConfigError, match="bad fold"):
+        cross_validate(_grid_dataset(), recipe, [{}, {}], n_folds=3, seed=0)
+    assert len(stages) == 2 and _PoolSizes.sizes == []
+
+
+class _PoolThreads(concurrent.futures.ProcessPoolExecutor):
+    """Records the threads alive as each pool is made."""
+
+    counts: list = []
+
+    def __init__(self, *args, **kwargs):
+        self.counts.append(threading.active_count())
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_cross_validate_forks_from_one_thread(monkeypatch, cpus):
+    # Each per-fold stage runs for_blocks, on 4 threads when it may; they
+    # are joined before the pool forks its workers.
+    threads_per_stage = []
+
+    def recipe(train):
+        names = set()
+
+        def block(start, stop):
+            names.add(threading.current_thread().name)
+
+        networks.for_blocks(len(train), block, cap=8)
+        threads_per_stage.append(len(names))
+        return lambda val, config: np.zeros((len(val), 2))
+
+    monkeypatch.setattr(networks, "THREADS", cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolThreads)
+    _PoolThreads.counts = []
+    cross_validate(_grid_dataset(), recipe, [{}, {}], n_folds=3, seed=0)
+    assert threads_per_stage == [cpus] * 3
+    assert _PoolThreads.counts == [1]
+
+
 def test_cross_validate_dead_worker_raises_worker_error():
-    def recipe(train, val, config):
+    def fit(val, config):
         if config["die"]:
             os._exit(9)
         return np.zeros((len(val), 2))
 
     grid = [{"die": False}, {"die": True}]
     with pytest.raises(WorkerError, match="worker process died"):
-        cross_validate(_grid_dataset(), recipe, grid, n_folds=2, seed=0)
+        cross_validate(_grid_dataset(), lambda train: fit, grid, n_folds=2, seed=0)
     assert multiprocessing.active_children() == []

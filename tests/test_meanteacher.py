@@ -20,6 +20,7 @@ from rfloc.meanteacher import (
     compute_thresholds,
     correct_labels,
     ema_update,
+    first_pass,
 )
 from rfloc.networks import PREDICT_BLOCK_ROWS, in_blocks
 from rfloc.nn import Param, Rng, clone_params
@@ -564,3 +565,36 @@ def test_adapt_bit_equal_with_allocating_oracles(monkeypatch, source_model, smal
     old, _ = adapt(source_model, target, cfg)
     for name, p in new.net.params.items():
         assert np.array_equal(p.value, old.net.params[name].value), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "cfg, donor",
+    [(MeanTeacherConfig(alpha=0.8, epochs=2, seed=4),
+      {"alpha": 0.3, "epochs": 5, "noise_variance": 0.7, "seed": 9}),
+     (ConfidenceConfig(alpha=0.8, epochs=2, seed=4, c_x=1.0, c_y=1.0, k=8),
+      {"alpha": 0.3, "epochs": 5, "lr": 0.01, "c_x": 2.0, "k": 2})],
+    ids=["mtloc", "mtloc-conf"],
+)
+def test_adapt_given_the_first_pass_equals_adapt_computing_it(
+    monkeypatch, source_model, small_target, cpus, cfg, donor
+):
+    # The pass comes from a config that shares only the settings first_pass
+    # reads (the plain predictions read none), as a cv grid entry's would.
+    target = small_target.without_labels()
+    expected, expected_rows = adapt(source_model, target, cfg)
+    monkeypatch.setattr(networks, "THREADS", cpus)
+    first = first_pass(source_model, target, dataclasses.replace(cfg, **donor))
+    probed = []
+
+    def counting_probe(*args):
+        probed.append(args[5])
+        return _probe(*args)
+
+    monkeypatch.setattr(meanteacher, "_probe", counting_probe)
+    got, rows = adapt(source_model, target, cfg, first)
+    assert probed == ([1] if isinstance(cfg, ConfidenceConfig) else [])
+    assert rows == expected_rows
+    for name, p in got.net.params.items():
+        assert np.array_equal(p.value, expected.net.params[name].value), name
+    assert got.meta == expected.meta

@@ -229,7 +229,8 @@ def correct_labels_bruteforce(labels, sigma, confident, features, k, eps=1e-8):
 
 def cross_validate_serial(train_set, recipe, configs, n_folds, seed):
     """The one-process config x fold loop that cross_validate ran before
-    its fold pool; the oracle its scores must equal exactly."""
+    its fold pool, with both recipe stages run for every entry and fold:
+    the oracle its scores must equal exactly."""
     if not train_set.labeled:
         raise DataError("fold selection requires a labeled target CSV")
     folds = make_folds(train_set, n_folds, seed)
@@ -239,7 +240,7 @@ def cross_validate_serial(train_set, recipe, configs, n_folds, seed):
         for fold in range(n_folds):
             tr = train_set.subset(np.flatnonzero(folds != fold))
             va = train_set.subset(np.flatnonzero(folds == fold))
-            preds = recipe(tr, va, config)
+            preds = recipe(tr)(va, config)
             fold_scores.append(compute_metrics(preds, va.labels)["mae_d"])
         scores.append(float(np.mean(fold_scores)))
     return scores
