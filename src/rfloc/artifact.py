@@ -27,7 +27,7 @@ from .data import NormStats
 from .errors import ArtifactError, ConfigError
 from .localizer import LocalizerModel, SourceStats
 from .networks import FEATURE_DIM, FeatureExtractor, Localizer, Regressor
-from .nn import Param
+from .nn.params import Param
 
 MAGIC = b"RFLM"
 FORMAT_VERSION = 2

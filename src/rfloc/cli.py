@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import re
 import sys
 import time
@@ -58,7 +59,7 @@ from .evalmetrics import (
     write_heatmap_pgm,
 )
 from .localizer import TrainConfig, finetune_oracle, predict, train_source
-from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt, first_pass
+from .meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt, first_pass, pass_key
 from .shot import ShotConfig, run_shot
 from .synthetic import Site, SynthConfig, generate_synthetic
 
@@ -178,10 +179,25 @@ def _check_names(command, kind, given, required, optional=()) -> None:
         raise DataError(f"{command} manifest has an unexpected {kind} {unexpected[0]!r}")
 
 
+def _check_paths(inputs, outputs, manifest_path) -> None:
+    """Refuse a run that would write one file twice or write over one of
+    its inputs: the file would not hold what the manifest records, and an
+    overwritten input would no longer replay."""
+    files = {os.path.realpath(p): f"input {name!r}" for name, p in inputs.items()}
+    for name, p in [*outputs.items(), ("manifest", manifest_path)]:
+        path = os.path.realpath(p)
+        if path in files:
+            raise UsageError(
+                f"cannot write output {name!r} ({p}): it is the same file as {files[path]}"
+            )
+        files[path] = f"output {name!r}"
+
+
 def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=None) -> None:
-    """Check the config snapshot and the input and output names, hash the
-    inputs (a replay compares them with the recorded hashes), make the
-    output directories, run the verb, then write the manifest."""
+    """Check the config snapshot, the input and output names and that no
+    written path is another written path or an input, hash the inputs (a
+    replay compares them with the recorded hashes), make the output
+    directories, run the verb, then write the manifest."""
     start = time.perf_counter()
     if command not in _VERBS:
         raise DataError(f"manifest records unknown command {command!r}")
@@ -190,6 +206,7 @@ def _run_command(command, config_kv, inputs, outputs, manifest_path, recorded=No
     input_names += _more_inputs(command, cfg, inputs)
     _check_names(command, "input", inputs, input_names)
     _check_names(command, "output", outputs, output_names, optional_outputs)
+    _check_paths(inputs, outputs, manifest_path)
     input_hashes = {name: _hash_file(p) for name, p in inputs.items()}
     if recorded is not None:
         for name in sorted({*input_hashes, *recorded}):
@@ -310,29 +327,28 @@ def _run_oracle(cfg, model, target, inputs):
 
 @dataclass(frozen=True)
 class Method:
-    """One adapt method. defaults is its config with the method's default
-    values; its type parses the method's config keys (and, for the
-    mean-teacher family, whether adapt gates its pseudo labels). columns
-    is the diagnostics-CSV header; needs_source says whether it reads
-    source data (--source-csv)."""
+    """One adapt method. config is its config class, which holds the
+    method's default values and parses its config keys (and, for the
+    mean-teacher family, selects whether adapt gates its pseudo labels).
+    columns is the diagnostics-CSV header; needs_source says whether it
+    reads source data (--source-csv)."""
 
-    defaults: object
+    config: type
     run: Callable
     columns: tuple[str, ...]
     needs_source: bool = False
 
 
 METHODS = {
-    "mtloc": Method(MeanTeacherConfig(alpha=0.7), _run_mean_teacher, ("epoch", "kd_loss")),
+    "mtloc": Method(MeanTeacherConfig, _run_mean_teacher, ("epoch", "kd_loss")),
     "mtloc-conf": Method(
-        ConfidenceConfig(), _run_mean_teacher,
-        ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y"),
+        ConfidenceConfig, _run_mean_teacher, ("epoch", "kd_loss", "n_uncertain", "t_x", "t_y")
     ),
     "dann": Method(
-        DannConfig(), _run_dann, ("epoch", "reg_loss", "disc_loss", "feat_loss"), needs_source=True
+        DannConfig, _run_dann, ("epoch", "reg_loss", "disc_loss", "feat_loss"), needs_source=True
     ),
-    "shot": Method(ShotConfig(), _run_shot, ("epoch", "cons", "teach", "stat", "coral", "total")),
-    "oracle": Method(TrainConfig(), _run_oracle, ("epoch",)),
+    "shot": Method(ShotConfig, _run_shot, ("epoch", "cons", "teach", "stat", "coral", "total")),
+    "oracle": Method(TrainConfig, _run_oracle, ("epoch",)),
 }
 # The methods k-fold selection tunes: the mean-teacher family.
 CV_METHODS = ("mtloc", "mtloc-conf")
@@ -349,7 +365,7 @@ def _method(config_kv, names, own_keys=("method",)):
 
 def _parse_adapt(config_kv):
     method, method_kv = _method(config_kv, tuple(METHODS))
-    return method, _checked(type(method.defaults), method_kv)
+    return method, _checked(method.config, method_kv)
 
 
 def _run_adapt(parsed, inputs, outputs, run_id) -> None:
@@ -459,14 +475,9 @@ def _parse_cv(config_kv):
     method, base_kv = _method(config_kv, CV_METHODS, ("method", "grid", "folds", "fold_seed"))
     n_folds = _config_value(config_kv, "folds", "5", parse_int)
     fold_seed = _config_value(config_kv, "fold_seed", "0", parse_int)
-    grid = _parse_grid(config_kv.get("grid", ""), type(method.defaults))
-    configs = [_checked(type(method.defaults), {**base_kv, **entry}) for entry in grid]
+    grid = _parse_grid(config_kv.get("grid", ""), method.config)
+    configs = [_checked(method.config, {**base_kv, **entry}) for entry in grid]
     return grid, configs, n_folds, fold_seed
-
-
-def _pass_settings(cfg) -> tuple:
-    """The config values first_pass may read besides the model and rows."""
-    return cfg.noise_variance, getattr(cfg, "n_probe", None), cfg.seed
 
 
 def _run_cv(parsed, inputs, outputs, run_id) -> None:
@@ -477,25 +488,24 @@ def _run_cv(parsed, inputs, outputs, run_id) -> None:
     model = load_model(inputs["model"])
     target = load_csv(inputs["target_csv"])
 
-    # The entries that run a first epoch, by the settings of its teacher
+    # The entries that run a first epoch, by the pass_key of its teacher
     # pass. A pass that two or more entries share is computed once per
-    # fold, in this process; an entry with settings of its own computes its
+    # fold, in this process; an entry with a key of its own computes its
     # pass in its worker, so a one-entry grid keeps both stages in the
     # workers, where the folds run side by side.
     users = {}
     for cfg in configs:
         if cfg.epochs >= 1:
-            users.setdefault(_pass_settings(cfg), []).append(cfg)
+            users.setdefault(pass_key(cfg), []).append(cfg)
 
     def recipe(train):
         train = train.without_labels()
         passes = {
-            settings: first_pass(model, train, cfgs[0])
-            for settings, cfgs in users.items() if len(cfgs) > 1
+            key: first_pass(model, train, cfgs[0]) for key, cfgs in users.items() if len(cfgs) > 1
         }
 
         def fit(val, cfg):
-            adapted, _ = adapt(model, train, cfg, passes.get(_pass_settings(cfg)))
+            adapted, _ = adapt(model, train, cfg, passes.get(pass_key(cfg)))
             return predict(adapted, val)
 
         return fit
@@ -639,7 +649,7 @@ def _request(args):
         return config_kv, inputs, outputs, args.out_prefix + ".manifest"
     # adapt and cv: the method's config keys, then the method.
     method = METHODS[args.method]
-    config_kv = _merge_config(dataclass_to_kv(method.defaults), args.config, args.set)
+    config_kv = _merge_config(dataclass_to_kv(method.config()), args.config, args.set)
     config_kv["method"] = args.method
     inputs = {"model": args.model, "target_csv": args.target_csv}
     if args.command == "cv":

@@ -27,7 +27,9 @@ from .data import Dataset, normalize_features
 from .errors import DataError, ResourceError
 from .localizer import LocalizerModel, Schedule, run_epochs
 from .networks import Discriminator
-from .nn import Adam, Rng, l1_loss
+from .nn.adam import Adam
+from .nn.layers import l1_loss
+from .nn.rng import Rng
 
 LOG_CLAMP = 1e-12
 

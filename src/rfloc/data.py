@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, DataError, SchemaError
-from .nn import Rng
+from .nn.rng import Rng
 
 log = logging.getLogger(__name__)
 

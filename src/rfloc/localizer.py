@@ -21,7 +21,10 @@ import numpy as np
 from .data import Dataset, NormStats, fit_normalizer, normalize_features
 from .errors import ConfigError, DataError, NumericalError
 from .networks import FEATURE_DIM, Localizer, in_blocks
-from .nn import Adam, Rng, clone_params, l1_loss
+from .nn.adam import Adam
+from .nn.layers import l1_loss
+from .nn.params import clone_params
+from .nn.rng import Rng
 
 log = logging.getLogger(__name__)
 

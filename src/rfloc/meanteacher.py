@@ -32,7 +32,10 @@ from .data import NUM_FEATURES, Dataset, normalize_features
 from .errors import ConfigError, NumericalError, UsageError
 from .localizer import _CHECKED, LocalizerModel, Schedule, run_epochs, shuffled
 from .networks import PREDICT_BLOCK_ROWS, for_blocks
-from .nn import Adam, Rng, ema_blend, l1_loss
+from .nn.adam import Adam
+from .nn.layers import l1_loss
+from .nn.params import ema_blend
+from .nn.rng import Rng
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +53,7 @@ PROBE_BLOCK_FLOATS = PREDICT_BLOCK_ROWS * (NUM_FEATURES + 2)
 
 @dataclass
 class MeanTeacherConfig(Schedule):
-    alpha: float = 0.8  # EMA coefficient, applied to the student
+    alpha: float = 0.7  # EMA coefficient, applied to the student
     noise_variance: float = 0.1  # variance of input noise (normalized units)
 
     def validate(self) -> None:
@@ -65,6 +68,7 @@ class MeanTeacherConfig(Schedule):
 class ConfidenceConfig(MeanTeacherConfig):
     """A mean-teacher config whose adapt gates the pseudo labels."""
 
+    alpha: float = 0.8
     n_probe: int = 10  # probes per sample for the uncertainty estimate
     c_x: float = 8.0  # threshold coefficients: T = mean + c * std of spreads
     c_y: float = 4.0
@@ -259,15 +263,22 @@ def _teacher_pass(predict_fn, z: np.ndarray, cfg: MeanTeacherConfig, rng: Rng, e
     return predict_fn(z), None
 
 
+def pass_key(cfg: MeanTeacherConfig) -> tuple:
+    """The config values first_pass reads: configs with equal keys share
+    one first pass over the same model and target (cv computes a shared
+    pass once per fold). The plain pass, the source model's predictions,
+    reads none."""
+    if isinstance(cfg, ConfidenceConfig):
+        return cfg.noise_variance, cfg.n_probe, cfg.seed
+    return ()
+
+
 @_CHECKED
 def first_pass(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig):
     """The teacher pass of adapt(model, target, cfg)'s first epoch, where
     the teacher is still the source model: (labels, sigma) for a
-    ConfidenceConfig, (predictions, None) otherwise.
-
-    It reads only the model, the target's features and, when gated,
-    cfg's noise_variance, n_probe and seed, so configs that agree on those
-    may share one pass (cv computes a shared pass once per fold).
+    ConfidenceConfig, (predictions, None) otherwise. Of cfg it reads only
+    pass_key(cfg).
     """
     cfg.validate()
     z = normalize_features(target.features, model.norm)
@@ -279,7 +290,7 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig, first=
 
     Pseudo labels are gated exactly when cfg is a ConfidenceConfig.
     first is the first epoch's teacher pass, first_pass(model, target,
-    cfg); it is computed here when not given, with the same bits.
+    cfg); when not given, the first epoch runs its own, with the same bits.
     Returns (student model, per-epoch diagnostics). The diagnostics are
     run_epochs rows {"epoch", "kd_loss"}, plus "n_uncertain", "t_x" and
     "t_y" when gated. Source data is never touched; only the model
@@ -298,12 +309,10 @@ def adapt(model: LocalizerModel, target: Dataset, cfg: MeanTeacherConfig, first=
 
     def start(epoch):
         nonlocal pseudo
-        if epoch > 0:
-            labels, sigma = _teacher_pass(teacher.predict, z, cfg, rng, epoch)
-        elif first is None:
-            labels, sigma = first_pass(model, target, cfg)
-        else:
+        if epoch == 0 and first is not None:
             labels, sigma = first
+        else:
+            labels, sigma = _teacher_pass(teacher.predict, z, cfg, rng, epoch)
         if sigma is None:
             pseudo = labels
             return {}

@@ -35,9 +35,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigError
-from .nn import (
-    Param,
-    clone_params,
+from .nn.layers import (
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -49,6 +47,7 @@ from .nn import (
     sigmoid,
     sigmoid_backward,
 )
+from .nn.params import Param, clone_params
 
 INPUT_LEN = 8
 IN_CHANNELS = 1

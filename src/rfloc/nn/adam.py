@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalError
-from .params import Param, row_blocks, scratch_for, scratch_like
+from .params import Param, scratch_for, scratch_like, update_blocks
 
 
 BETA1 = 0.9
@@ -54,7 +54,7 @@ class Adam:
         buf_a, buf_b = self._scratch
         for name, p in self.params.items():
             m, v, value, grad = self._m[name], self._v[name], p.value, p.grad
-            for rows in row_blocks(value.shape):
+            for rows in update_blocks(value.shape):
                 g, mb, vb, pb = grad[rows], m[rows], v[rows], value[rows]
                 a, b = scratch_like(buf_a, g), scratch_like(buf_b, g)
                 mb *= b1

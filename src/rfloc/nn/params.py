@@ -38,7 +38,7 @@ def clone_params(params: dict[str, Param]) -> dict[str, Param]:
 # Cached: the optimizer and the EMA ask for the same few parameter shapes
 # every batch, and building the slices costs about 2 us a call.
 @functools.lru_cache(maxsize=256)
-def row_blocks(shape: tuple[int, ...]) -> tuple:
+def update_blocks(shape: tuple[int, ...]) -> tuple:
     """Indices that split an array of this shape along its first axis
     into blocks of about BLOCK_ELEMENTS elements (at least one row each).
 
@@ -74,7 +74,7 @@ def ema_blend(teacher: dict, student: dict, student_weight: float, teacher_weigh
     buf = scratch_for(teacher)
     for name, t in teacher.items():
         s = student[name].value
-        for rows in row_blocks(t.value.shape):
+        for rows in update_blocks(t.value.shape):
             tb = t.value[rows]
             term = scratch_like(buf, tb)
             np.multiply(s[rows], student_weight, out=term)

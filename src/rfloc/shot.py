@@ -47,7 +47,9 @@ from .data import Dataset, normalize_features
 from .errors import ConfigError, UsageError
 from .localizer import LocalizerModel, Schedule, SourceStats, run_epochs, shuffled
 from .networks import FeatureExtractor, Localizer, Regressor
-from .nn import Adam, Rng, ema_blend
+from .nn.adam import Adam
+from .nn.params import ema_blend
+from .nn.rng import Rng
 
 log = logging.getLogger(__name__)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .nn import Rng
+from .nn.rng import Rng
 
 DISTANCE_FLOOR = 0.1
 # Largest trajectory, in rows: 2^25 floats of features and labels (10 per
@@ -97,14 +97,22 @@ class SynthConfig(Site):
                 " use a smaller room or a larger line_spacing, speed or sample_interval"
             )
 
-    def trajectory_rows(self) -> float:
-        """The number of rows trajectory() builds, in float arithmetic: inf
-        or NaN when it is too large to count."""
+    def trajectory_axes(self) -> tuple:
+        """The np.arange (start, stop, step) of the trajectory's line
+        positions along x and of its sample positions along each line."""
         width, height = self.room
         inset = self.line_spacing / 2.0
         step = self.speed * self.sample_interval
-        lines = _arange_length(inset, width - inset + 1e-9, self.line_spacing)
-        return lines * _arange_length(inset, height - inset + 1e-9, step)
+        return (
+            (inset, width - inset + 1e-9, self.line_spacing),
+            (inset, height - inset + 1e-9, step),
+        )
+
+    def trajectory_rows(self) -> float:
+        """The number of rows trajectory() builds, in float arithmetic: inf
+        or NaN when it is too large to count."""
+        lines, samples = self.trajectory_axes()
+        return _arange_length(*lines) * _arange_length(*samples)
 
 
 def trajectory(cfg: SynthConfig) -> np.ndarray:
@@ -112,11 +120,7 @@ def trajectory(cfg: SynthConfig) -> np.ndarray:
     line_spacing apart, traversed in alternating direction at constant
     speed, one reading every sample_interval seconds."""
     cfg.validate()  # refuses an empty trajectory, which np.arange would size as -inf
-    width, height = cfg.room
-    inset = cfg.line_spacing / 2.0
-    step = cfg.speed * cfg.sample_interval
-    xs = np.arange(inset, width - inset + 1e-9, cfg.line_spacing)
-    ys = np.arange(inset, height - inset + 1e-9, step)
+    xs, ys = (np.arange(*axis) for axis in cfg.trajectory_axes())
     points = []
     for i, x in enumerate(xs):
         line_y = ys if i % 2 == 0 else ys[::-1]

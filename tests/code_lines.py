@@ -59,7 +59,7 @@ def config_keys() -> list[tuple[str, list[str]]]:
 
     commands = [("gen-synth", keys(cli.SynthScenario)), ("train", keys(cli.TrainConfig))]
     for verb, names in (("adapt", tuple(cli.METHODS)), ("cv", cli.CV_METHODS)):
-        commands += [(f"{verb} {name}", keys(type(cli.METHODS[name].defaults))) for name in names]
+        commands += [(f"{verb} {name}", keys(cli.METHODS[name].config)) for name in names]
     return commands
 
 

@@ -25,7 +25,7 @@ from rfloc.meanteacher import (
     correct_labels,
 )
 from rfloc.networks import FEATURE_DIM, Discriminator, Localizer
-from rfloc.nn import l1_loss
+from rfloc.nn.layers import l1_loss
 from rfloc.shot import ShotConfig, _shot_step, pred_stat_loss, run_shot, sq_loss
 from rfloc.synthetic import SynthConfig, generate_synthetic
 

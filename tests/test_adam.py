@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rfloc.errors import NumericalError
-from rfloc.nn import Adam, Param, clone_params
-from rfloc.nn.adam import BETA1, BETA2
-from rfloc.nn.params import BLOCK_ELEMENTS
+from rfloc.nn.adam import BETA1, BETA2, Adam
+from rfloc.nn.params import BLOCK_ELEMENTS, Param, clone_params
 
 from util import AdamAllocating, AdamTextbook
 

@@ -670,6 +670,38 @@ def test_cv_probes_the_first_epoch_once_per_fold_and_setting(
     assert sorted(epoch for pid, epoch in calls if pid != os.getpid()) == worker_epochs
 
 
+@pytest.mark.parametrize("axis", ["seed=0,1", "noise_variance=0.1,0.3"])
+def test_cv_shares_the_plain_first_pass_over_any_grid(workdir, tmp_path, monkeypatch, axis):
+    # The plain first pass is the source model's predictions, which no
+    # mtloc setting changes: every entry of a fold shares one pass, and
+    # each row is the one its entry scores alone (a one-entry grid shares
+    # nothing: its worker computes its own pass).
+    passes = []
+    real_first_pass = cli.first_pass
+
+    def counting_first_pass(*args):
+        passes.append(args)
+        return real_first_pass(*args)
+
+    def cv(grid, table):
+        assert main([
+            "cv", "--method", "mtloc",
+            "--model", str(workdir / "source.model"),
+            "--target-csv", str(workdir / "data" / "target.csv"),
+            "--grid", grid, "--folds", "3", "--set", "epochs=2",
+            "--out", str(table),
+        ]) == 0
+        return [line.split(",")[:2] for line in table.read_text().splitlines()[2:]]
+
+    monkeypatch.setattr(cli, "first_pass", counting_first_pass)
+    rows = cv(axis, tmp_path / "cv.csv")
+    assert len(passes) == 3
+    key, values = axis.split("=")
+    alone = [cv(f"{key}={v}", tmp_path / f"cv-{v}.csv")[0] for v in values.split(",")]
+    assert len(passes) == 3
+    assert rows == alone
+
+
 def test_cv_tie_goes_to_the_smaller_values_in_sorted_key_order(workdir, tmp_path, capsys):
     # With no epoch every entry adapts to the source model, so both score
     # the same; the tie goes to alpha=0.7, though it is listed second.
@@ -1769,6 +1801,57 @@ def test_train_output_under_a_file_exits_2_before_training(workdir, tmp_path, ca
     err = capsys.readouterr().err
     assert f"error: cannot make the directory of output {blocker / 'm.model'}:" in err
     assert "Traceback" not in err
+
+
+_COLLISIONS = {
+    "adapt-diagnostics": "output 'diagnostics' ({out}): it is the same file as output 'model'",
+    "adapt-manifest": "output 'manifest' ({out}.manifest): it is the same file as output"
+                      " 'diagnostics'",
+    "train-input": "output 'model' ({out}): it is the same file as input 'source_csv'",
+    "eval-input": "output 'report' ({out}): it is the same file as input 'csv'",
+}
+
+
+@pytest.mark.parametrize("case", _COLLISIONS)
+def test_a_run_onto_its_own_output_or_input_exits_2_writing_nothing(
+    workdir, tmp_path, capsys, case
+):
+    # adapt --out X --diagnostics X exited 0 and left X a diagnostics CSV;
+    # train --out onto its source CSV exited 0 and overwrote its input.
+    out = tmp_path / "x"
+    adapt = _adapt_args(workdir, "mtloc", out, "epochs=1") + ["--diagnostics"]
+    if case == "adapt-diagnostics":
+        args = adapt + [str(out)]
+    elif case == "adapt-manifest":
+        args = adapt + [f"{out}.manifest"]
+    elif case == "train-input":
+        out.write_bytes((workdir / "data" / "source.csv").read_bytes())
+        args = ["train", "--source-csv", str(out), "--set", "epochs=1", "--out", str(out)]
+    else:
+        out.write_bytes((workdir / "data" / "target.csv").read_bytes())
+        args = ["eval", "--model", str(workdir / "source.model"), "--csv", str(out),
+                "--out-report", str(out)]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {_COLLISIONS[case].format(out=out)}\n" in err
+    assert "Traceback" not in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_replay_out_dir_onto_one_basename_exits_2_writing_nothing(workdir, tmp_path, capsys):
+    # Two outputs in two directories under one file name both map to
+    # out_dir/<name> on replay.
+    out = tmp_path / "m" / "x"
+    args = _adapt_args(workdir, "mtloc", out, "epochs=1")
+    assert main(args + ["--diagnostics", str(tmp_path / "d" / "x")]) == 0
+    replay_dir = tmp_path / "replayed"
+    capsys.readouterr()
+    assert main(["replay", "--manifest", f"{out}.manifest", "--out-dir", str(replay_dir)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: cannot write output 'diagnostics' ({replay_dir / 'x'}): it is the same file"
+            " as output 'model'\n") in err
+    assert not replay_dir.exists()
 
 
 def test_eval_report_onto_a_directory_exits_2(workdir, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from rfloc.dann import DannConfig, cycled, disc_loss, run_dann
 from rfloc.errors import DataError, ResourceError
-from rfloc.nn import Rng
+from rfloc.nn.rng import Rng
 
 from util import max_rel_error
 

@@ -1,6 +1,7 @@
 """Dead-code guard over src/rfloc: every function, method and class is
-used by some module of the package, and no module imports a name it does
-not use. Code that only tests call belongs in tests/util.py."""
+used by some module of the package, no module imports a name it does not
+use, and no __init__ module re-exports a name. Code that only tests call
+belongs in tests/util.py."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,6 @@ MODULES = {
     path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.rglob("*.py"))
 }
-# __init__ modules re-export names; a re-export is not a use.
-USERS = {name: tree for name, tree in MODULES.items() if not name.endswith("__init__.py")}
 
 
 def _used_names(tree) -> set[str]:
@@ -28,7 +27,7 @@ def _used_names(tree) -> set[str]:
 
 
 def test_every_definition_is_used_by_the_package():
-    used = set().union(*map(_used_names, USERS.values()))
+    used = set().union(*map(_used_names, MODULES.values()))
     unused = sorted(
         f"{module}:{node.name}"
         for module, tree in MODULES.items()
@@ -42,7 +41,7 @@ def test_every_definition_is_used_by_the_package():
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
-    for module, tree in USERS.items():
+    for module, tree in MODULES.items():
         used = _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -53,3 +52,14 @@ def test_no_module_imports_a_name_it_does_not_use():
                     if bound not in used:
                         unused.append(f"{module}:{bound}")
     assert not unused, f"imported but never used: {sorted(unused)}"
+
+
+def test_no_init_module_imports_a_package_module():
+    # Each name has one import path, the module that defines it. The one
+    # import of an __init__ module is rfloc's os, to pin BLAS.
+    imports = [
+        (module, ast.unparse(node))
+        for module, tree in MODULES.items() if module.endswith("__init__.py")
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == [("__init__.py", "import os")]

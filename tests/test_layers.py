@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rfloc.nn import Rng, layers
+from rfloc.nn import layers
+from rfloc.nn.rng import Rng
 
 from util import (
     central_difference,

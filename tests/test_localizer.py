@@ -35,7 +35,8 @@ from rfloc.localizer import (
 )
 from rfloc.meanteacher import ConfidenceConfig, MeanTeacherConfig, adapt
 from rfloc.networks import FEATURE_DIM
-from rfloc.nn import Rng, l1_loss
+from rfloc.nn.layers import l1_loss
+from rfloc.nn.rng import Rng
 from rfloc.shot import ShotConfig, run_shot
 
 from util import AdamAllocating
@@ -149,7 +150,7 @@ def test_train_config_validation():
 
 
 # The config of train and of each adapt method, each class once.
-CONFIG_CLASSES = tuple(dict.fromkeys([TrainConfig, *(type(m.defaults) for m in METHODS.values())]))
+CONFIG_CLASSES = tuple(dict.fromkeys([TrainConfig, *(m.config for m in METHODS.values())]))
 SCHEDULE_ERRORS = {
     "epochs": (-1, "epochs must be non-negative"),
     "batch_size": (0, "batch size must be at least 1"),

@@ -23,7 +23,8 @@ from rfloc.meanteacher import (
     first_pass,
 )
 from rfloc.networks import PREDICT_BLOCK_ROWS, in_blocks
-from rfloc.nn import Param, Rng, clone_params
+from rfloc.nn.params import Param, clone_params
+from rfloc.nn.rng import Rng
 
 from util import (
     AdamAllocating,

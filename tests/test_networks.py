@@ -19,7 +19,9 @@ from rfloc.networks import (
     Regressor,
     row_blocks,
 )
-from rfloc.nn import Param, Rng, clone_params, l1_loss
+from rfloc.nn.layers import l1_loss
+from rfloc.nn.params import Param, clone_params
+from rfloc.nn.rng import Rng
 
 from util import (
     dense_head_init_unrolled,
@@ -255,7 +257,7 @@ def test_dropout_only_active_in_training():
 
 def test_training_reduces_loss_on_memorized_sample():
     # One sample, many steps: the network must be able to memorize it.
-    from rfloc.nn import Adam
+    from rfloc.nn.adam import Adam
 
     net = Localizer.init(Rng(10).stream("init"))
     x = np.random.default_rng(5).normal(size=(1, 8))

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfloc.nn import Rng
-from rfloc.nn.rng import KEY_CHUNK_ROWS, _splitmix64, _splitmix64_array
+from rfloc.nn.rng import KEY_CHUNK_ROWS, Rng, _splitmix64, _splitmix64_array
 from util import row_normals_rowwise
 
 

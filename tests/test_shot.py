@@ -10,7 +10,8 @@ from rfloc import shot
 from rfloc.errors import ConfigError, UsageError
 from rfloc.localizer import SourceStats
 from rfloc.networks import FEATURE_DIM
-from rfloc.nn import Param, Rng, clone_params, ema_blend
+from rfloc.nn.params import Param, clone_params, ema_blend
+from rfloc.nn.rng import Rng
 from rfloc.shot import (
     ShotConfig,
     _shot_step,

@@ -8,7 +8,7 @@ import pytest
 
 from rfloc import synthetic
 from rfloc.errors import ConfigError
-from rfloc.nn import Rng
+from rfloc.nn.rng import Rng
 from rfloc.synthetic import SynthConfig, generate_synthetic, trajectory
 
 

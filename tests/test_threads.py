@@ -23,7 +23,7 @@ from rfloc.errors import NumericalError, ResourceError
 from rfloc.localizer import LocalizerModel, compute_source_stats, predict
 from rfloc.meanteacher import PseudoLabelSet, _probe, correct_labels
 from rfloc.networks import ALIGN_ROWS, PREDICT_BLOCK_ROWS, Localizer, for_blocks, row_blocks
-from rfloc.nn import Rng
+from rfloc.nn.rng import Rng
 
 B = PREDICT_BLOCK_ROWS
 THREAD_COUNTS = (1, 2, 3, 8)

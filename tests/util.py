@@ -20,9 +20,7 @@ from rfloc.networks import (
     KERNEL_SIZE,
     SIGMOID_CLIP,
 )
-from rfloc.nn import (
-    Param,
-    Rng,
+from rfloc.nn.layers import (
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -34,7 +32,8 @@ from rfloc.nn import (
     sigmoid,
     sigmoid_backward,
 )
-from rfloc.nn.rng import _fold, _key_words, _splitmix64
+from rfloc.nn.params import Param
+from rfloc.nn.rng import Rng, _fold, _key_words, _splitmix64
 
 
 def central_difference(scalar_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
